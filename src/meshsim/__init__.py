@@ -20,6 +20,7 @@ from .commander import (
     serve_session,
 )
 from .core import (
+    RANGE_PRESETS,
     Algorithm,
     ConfigError,
     Message,
@@ -61,18 +62,9 @@ from .routing import (
     Unicast,
     btmr_relay,
     mam_handle,
-    reset_routing_state,
 )
 from .scenario import dump_scenario, load_scenario, parse_scenario
-from .simnet import (
-    MobilityTrace,
-    RadioModel,
-    RANGE_PRESETS,
-    Topology,
-    World,
-    hub_position,
-    run,
-)
+from .simnet import MobilityTrace, RadioModel, Topology, World, run
 
 __version__ = "0.1.0"
 
@@ -119,7 +111,6 @@ __all__ = [
     "encode_message",
     "execute_command",
     "format_stats_table",
-    "hub_position",
     "load_plan",
     "load_scenario",
     "make_server",
@@ -128,7 +119,6 @@ __all__ = [
     "message_key",
     "parse_scenario",
     "render_series_csv",
-    "reset_routing_state",
     "run",
     "run_plan",
     "run_script",

@@ -55,7 +55,6 @@ SESSION_VERBS = (CommandVerb.SIM_RESET, CommandVerb.SET_MAM, CommandVerb.SET_BTM
 @dataclass(frozen=True)
 class Command:
     verb: CommandVerb
-    issued_at: int = 0
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class CommanderSession:
                 response = ["ERR unknown command"]
             else:
                 try:
-                    execute_command(self.world, Command(verb, issued_at=self.world.now))
+                    execute_command(self.world, Command(verb))
                 except ConfigError as exc:
                     response = [f"ERR {exc}"]
                 else:

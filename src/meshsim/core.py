@@ -7,9 +7,9 @@ scenario configuration consumed by every other module.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 NodeId = int
 
@@ -138,63 +138,117 @@ class Waypoint(NamedTuple):
     y: float
 
 
+# Maximum link distances measured with nodes on the ground and elevated
+# ~11 cm (antennas facing vs. opposed).
+RANGE_PRESETS = {
+    "ground": 6.0,
+    "elevated": 40.0,
+    "elevated-opposed": 32.0,
+}
+
+
+def setting(parse: Callable[[str], Any], rule: str,
+            ok: Callable[[Any], bool] = lambda value: True,
+            alias: Optional[tuple[str, Callable[[str], Any]]] = None, **default):
+    """A config field that scenario and plan files set as ``key = value``.
+
+    ``parse`` reads the value text, ``ok`` is the field's one check and
+    ``rule`` says in words what both demand. ``alias`` is an optional
+    second ``(key, parse)`` spelling of the same field.
+    """
+    def check(value) -> Optional[str]:
+        return None if ok(value) else f"{rule}, got {value!r}"
+
+    return field(metadata={"parse": parse, "rule": rule, "check": check, "alias": alias},
+                 **default)
+
+
+def check_fields(obj, error: type[Exception], where: Optional[dict] = None) -> None:
+    """Raise ``error`` naming the first field of ``obj`` that fails its check.
+
+    ``where`` maps each field read from a file to its ``(line, key)``, so that
+    the message points at the line.
+    """
+    for f in fields(obj):
+        check = f.metadata.get("check")
+        problem = check(getattr(obj, f.name)) if check else None
+        if problem:
+            lineno, key = (where or {}).get(f.name, (None, f.name))
+            raise error(f"line {lineno}: {key}: {problem}" if lineno else f"{key}: {problem}")
+
+
+def _topology_problem(specs: list[NodeSpec]) -> Optional[str]:
+    if not specs:
+        return "is empty"
+    ids = [spec.node for spec in specs]
+    if len(set(ids)) != len(ids):
+        return "contains duplicate node ids"
+    base = min(ids)
+    if base not in (0, 1) or sorted(ids) != list(range(base, base + len(ids))):
+        return "node ids must be sequential from 0 or 1"
+    if max(ids) > 0xFFFF:
+        return "node id exceeds 16 bits"
+    roles = [spec.role for spec in specs]
+    if roles.count(Role.MOBILE_HUB) != 1:
+        return "must contain exactly one hub"
+    if roles.count(Role.COMMANDER) > 1:
+        return "must contain at most one commander"
+    return None
+
+
+def _mobility_problem(waypoints: Optional[list[Waypoint]]) -> Optional[str]:
+    times = [w.t_ms for w in waypoints or ()]
+    if waypoints is not None and not times:
+        return "trace is empty"
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        return "waypoint times must strictly increase"
+    return None
+
+
+_BOOLEANS = {"true": True, "false": False}
+
+
+def _positive_int(default: int):
+    return setting(int, "must be a positive integer", lambda v: v > 0, default=default)
+
+
 @dataclass
 class ScenarioConfig:
-    """Everything one simulation run needs; identical configs replay identically."""
+    """Everything one simulation run needs; identical configs replay identically.
 
-    topology: list[NodeSpec]
-    duration_ms: int
-    algorithm: Algorithm = Algorithm.BTMR
-    delta_ms: int = 100_000
-    heartbeat_period_ms: int = 2_000
-    data_period_ms: int = 1_000
-    relay_cache_size: int = 20
-    tx_queue_capacity: int = 200
-    rng_seed: int = 0
-    radio_preset: Union[str, float] = "ground"
-    loss_prob: float = 0.0
-    latency_ms: int = 10
-    mobility: Optional[list[Waypoint]] = None
-    tracker: str = "hashmap"
-    fault_duplicate: bool = False
-    name: str = ""
+    Each field but ``topology`` and ``mobility`` is a scenario-file setting:
+    ``validate``, ``parse_scenario`` and ``dump_scenario`` all read its parser
+    and its check from the field metadata.
+    """
+
+    topology: list[NodeSpec] = field(metadata={"check": _topology_problem})
+    duration_ms: int = setting(int, "must be an integer >= 0", lambda v: v >= 0)
+    algorithm: Algorithm = setting(Algorithm, "must be btmr or mam",
+                                   lambda v: isinstance(v, Algorithm), default=Algorithm.BTMR)
+    delta_ms: int = _positive_int(100_000)
+    heartbeat_period_ms: int = _positive_int(2_000)
+    data_period_ms: int = _positive_int(1_000)
+    relay_cache_size: int = _positive_int(20)
+    tx_queue_capacity: int = _positive_int(200)
+    rng_seed: int = setting(int, "must be an integer", default=0)
+    # a preset name, or a disc range in metres spelled radio_range_m
+    radio_preset: Union[str, float] = setting(
+        str, f"must be one of {', '.join(RANGE_PRESETS)} or a positive range in m",
+        lambda v: v in RANGE_PRESETS if isinstance(v, str) else v > 0,
+        alias=("radio_range_m", float), default="ground")
+    loss_prob: float = setting(float, "must be a number in [0, 1)",
+                               lambda v: 0.0 <= v < 1.0, default=0.0)
+    latency_ms: int = _positive_int(10)
+    mobility: Optional[list[Waypoint]] = field(default=None,
+                                               metadata={"check": _mobility_problem})
+    tracker: str = setting(str, "must be hashmap or interval",
+                           lambda v: v in ("hashmap", "interval"), default="hashmap")
+    fault_duplicate: bool = setting(_BOOLEANS.__getitem__, "must be true or false",
+                                    default=False)
+    name: str = setting(str, "must be text", default="")
 
     def validate(self) -> None:
-        if self.duration_ms < 0:
-            raise ConfigError("duration_ms must be >= 0")
-        for fname in ("delta_ms", "heartbeat_period_ms", "data_period_ms",
-                      "relay_cache_size", "tx_queue_capacity", "latency_ms"):
-            if getattr(self, fname) <= 0:
-                raise ConfigError(f"{fname} must be positive")
-        if not 0.0 <= self.loss_prob < 1.0:
-            raise ConfigError("loss_prob must be in [0, 1)")
-        if self.tracker not in ("hashmap", "interval"):
-            raise ConfigError(f"tracker unknown: {self.tracker}")
-        if isinstance(self.radio_preset, (int, float)):
-            if self.radio_preset <= 0:
-                raise ConfigError("radio_preset range must be positive")
-        if not self.topology:
-            raise ConfigError("topology is empty")
-        ids = [spec.node for spec in self.topology]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("topology contains duplicate node ids")
-        base = min(ids)
-        if base not in (0, 1) or sorted(ids) != list(range(base, base + len(ids))):
-            raise ConfigError("topology node ids must be sequential from 0 or 1")
-        if max(ids) > 0xFFFF:
-            raise ConfigError("topology node id exceeds 16 bits")
-        hubs = [s for s in self.topology if s.role is Role.MOBILE_HUB]
-        if len(hubs) != 1:
-            raise ConfigError("topology must contain exactly one hub")
-        commanders = [s for s in self.topology if s.role is Role.COMMANDER]
-        if len(commanders) > 1:
-            raise ConfigError("topology must contain at most one commander")
-        if self.mobility is not None:
-            if not self.mobility:
-                raise ConfigError("mobility trace is empty")
-            times = [w.t_ms for w in self.mobility]
-            if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-                raise ConfigError("mobility waypoint times must strictly increase")
+        check_fields(self, ConfigError)
 
     @property
     def hub_id(self) -> NodeId:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import Algorithm, ScenarioConfig
+from .core import Algorithm, ScenarioConfig, check_fields, setting
 from .metrics import AggregateSummary, RunReport, aggregate, scale_rule_of_three
-from .scenario import load_scenario
+from .scenario import build, content_lines, file_keys, load_scenario, read_setting
 from .simnet import run
 
 DEFAULT_REFERENCE_MINUTES = 3.33
@@ -26,15 +27,26 @@ class PlanError(ValueError):
     pass
 
 
+def _list_of(parse):
+    return lambda text: [parse(part.strip()) for part in text.split(",")]
+
+
 @dataclass
 class ExperimentPlan:
-    scenario: ScenarioConfig
-    algorithms: list[Algorithm]
-    durations_min: list[float]
-    repetitions: int = 1
-    seeds: Optional[list[int]] = None
-    seed_base: int = 0
-    reference_minutes: float = DEFAULT_REFERENCE_MINUTES
+    """A sweep over a scenario; each field but ``name`` is a plan-file setting."""
+
+    scenario: ScenarioConfig = setting(load_scenario, "must name a scenario file or built-in")
+    algorithms: list[Algorithm] = setting(
+        _list_of(Algorithm), "must be a comma-separated list of btmr and mam", bool)
+    durations_min: list[float] = setting(
+        _list_of(float), "must be a comma-separated list of positive minutes",
+        lambda v: len(v) > 0 and all(0 < d < math.inf for d in v))
+    repetitions: int = setting(int, "must be an integer >= 1", lambda v: v >= 1, default=1)
+    seeds: Optional[list[int]] = setting(
+        _list_of(int), "must be a comma-separated list of integers", default=None)
+    seed_base: int = setting(int, "must be an integer", default=0)
+    reference_minutes: float = setting(float, "must be a number",
+                                       default=DEFAULT_REFERENCE_MINUTES)
     name: str = ""
 
     def run_seeds(self) -> list[int]:
@@ -45,14 +57,7 @@ class ExperimentPlan:
         return [self.seed_base + i for i in range(self.repetitions)]
 
     def validate(self) -> None:
-        if not self.algorithms:
-            raise PlanError("plan has no algorithms")
-        if not self.durations_min:
-            raise PlanError("plan has no durations")
-        if any(d <= 0 for d in self.durations_min):
-            raise PlanError("durations_min must be positive")
-        if self.repetitions < 1:
-            raise PlanError("repetitions must be >= 1")
+        check_fields(self, PlanError)
         self.run_seeds()
 
 
@@ -70,9 +75,7 @@ class TableRow:
     runs: int
 
 
-TABLE_CSV_FIELDS = ["algorithm", "duration_min", "unique_mean", "unique_stdev",
-                    "duplicate_mean", "duplicate_stdev", "tx_total_mean",
-                    "rx_total_mean", "scaled_unique", "runs"]
+TABLE_CSV_FIELDS = [f.name for f in fields(TableRow)]
 
 
 @dataclass
@@ -82,13 +85,7 @@ class ComparisonTable:
     reports: dict[tuple[str, float], list[RunReport]] = field(default_factory=dict)
 
     def to_dicts(self) -> list[dict]:
-        return [
-            {name: getattr(row, name) for name in
-             ("algorithm", "duration_min", "unique_mean", "unique_stdev",
-              "duplicate_mean", "duplicate_stdev", "tx_total_mean",
-              "rx_total_mean", "scaled_unique", "runs")}
-            for row in self.rows
-        ]
+        return [asdict(row) for row in self.rows]
 
     def render_csv(self) -> str:
         buf = io.StringIO()
@@ -242,38 +239,26 @@ BUILTIN_PLANS = ("line3_quick", "outdoor_comparison")
 
 
 def parse_plan(text: str, base_dir: Optional[Path] = None, name: str = "") -> ExperimentPlan:
-    fields: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PlanError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "scenario":
-            source = value
-            if base_dir is not None and (base_dir / value).is_file():
-                source = base_dir / value
-            fields["scenario"] = load_scenario(source)
-        elif key == "algorithms":
-            fields["algorithms"] = [Algorithm(v.strip()) for v in value.split(",")]
-        elif key == "durations_min":
-            fields["durations_min"] = [float(v) for v in value.split(",")]
-        elif key == "repetitions":
-            fields["repetitions"] = int(value)
-        elif key == "seeds":
-            fields["seeds"] = [int(v) for v in value.split(",")]
-        elif key == "seed_base":
-            fields["seed_base"] = int(value)
-        elif key == "reference_minutes":
-            fields["reference_minutes"] = float(value)
-        else:
-            raise PlanError(f"line {lineno}: unknown key {key}")
-    if "scenario" not in fields:
-        raise PlanError("scenario missing")
-    plan = ExperimentPlan(name=name, **fields)
-    plan.validate()
+    def scenario(value: str) -> ScenarioConfig:
+        # a scenario file next to the plan wins over a built-in of that name
+        if base_dir is not None and (base_dir / value).is_file():
+            return load_scenario(base_dir / value)
+        return load_scenario(value)
+
+    keys = file_keys(ExperimentPlan)
+    keys["scenario"] = ("scenario", scenario, keys["scenario"][2])
+    values: dict = {"name": name}
+    where: dict = {}
+    for lineno, line in content_lines(text):
+        try:
+            read_setting(keys, line, lineno, values, where)
+        except ValueError as exc:
+            raise PlanError(f"line {lineno}: {exc}") from None
+    plan = build(ExperimentPlan, values, where, PlanError)
+    try:
+        plan.run_seeds()
+    except PlanError as exc:
+        raise PlanError(f"line {where['seeds'][0]}: seeds: {exc}") from None
     return plan
 
 

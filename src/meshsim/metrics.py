@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .core import MessageKey, NodeId
@@ -29,7 +29,7 @@ class TrackerLimitError(RuntimeError):
 
 
 class HashMapTracker:
-    """Map from message key to receive count; the straightforward tracker.
+    """Hash set of the message keys seen so far; the straightforward tracker.
 
     ``entry_limit`` bounds the number of distinct keys; exceeding it raises
     ``TrackerLimitError`` instead of failing silently.
@@ -37,34 +37,30 @@ class HashMapTracker:
 
     def __init__(self, entry_limit: int | None = None):
         self.entry_limit = entry_limit
-        self._counts: dict[MessageKey, int] = {}
+        self._seen: set[MessageKey] = set()
         self.duplicate_count = 0
 
     @property
     def unique_count(self) -> int:
-        return len(self._counts)
+        return len(self._seen)
 
     @property
     def total_count(self) -> int:
         return self.unique_count + self.duplicate_count
 
     def record(self, key: MessageKey) -> Verdict:
-        if key in self._counts:
-            self._counts[key] += 1
+        if key in self._seen:
             self.duplicate_count += 1
             return Verdict.DUPLICATE
-        if self.entry_limit is not None and len(self._counts) >= self.entry_limit:
+        if self.entry_limit is not None and len(self._seen) >= self.entry_limit:
             raise TrackerLimitError(
                 f"tracker entry limit {self.entry_limit} reached at key {key}"
             )
-        self._counts[key] = 1
+        self._seen.add(key)
         return Verdict.UNIQUE
 
-    def count(self, key: MessageKey) -> int:
-        return self._counts.get(key, 0)
-
     def reset(self) -> None:
-        self._counts.clear()
+        self._seen.clear()
         self.duplicate_count = 0
 
 
@@ -137,19 +133,6 @@ def make_tracker(kind: str, entry_limit: int | None = None):
     raise ValueError(f"tracker unknown: {kind}")
 
 
-REPORT_CSV_FIELDS = [
-    "algorithm",
-    "duration_ms",
-    "seed",
-    "unique_received",
-    "duplicate_received",
-    "total_received",
-    "tx_total",
-    "rx_total",
-    "tx_data",
-]
-
-
 @dataclass
 class RunReport:
     """Counters frozen at the end of one run.
@@ -171,32 +154,18 @@ class RunReport:
     per_node: dict[NodeId, dict[str, int]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "duration_ms": self.duration_ms,
-            "seed": self.seed,
-            "unique_received": self.unique_received,
-            "duplicate_received": self.duplicate_received,
-            "total_received": self.total_received,
-            "tx_total": self.tx_total,
-            "rx_total": self.rx_total,
-            "tx_data": self.tx_data,
-            "per_node": {
-                str(node): {
-                    "generated": row["generated"],
-                    "relayed": row["relayed"],
-                    "tx_dropped": row["tx_dropped"],
-                    "restarts": row["restarts"],
-                }
-                for node, row in sorted(self.per_node.items())
-            },
-        }
+        data = {name: getattr(self, name) for name in REPORT_CSV_FIELDS}
+        data["per_node"] = {str(node): dict(row) for node, row in sorted(self.per_node.items())}
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def to_csv_row(self) -> list[str]:
         return [str(getattr(self, name)) for name in REPORT_CSV_FIELDS]
+
+
+REPORT_CSV_FIELDS = [f.name for f in fields(RunReport) if f.name != "per_node"]
 
 
 def scale_rule_of_three(count: float, from_minutes: float, to_minutes: float) -> float:

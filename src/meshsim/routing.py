@@ -142,15 +142,3 @@ def mam_handle(
         state.expiry = now + state.delta_ms
     return [btmr_relay(cache, sender, hops, message)]
 
-
-def reset_routing_state(node) -> None:
-    """Return a node's routing state to power-on values.
-
-    Accepts any object with ``mam`` and ``cache`` attributes; statistics
-    counters are zeroed through ``reset_stats`` when the node provides it.
-    """
-    node.mam.reset()
-    node.cache.clear()
-    reset_stats = getattr(node, "reset_stats", None)
-    if reset_stats is not None:
-        reset_stats()

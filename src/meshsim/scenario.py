@@ -22,144 +22,144 @@ names.
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Callable, Iterator, Union
 
 from .core import (
-    Algorithm,
     ConfigError,
     NodeSpec,
     Role,
     ScenarioConfig,
     Waypoint,
+    check_fields,
 )
 
-_SCALAR_KEYS = {
-    "algorithm": "algorithm",
-    "delta_ms": "delta_ms",
-    "heartbeat_period_ms": "heartbeat_period_ms",
-    "data_period_ms": "data_period_ms",
-    "relay_cache_size": "relay_cache_size",
-    "tx_queue_capacity": "tx_queue_capacity",
-    "duration_ms": "duration_ms",
-    "rng_seed": "rng_seed",
-    "radio_preset": "radio_preset",
-    "radio_range_m": "radio_preset",
-    "loss_prob": "loss_prob",
-    "latency_ms": "latency_ms",
-    "tracker": "tracker",
-    "fault_duplicate": "fault_duplicate",
-    "name": "name",
+# section header -> (field, row layout, row type, one parser per column)
+_SECTIONS = {
+    "[nodes]": ("topology", "id x y role", NodeSpec, (int, float, float, Role)),
+    "[mobility]": ("mobility", "t_ms x y", Waypoint, (int, float, float)),
 }
-
-_INT_FIELDS = {"delta_ms", "heartbeat_period_ms", "data_period_ms",
-               "relay_cache_size", "tx_queue_capacity", "duration_ms",
-               "rng_seed", "latency_ms"}
-
-_ROLES = {role.value: role for role in Role}
 
 BUILTIN_SCENARIOS = ("line3", "indoor10", "outdoor10")
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every line left once ``#`` comments are cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
+def file_keys(cls) -> dict[str, tuple[str, Callable[[str], object], str]]:
+    """File key -> (field name, parser, rule) for every setting of ``cls``."""
+    keys = {}
+    for f in fields(cls):
+        if "parse" in f.metadata:
+            keys[f.name] = (f.name, f.metadata["parse"], f.metadata["rule"])
+            if f.metadata["alias"]:
+                alias, parse = f.metadata["alias"]
+                keys[alias] = (f.name, parse, f.metadata["rule"])
+    return keys
+
+
+def read_setting(keys: dict, line: str, lineno: int, values: dict, where: dict) -> None:
+    """Read one ``key = value`` line into ``values``; a ValueError names the key.
+
+    ``where`` keeps the ``(line, key)`` that set each field: a field may be set
+    only once, and later checks name that line.
+    """
+    key, eq, text = (part.strip() for part in line.partition("="))
+    if not eq:
+        raise ValueError("expected key = value")
+    if key not in keys:
+        raise ValueError(f"unknown key {key}")
+    name, parse, rule = keys[key]
+    if name in where:
+        raise ValueError(f"{key}: already set on line {where[name][0]}")
+    try:
+        values[name] = parse(text)
+    except ConfigError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    except (KeyError, OSError, ValueError):
+        raise ValueError(f"{key}: {rule}, got {text!r}") from None
+    where[name] = (lineno, key)
+
+
+def build(cls, values: dict, where: dict, error: type[Exception]):
+    """``cls(**values)``, once no required field is missing and every check passes."""
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{f.name}: missing")
+    obj = cls(**values)
+    check_fields(obj, error, where)
+    return obj
+
+
+def _read_row(header: str, line: str) -> tuple:
+    _, layout, row_type, parsers = _SECTIONS[header]
+    parts = line.split()
+    try:
+        if len(parts) == len(parsers):
+            return row_type(*(parse(part) for parse, part in zip(parsers, parts)))
+    except ValueError:
+        pass
+    raise ValueError(f"{header[1:-1]}: rows are `{layout}`, got {line!r}")
 
 
 def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
-    fields: dict = {"name": name}
-    nodes: list[NodeSpec] = []
-    waypoints: list[Waypoint] = []
-    section = "header"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        if line.startswith("["):
-            if line == "[nodes]":
-                section = "nodes"
-            elif line == "[mobility]":
-                section = "mobility"
+    keys = file_keys(ScenarioConfig)
+    values: dict = {"name": name, "topology": []}
+    where: dict = {}
+    header = None
+    for lineno, line in content_lines(text):
+        try:
+            if line.startswith("["):
+                if line not in _SECTIONS:
+                    raise ValueError(f"unknown section {line}")
+                header, field_name = line, _SECTIONS[line][0]
+                if field_name in where:
+                    raise ValueError(f"{header}: already opened on line {where[field_name][0]}")
+                where[field_name] = (lineno, header[1:-1])
+                values[field_name] = []
+            elif header is None:
+                read_setting(keys, line, lineno, values, where)
             else:
-                raise ConfigError(f"line {lineno}: unknown section {line}")
-            continue
-        if section == "header":
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _SCALAR_KEYS:
-                raise ConfigError(f"line {lineno}: unknown key {key}")
-            field = _SCALAR_KEYS[key]
-            if field == "algorithm":
-                try:
-                    fields[field] = Algorithm(value)
-                except ValueError:
-                    raise ConfigError(f"line {lineno}: algorithm must be btmr or mam")
-            elif key == "radio_range_m":
-                fields[field] = float(value)
-            elif field == "loss_prob":
-                fields[field] = float(value)
-            elif field == "fault_duplicate":
-                if value not in ("true", "false"):
-                    raise ConfigError(f"line {lineno}: fault_duplicate must be true or false")
-                fields[field] = value == "true"
-            elif field in _INT_FIELDS:
-                fields[field] = int(value)
-            else:
-                fields[field] = value
-        elif section == "nodes":
-            parts = line.split()
-            if len(parts) != 4:
-                raise ConfigError(f"line {lineno}: node rows are `id x y role`")
-            node_id, x, y, role = parts
-            if role not in _ROLES:
-                raise ConfigError(f"line {lineno}: unknown role {role}")
-            nodes.append(NodeSpec(int(node_id), float(x), float(y), _ROLES[role]))
-        else:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: mobility rows are `t_ms x y`")
-            t, x, y = parts
-            waypoints.append(Waypoint(int(t), float(x), float(y)))
-    if "duration_ms" not in fields:
-        raise ConfigError("duration_ms missing")
-    config = ScenarioConfig(topology=nodes, mobility=waypoints or None, **fields)
-    config.validate()
-    return config
+                values[field_name].append(_read_row(header, line))
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+    values["mobility"] = values.get("mobility") or None
+    return build(ScenarioConfig, values, where, ConfigError)
+
+
+def _text(value) -> str:
+    """One value as scenario and plan files write it."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def dump_scenario(config: ScenarioConfig) -> str:
+    """Scenario text that ``parse_scenario`` reads back to an equal config."""
     lines = []
-    if config.name:
-        lines.append(f"name = {config.name}")
-    lines.append(f"algorithm = {config.algorithm.value}")
-    lines.append(f"delta_ms = {config.delta_ms}")
-    lines.append(f"heartbeat_period_ms = {config.heartbeat_period_ms}")
-    lines.append(f"data_period_ms = {config.data_period_ms}")
-    lines.append(f"relay_cache_size = {config.relay_cache_size}")
-    lines.append(f"tx_queue_capacity = {config.tx_queue_capacity}")
-    lines.append(f"duration_ms = {config.duration_ms}")
-    lines.append(f"rng_seed = {config.rng_seed}")
-    if isinstance(config.radio_preset, str):
-        lines.append(f"radio_preset = {config.radio_preset}")
-    else:
-        lines.append(f"radio_range_m = {config.radio_preset}")
-    lines.append(f"loss_prob = {config.loss_prob}")
-    lines.append(f"latency_ms = {config.latency_ms}")
-    lines.append(f"tracker = {config.tracker}")
-    lines.append(f"fault_duplicate = {'true' if config.fault_duplicate else 'false'}")
-    lines.append("")
-    lines.append("[nodes]")
-    for spec in config.topology:
-        lines.append(f"{spec.node} {spec.x} {spec.y} {spec.role.value}")
-    if config.mobility:
-        lines.append("")
-        lines.append("[mobility]")
-        for w in config.mobility:
-            lines.append(f"{w.t_ms} {w.x} {w.y}")
+    for f in fields(config):
+        if "parse" not in f.metadata:
+            continue
+        value = getattr(config, f.name)
+        text, key = _text(value), f.name
+        if f.metadata["alias"] and f.metadata["parse"](text) != value:
+            key = f.metadata["alias"][0]  # the spelling that reads the value back
+        if text:
+            lines.append(f"{key} = {text}")
+    for header, (name, *_) in _SECTIONS.items():
+        rows = getattr(config, name)
+        if rows:
+            lines += ["", header] + [" ".join(_text(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

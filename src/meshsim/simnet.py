@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from .commander import CommandVerb, NodeStats, decode_stats, encode_stats
 from .core import (
+    RANGE_PRESETS,
     Algorithm,
     ConfigError,
     Message,
@@ -39,16 +40,7 @@ from .routing import (
     RelayCache,
     btmr_relay,
     mam_handle,
-    reset_routing_state,
 )
-
-# Maximum link distances measured with nodes on the ground and elevated
-# ~11 cm (antennas facing vs. opposed).
-RANGE_PRESETS = {
-    "ground": 6.0,
-    "elevated": 40.0,
-    "elevated-opposed": 32.0,
-}
 
 _ACK_PAYLOAD = struct.Struct(">HI")
 
@@ -64,12 +56,7 @@ class RadioModel:
 
 def build_radio(config: ScenarioConfig) -> RadioModel:
     preset = config.radio_preset
-    if isinstance(preset, str):
-        if preset not in RANGE_PRESETS:
-            raise ConfigError(f"radio_preset unknown: {preset}")
-        range_m = RANGE_PRESETS[preset]
-    else:
-        range_m = float(preset)
+    range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else float(preset)
     return RadioModel(range_m=range_m,
                       per_link_loss_prob=config.loss_prob,
                       latency_ms=config.latency_ms)
@@ -97,11 +84,6 @@ class MobilityTrace:
                 frac = (t - a.t_ms) / (b.t_ms - a.t_ms)
                 return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
         return (pts[-1].x, pts[-1].y)
-
-
-def hub_position(trace: MobilityTrace, t: int) -> tuple[float, float]:
-    """Collector position at time ``t`` (clamped piecewise-linear interpolation)."""
-    return trace.position(t)
 
 
 class Topology:
@@ -207,13 +189,17 @@ class SimNode:
         self.restarts = 0
         self.drops.clear()
 
+    def reset_routing(self) -> None:
+        """Return routing state and statistics to power-on values."""
+        self.mam.reset()
+        self.cache.clear()
+        self.reset_stats()
+
     def reboot(self) -> None:
         """Everything in RAM goes; the restart counter lives in NVM and ticks up."""
         restarts = self.restarts + 1
-        self.reset_stats()
+        self.reset_routing()
         self.restarts = restarts
-        self.mam.reset()
-        self.cache.clear()
         self.txq.clear()
 
     def stats_snapshot(self) -> NodeStats:
@@ -290,9 +276,6 @@ class World:
         (ux, uy) = self.position(u)
         (vx, vy) = self.position(v)
         return math.hypot(ux - vx, uy - vy) <= self.radio.range_m
-
-    def neighbors_of(self, u: NodeId) -> list[NodeId]:
-        return [v for v in self.node_ids if v != u and self.in_range(u, v)]
 
     # --- event application ------------------------------------------------
 
@@ -411,7 +394,7 @@ class World:
         node.last_cmd_seq[message.origin] = message.seq
         verb = CommandVerb.from_code(message.payload[0])
         if verb is CommandVerb.SIM_RESET:
-            reset_routing_state(node)
+            node.reset_routing()
             if node.id == self.hub_id:
                 self.tracker.reset()
                 self.collected_stats.clear()

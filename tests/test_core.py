@@ -138,6 +138,7 @@ def test_config_valid():
     (dict(loss_prob=1.0), "loss_prob"),
     (dict(tracker="bloom"), "tracker"),
     (dict(radio_preset=-2.0), "radio_preset"),
+    (dict(radio_preset="moon"), "radio_preset"),
 ])
 def test_config_errors_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +21,10 @@ from meshsim import (
     run_plan,
     scale_rule_of_three,
 )
+import meshsim
 from meshsim import refdata
 from meshsim.cli import main as cli_main
+from meshsim.experiments import parse_plan
 
 
 def quick_plan(**overrides):
@@ -205,6 +211,50 @@ def test_plan_file_unknown_key_rejected(tmp_path):
     path.write_text("scenario = line3\nalgorithms = btmr\ndurations_min = 1\nfrobnicate = 9\n")
     with pytest.raises(PlanError, match="frobnicate"):
         load_plan(path)
+
+
+PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
+
+
+@pytest.mark.parametrize("text,complaint", [
+    ("scenario = line3\nalgorithms = foo\ndurations_min = 1\n", "line 2: algorithms"),
+    (PLAN_HEAD + "durations_min = a\n", "line 3: durations_min"),
+    (PLAN_HEAD + "durations_min = 1\nrepetitions = x\n", "line 4: repetitions"),
+    (PLAN_HEAD + "durations_min = 1\nrepetitions = 2\nseeds = 1, 2, 3\n", "line 5: seeds"),
+    (PLAN_HEAD + "durations_min = 1\nalgorithms = mam\n",
+     "line 4: algorithms: already set on line 2"),
+    ("scenario = atlantis\nalgorithms = btmr\ndurations_min = 1\n", "line 1: scenario"),
+    ("scenario = line3\ndurations_min = 1\n", "algorithms: missing"),
+])
+def test_plan_errors_name_the_line(text, complaint):
+    with pytest.raises(PlanError, match=complaint):
+        parse_plan(text)
+
+
+def run_cli(*args):
+    """Run the command line in a fresh interpreter, as a user would."""
+    src = str(Path(meshsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "meshsim.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cli_rejects_malformed_scenario_with_its_line(tmp_path):
+    path = tmp_path / "bad.scn"
+    path.write_text("algorithm = btmr\nduration_ms = abc\n[nodes]\n0 0 0 hub\n")
+    result = run_cli("run", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: line 2: duration_ms")
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_rejects_malformed_plan_with_its_line(tmp_path):
+    path = tmp_path / "bad.plan"
+    path.write_text("scenario = line3\nalgorithms = foo\ndurations_min = 1\n")
+    result = run_cli("plan", str(path), "--out-dir", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: line 2: algorithms")
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_run_writes_report(tmp_path, capsys):

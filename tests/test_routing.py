@@ -11,10 +11,13 @@ from meshsim import (
     Unicast,
     btmr_relay,
     mam_handle,
+    NodeSpec,
+    Role,
+    ScenarioConfig,
     message_hash,
-    reset_routing_state,
 )
 from meshsim.routing import DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
+from meshsim.simnet import SimNode
 
 DELTA = 100_000
 
@@ -227,40 +230,42 @@ def test_handlers_are_deterministic_given_state():
 
 # --- reset -------------------------------------------------------------------
 
-class FakeNode:
-    def __init__(self):
-        self.mam = MamState(delta_ms=DELTA, best_node=3, best_hops=1, expiry=999)
-        self.cache = RelayCache(8)
-        self.counter = 7
-
-    def reset_stats(self):
-        self.counter = 0
+def routed_node():
+    """A sensor node that has learned a route, relayed a frame and counted it."""
+    spec = NodeSpec(1, 0.0, 0.0, Role.SENSOR)
+    config = ScenarioConfig(topology=[NodeSpec(0, 5.0, 0.0, Role.MOBILE_HUB), spec],
+                            duration_ms=1_000, delta_ms=DELTA, relay_cache_size=8)
+    node = SimNode(spec, config)
+    node.mam = MamState(delta_ms=DELTA, best_node=3, best_hops=1, expiry=999)
+    node.relayed = 7
+    return node
 
 
 def test_reset_returns_to_init_state():
-    node = FakeNode()
+    node = routed_node()
     node.cache.insert(55)
-    reset_routing_state(node)
+    node.reset_routing()
     assert (node.mam.best_node, node.mam.best_hops, node.mam.expiry) == (None, 0, 0)
     assert len(node.cache) == 0
-    assert node.counter == 0
+    assert node.relayed == 0
     actions = mam_handle(node.mam, 10, node.cache, 2, 0, data_msg())
     assert actions == [Drop(DROP_NO_ROUTE)]
 
 
 def test_reset_allows_previously_seen_hash_to_relay():
-    node = FakeNode()
+    node = routed_node()
     m = data_msg(seq=9)
     btmr_relay(node.cache, 2, 0, m)
     assert btmr_relay(node.cache, 2, 0, m) == Drop(DROP_SEEN)
-    reset_routing_state(node)
+    node.reset_routing()
     assert isinstance(btmr_relay(node.cache, 2, 0, m), Broadcast)
 
 
 def test_reset_is_idempotent():
-    node = FakeNode()
-    reset_routing_state(node)
-    snapshot = (node.mam.best_node, node.mam.best_hops, node.mam.expiry, len(node.cache), node.counter)
-    reset_routing_state(node)
+    node = routed_node()
+    node.reset_routing()
+    snapshot = (node.mam.best_node, node.mam.best_hops, node.mam.expiry, len(node.cache),
+                node.relayed)
+    node.reset_routing()
     assert snapshot == (node.mam.best_node, node.mam.best_hops, node.mam.expiry,
-                        len(node.cache), node.counter)
+                        len(node.cache), node.relayed)

@@ -14,7 +14,6 @@ from meshsim import (
     Topology,
     Waypoint,
     World,
-    hub_position,
     load_scenario,
     run,
 )
@@ -36,20 +35,20 @@ def pair_config(distance, preset="ground", **overrides):
 
 # --- mobility ----------------------------------------------------------------
 
-def test_hub_position_clamps_and_interpolates():
+def test_mobility_trace_clamps_and_interpolates():
     trace = MobilityTrace([Waypoint(1000, 0.0, 0.0), Waypoint(3000, 10.0, 20.0)])
-    assert hub_position(trace, 0) == (0.0, 0.0)
-    assert hub_position(trace, 1000) == (0.0, 0.0)
-    assert hub_position(trace, 2000) == (5.0, 10.0)
-    assert hub_position(trace, 3000) == (10.0, 20.0)
-    assert hub_position(trace, 9999) == (10.0, 20.0)
+    assert trace.position(0) == (0.0, 0.0)
+    assert trace.position(1000) == (0.0, 0.0)
+    assert trace.position(2000) == (5.0, 10.0)
+    assert trace.position(3000) == (10.0, 20.0)
+    assert trace.position(9999) == (10.0, 20.0)
 
 
-def test_hub_position_multi_segment():
+def test_mobility_trace_multi_segment():
     trace = MobilityTrace([Waypoint(0, 0.0, 0.0), Waypoint(100, 10.0, 0.0),
                            Waypoint(300, 10.0, 40.0)])
-    assert hub_position(trace, 50) == (5.0, 0.0)
-    assert hub_position(trace, 200) == (10.0, 20.0)
+    assert trace.position(50) == (5.0, 0.0)
+    assert trace.position(200) == (10.0, 20.0)
 
 
 def test_moving_hub_breaks_and_restores_links():
