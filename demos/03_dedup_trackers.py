@@ -8,7 +8,7 @@
 
 import random
 
-from meshsim import HashMapTracker, IntervalTracker, MessageKey, TrackerLimitError
+from meshsim import HashMapTracker, IntervalTracker, MessageKey
 
 rng = random.Random(7)
 
@@ -34,13 +34,3 @@ print()
 print(f"hash-map entries held: {hashmap.unique_count}")
 print(f"intervals held:        {sum(interval.interval_count(o) for o in interval.origins())}")
 print(f"origin 0 stretches:    {interval.intervals(0)[:4]} ...")
-print()
-
-# The out-of-memory failure mode, reproduced deliberately: a bounded hash map
-# refuses the entry instead of dying silently.
-small = HashMapTracker(entry_limit=1_000)
-try:
-    for seq in range(2_000):
-        small.record(MessageKey(0, seq))
-except TrackerLimitError as exc:
-    print(f"bounded hash map gave out loudly: {exc}")

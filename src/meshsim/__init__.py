@@ -7,13 +7,11 @@ dedup structures, metrics, and command protocol used to benchmark them.
 """
 
 from .commander import (
-    Command,
     CommanderSession,
     CommandVerb,
     NodeStats,
     ReachabilityReport,
     check_reachability,
-    execute_command,
     format_stats_table,
     make_server,
     run_script,
@@ -49,7 +47,6 @@ from .metrics import (
     HashMapTracker,
     IntervalTracker,
     RunReport,
-    TrackerLimitError,
     Verdict,
     aggregate,
     scale_rule_of_three,
@@ -64,7 +61,7 @@ from .routing import (
     mam_handle,
 )
 from .scenario import dump_scenario, load_scenario, parse_scenario
-from .simnet import MobilityTrace, RadioModel, Topology, World, run
+from .simnet import MobilityTrace, World, run
 
 __version__ = "0.1.0"
 
@@ -72,7 +69,6 @@ __all__ = [
     "Algorithm",
     "AggregateSummary",
     "Broadcast",
-    "Command",
     "CommanderSession",
     "CommandVerb",
     "ComparisonTable",
@@ -90,14 +86,11 @@ __all__ = [
     "NodeStats",
     "PlanError",
     "RANGE_PRESETS",
-    "RadioModel",
     "ReachabilityReport",
     "RelayCache",
     "Role",
     "RunReport",
     "ScenarioConfig",
-    "Topology",
-    "TrackerLimitError",
     "Unicast",
     "Verdict",
     "Waypoint",
@@ -109,7 +102,6 @@ __all__ = [
     "dump_scenario",
     "emit_accumulated_series",
     "encode_message",
-    "execute_command",
     "format_stats_table",
     "load_plan",
     "load_scenario",

@@ -53,11 +53,6 @@ SESSION_VERBS = (CommandVerb.SIM_RESET, CommandVerb.SET_MAM, CommandVerb.SET_BTM
 
 
 @dataclass(frozen=True)
-class Command:
-    verb: CommandVerb
-
-
-@dataclass(frozen=True)
 class NodeStats:
     """One node's counters as reported over the mesh."""
 
@@ -88,17 +83,6 @@ class ReachabilityReport:
     acked: set[NodeId]
     missing: set[NodeId]
     deadline_ms: int
-
-
-def execute_command(world, command: Command) -> None:
-    """Flood ``command`` from the commander node and let the world apply it.
-
-    The caller decides how far to advance the world afterwards; the command
-    itself is injected at the current simulation time.
-    """
-    if world.commander_id is None:
-        raise ConfigError("topology has no commander node")
-    world.issue_command(command.verb, issuer=world.commander_id)
 
 
 def check_reachability(world, deadline_ms: int,
@@ -163,7 +147,7 @@ class CommanderSession:
                 response = ["ERR unknown command"]
             else:
                 try:
-                    execute_command(self.world, Command(verb))
+                    self.world.issue_command(verb)
                 except ConfigError as exc:
                     response = [f"ERR {exc}"]
                 else:

@@ -24,19 +24,10 @@ class Verdict(Enum):
     DUPLICATE = "duplicate"
 
 
-class TrackerLimitError(RuntimeError):
-    """The hash-map tracker hit its configured entry budget."""
-
-
 class HashMapTracker:
-    """Hash set of the message keys seen so far; the straightforward tracker.
+    """Hash set of the message keys seen so far; the straightforward tracker."""
 
-    ``entry_limit`` bounds the number of distinct keys; exceeding it raises
-    ``TrackerLimitError`` instead of failing silently.
-    """
-
-    def __init__(self, entry_limit: int | None = None):
-        self.entry_limit = entry_limit
+    def __init__(self):
         self._seen: set[MessageKey] = set()
         self.duplicate_count = 0
 
@@ -52,10 +43,6 @@ class HashMapTracker:
         if key in self._seen:
             self.duplicate_count += 1
             return Verdict.DUPLICATE
-        if self.entry_limit is not None and len(self._seen) >= self.entry_limit:
-            raise TrackerLimitError(
-                f"tracker entry limit {self.entry_limit} reached at key {key}"
-            )
         self._seen.add(key)
         return Verdict.UNIQUE
 
@@ -125,9 +112,9 @@ class IntervalTracker:
         self.duplicate_count = 0
 
 
-def make_tracker(kind: str, entry_limit: int | None = None):
+def make_tracker(kind: str):
     if kind == "hashmap":
-        return HashMapTracker(entry_limit)
+        return HashMapTracker()
     if kind == "interval":
         return IntervalTracker()
     raise ValueError(f"tracker unknown: {kind}")

@@ -1,9 +1,11 @@
 """Deterministic discrete-event engine.
 
-A ``World`` owns every node's routing state, a disc-model radio, the
+A ``World`` owns every node's routing state, the disc-radio geometry, the
 collector's mobility trace, per-node transmit queues, and a single seeded
-RNG for link-loss draws. Events pop in (time, insertion) order, so identical
-configurations replay identical runs byte for byte.
+RNG for link-loss draws. Each event is a heap entry ``(t, tie, handler,
+args)`` and runs as ``handler(world, *args)``. Events pop in (time,
+insertion) order, so identical configurations replay identical runs byte for
+byte.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import math
 import random
 import struct
 from collections import Counter, deque
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from dataclasses import replace
+from typing import Optional
 
 from .commander import CommandVerb, NodeStats, decode_stats, encode_stats
 from .core import (
@@ -29,6 +31,7 @@ from .core import (
     Role,
     ScenarioConfig,
     Waypoint,
+    _mobility_problem,
     message_key,
     sensor_reading,
 )
@@ -45,32 +48,13 @@ from .routing import (
 _ACK_PAYLOAD = struct.Struct(">HI")
 
 
-@dataclass(frozen=True)
-class RadioModel:
-    """Disc propagation: in range iff distance <= range_m, fixed per-hop latency."""
-
-    range_m: float
-    per_link_loss_prob: float = 0.0
-    latency_ms: int = 10
-
-
-def build_radio(config: ScenarioConfig) -> RadioModel:
-    preset = config.radio_preset
-    range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else float(preset)
-    return RadioModel(range_m=range_m,
-                      per_link_loss_prob=config.loss_prob,
-                      latency_ms=config.latency_ms)
-
-
 class MobilityTrace:
     """Piecewise-linear waypoint schedule, clamped before/after the endpoints."""
 
     def __init__(self, waypoints: list[Waypoint]):
-        if not waypoints:
-            raise ConfigError("mobility trace is empty")
-        times = [w.t_ms for w in waypoints]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError("mobility waypoint times must strictly increase")
+        problem = _mobility_problem(waypoints)
+        if problem:
+            raise ConfigError(f"mobility {problem}")
         self.waypoints = list(waypoints)
 
     def position(self, t: int) -> tuple[float, float]:
@@ -84,70 +68,6 @@ class MobilityTrace:
                 frac = (t - a.t_ms) / (b.t_ms - a.t_ms)
                 return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
         return (pts[-1].x, pts[-1].y)
-
-
-class Topology:
-    """Node placements plus radio range; connectivity is always derived."""
-
-    def __init__(self, specs, range_m: float):
-        self.specs = list(specs)
-        self.range_m = range_m
-        self.positions = {s.node: (s.x, s.y) for s in self.specs}
-        self.roles = {s.node: s.role for s in self.specs}
-
-    def distance(self, u: NodeId, v: NodeId) -> float:
-        (ux, uy), (vx, vy) = self.positions[u], self.positions[v]
-        return math.hypot(ux - vx, uy - vy)
-
-    def in_range(self, u: NodeId, v: NodeId) -> bool:
-        return self.distance(u, v) <= self.range_m
-
-    def neighbors(self, u: NodeId) -> list[NodeId]:
-        return [v for v in sorted(self.positions) if v != u and self.in_range(u, v)]
-
-    def component(self, start: NodeId) -> set[NodeId]:
-        """Connected component of ``start`` in the derived graph (static positions)."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in self.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
-
-# --- events ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Deliver:
-    message: Message
-    to: NodeId
-
-
-@dataclass(frozen=True)
-class GenerateData:
-    node: NodeId
-
-
-@dataclass(frozen=True)
-class EmitHeartbeat:
-    node: NodeId
-
-
-@dataclass(frozen=True)
-class TxDequeue:
-    node: NodeId
-
-
-@dataclass(frozen=True)
-class CommandArrival:
-    verb: CommandVerb
-    issuer: NodeId
-
-
-Event = Union[Deliver, GenerateData, EmitHeartbeat, TxDequeue, CommandArrival]
 
 
 class SimNode:
@@ -164,6 +84,11 @@ class SimNode:
         self.txq: deque = deque()
         self.tx_scheduled = False
         self.radio_free_at = 0
+        # replay protection survives reboots, like provisioning sequence state
+        self.last_cmd_seq: dict[NodeId, int] = {}
+        self.reset_stats()
+
+    def reset_stats(self) -> None:
         # data-plane statistics (heartbeat/control traffic excluded)
         self.generated = 0
         self.relayed = 0
@@ -175,19 +100,6 @@ class SimNode:
         self.tx_dropped = 0
         self.restarts = 0
         self.drops: Counter = Counter()
-        # replay protection survives reboots, like provisioning sequence state
-        self.last_cmd_seq: dict[NodeId, int] = {}
-
-    def reset_stats(self) -> None:
-        self.generated = 0
-        self.relayed = 0
-        self.received = 0
-        self.tx_count = 0
-        self.rx_count = 0
-        self.tx_data_count = 0
-        self.tx_dropped = 0
-        self.restarts = 0
-        self.drops.clear()
 
     def reset_routing(self) -> None:
         """Return routing state and statistics to power-on values."""
@@ -214,13 +126,13 @@ class SimNode:
 
 
 class World:
-    """One simulation run: event queue, nodes, radio, collector-side metrics."""
+    """One simulation run: event queue, nodes, radio geometry, collector-side metrics."""
 
     def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        self.radio = build_radio(config)
-        self.topology = Topology(config.topology, self.radio.range_m)
+        preset = config.radio_preset
+        self.range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else float(preset)
         self.rng = random.Random(config.rng_seed)
         self.now = 0
         self._heap: list = []
@@ -237,14 +149,19 @@ class World:
         self.delivered: list[tuple[int, MessageKey]] = []
         self.probes: dict[tuple[NodeId, int], set[NodeId]] = {}
         self.last_probe: Optional[tuple[NodeId, int]] = None
-        self.schedule(0, EmitHeartbeat(self.hub_id))
+        self.schedule(0, World._emit_heartbeat, self.nodes[self.hub_id])
         for sensor in config.sensor_ids:
-            self.schedule(config.data_period_ms, GenerateData(sensor))
+            self.schedule(config.data_period_ms, World._generate_data, self.nodes[sensor])
 
     # --- scheduling -------------------------------------------------------
 
-    def schedule(self, t: int, event: Event) -> None:
-        heapq.heappush(self._heap, (t, next(self._tie), event))
+    def schedule(self, t: int, handler, *args) -> None:
+        """Run ``handler(self, *args)`` at time ``t``, after earlier-scheduled ties.
+
+        ``handler`` is a plain function such as ``World._deliver``, not a bound
+        method, so the heap holds no reference back to the world.
+        """
+        heapq.heappush(self._heap, (t, next(self._tie), handler, args))
 
     def pending(self) -> int:
         return len(self._heap)
@@ -253,9 +170,9 @@ class World:
         """Pop and apply exactly one event; False when the queue is empty."""
         if not self._heap:
             return False
-        t, _, event = heapq.heappop(self._heap)
+        t, _, handler, args = heapq.heappop(self._heap)
         self.now = t
-        self._apply(event)
+        handler(self, *args)
         return True
 
     def run_until(self, limit_ms: int) -> None:
@@ -265,7 +182,7 @@ class World:
         if limit_ms > self.now:
             self.now = limit_ms
 
-    # --- geometry ---------------------------------------------------------
+    # --- geometry: disc radio, evaluated at ``now`` -----------------------
 
     def position(self, node: NodeId, t: Optional[int] = None) -> tuple[float, float]:
         if node == self.hub_id:
@@ -275,30 +192,30 @@ class World:
     def in_range(self, u: NodeId, v: NodeId) -> bool:
         (ux, uy) = self.position(u)
         (vx, vy) = self.position(v)
-        return math.hypot(ux - vx, uy - vy) <= self.radio.range_m
+        return math.hypot(ux - vx, uy - vy) <= self.range_m
 
-    # --- event application ------------------------------------------------
+    def neighbors(self, u: NodeId) -> list[NodeId]:
+        return [v for v in self.node_ids if v != u and self.in_range(u, v)]
 
-    def _apply(self, event: Event) -> None:
-        if isinstance(event, Deliver):
-            self._deliver(event.message, self.nodes[event.to])
-        elif isinstance(event, TxDequeue):
-            self._tx_dequeue(self.nodes[event.node])
-        elif isinstance(event, GenerateData):
-            self._generate_data(self.nodes[event.node])
-        elif isinstance(event, EmitHeartbeat):
-            self._emit_heartbeat(self.nodes[event.node])
-        elif isinstance(event, CommandArrival):
-            self._command_arrival(event)
-        else:
-            raise TypeError(f"unknown event: {event!r}")
+    def component(self, start: NodeId) -> set[NodeId]:
+        """Nodes connected to ``start`` over radio links as they stand now."""
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for v in self.neighbors(frontier.pop()):
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    # --- event handlers ---------------------------------------------------
 
     def _emit_heartbeat(self, hub: SimNode) -> None:
         message = Message(MessageKind.HEARTBEAT, origin=hub.id, seq=hub.next_seq,
                           hops=0, sender=hub.id)
         hub.next_seq += 1
         self.enqueue_tx(hub, message, dest=None)
-        self.schedule(self.now + self.config.heartbeat_period_ms, EmitHeartbeat(hub.id))
+        self.schedule(self.now + self.config.heartbeat_period_ms, World._emit_heartbeat, hub)
 
     def _generate_data(self, node: SimNode) -> None:
         message = Message(MessageKind.DATA, origin=node.id, seq=node.next_seq,
@@ -307,13 +224,12 @@ class World:
         node.next_seq += 1
         node.generated += 1
         self._relay(node, message)
-        self.schedule(self.now + self.config.data_period_ms, GenerateData(node.id))
+        self.schedule(self.now + self.config.data_period_ms, World._generate_data, node)
 
-    def _command_arrival(self, event: CommandArrival) -> None:
-        issuer = self.nodes[event.issuer]
+    def _command_arrival(self, verb: CommandVerb, issuer: SimNode) -> None:
         message = Message(MessageKind.COMMAND, origin=issuer.id, seq=issuer.next_seq,
                           hops=0, sender=issuer.id,
-                          payload=bytes([event.verb.code]))
+                          payload=bytes([verb.code]))
         issuer.next_seq += 1
         self._apply_command(issuer, message)
         self._relay(issuer, message)
@@ -324,7 +240,7 @@ class World:
             issuer = self.commander_id
         if issuer is None:
             raise ConfigError("topology has no commander node")
-        self.schedule(self.now, CommandArrival(verb, issuer))
+        self.schedule(self.now, World._command_arrival, verb, self.nodes[issuer])
 
     # --- frame handling ---------------------------------------------------
 
@@ -369,9 +285,8 @@ class World:
         algorithm switches reach every node even before routes exist; data,
         stats and heartbeats follow the node's active algorithm.
         """
-        if message.kind in (MessageKind.COMMAND, MessageKind.ACK):
-            actions = [btmr_relay(node.cache, message.sender, message.hops, message)]
-        elif node.algorithm is Algorithm.MAM:
+        if (node.algorithm is Algorithm.MAM
+                and message.kind not in (MessageKind.COMMAND, MessageKind.ACK)):
             actions = mam_handle(node.mam, self.now, node.cache,
                                  message.sender, message.hops, message)
         else:
@@ -444,7 +359,7 @@ class World:
         node.txq.append((message, dest))
         if not node.tx_scheduled:
             node.tx_scheduled = True
-            self.schedule(max(self.now, node.radio_free_at), TxDequeue(node.id))
+            self.schedule(max(self.now, node.radio_free_at), World._tx_dequeue, node)
         return True
 
     def _tx_dequeue(self, node: SimNode) -> None:
@@ -462,22 +377,22 @@ class World:
             if message.kind is MessageKind.DATA:
                 node.tx_data_count += 1
             self._fan_out(node, message, dest)
-        node.radio_free_at = self.now + self.radio.latency_ms
+        node.radio_free_at = self.now + self.config.latency_ms
         if node.txq:
-            self.schedule(node.radio_free_at, TxDequeue(node.id))
+            self.schedule(node.radio_free_at, World._tx_dequeue, node)
         else:
             node.tx_scheduled = False
 
     def _fan_out(self, node: SimNode, message: Message, dest: Optional[NodeId]) -> None:
-        arrival = self.now + self.radio.latency_ms
+        arrival = self.now + self.config.latency_ms
+        loss_prob = self.config.loss_prob
         targets = [dest] if dest is not None else self.node_ids
         for other in targets:
             if other == node.id or not self.in_range(node.id, other):
                 continue
-            if self.radio.per_link_loss_prob > 0.0:
-                if self.rng.random() < self.radio.per_link_loss_prob:
-                    continue
-            self.schedule(arrival, Deliver(message, other))
+            if loss_prob > 0.0 and self.rng.random() < loss_prob:
+                continue
+            self.schedule(arrival, World._deliver, message, self.nodes[other])
 
     # --- reporting ----------------------------------------------------------
 

@@ -4,10 +4,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsim import (
     Algorithm,
-    Command,
     CommanderSession,
     CommandVerb,
     ConfigError,
@@ -17,7 +18,6 @@ from meshsim import (
     ScenarioConfig,
     World,
     check_reachability,
-    execute_command,
     load_scenario,
     make_server,
     run_script,
@@ -45,15 +45,15 @@ def test_command_without_commander_is_an_error():
         duration_ms=10_000, radio_preset="ground")
     world = World(config)
     with pytest.raises(ConfigError, match="commander"):
-        execute_command(world, Command(CommandVerb.SIM_RESET))
+        world.issue_command(CommandVerb.SIM_RESET)
 
 
 def test_reset_then_stats_on_idle_network_reports_zeros():
     world = line3_world()
     world.run_until(9_500)
-    execute_command(world, Command(CommandVerb.SIM_RESET))
+    world.issue_command(CommandVerb.SIM_RESET)
     quiet(world)
-    execute_command(world, Command(CommandVerb.SIM_STATS))
+    world.issue_command(CommandVerb.SIM_STATS)
     quiet(world)
     assert sorted(world.collected_stats) == [0, 1, 2]
     for stats in world.collected_stats.values():
@@ -64,7 +64,7 @@ def test_reset_restores_routing_init_values():
     world = line3_world(algorithm=Algorithm.MAM)
     world.run_until(9_500)
     assert world.nodes[2].mam.best_node is not None
-    execute_command(world, Command(CommandVerb.SIM_RESET))
+    world.issue_command(CommandVerb.SIM_RESET)
     quiet(world)
     for node in world.nodes.values():
         assert (node.mam.best_node, node.mam.best_hops, node.mam.expiry) == (None, 0, 0)
@@ -77,7 +77,7 @@ def test_set_mam_switches_the_data_path():
     world = line3_world()
     world.run_until(1_500)
     assert world.nodes[2].algorithm is Algorithm.BTMR
-    execute_command(world, Command(CommandVerb.SET_MAM))
+    world.issue_command(CommandVerb.SET_MAM)
     quiet(world)
     assert all(node.algorithm is Algorithm.MAM for node in world.nodes.values())
     world.run_until(4_000)
@@ -89,7 +89,7 @@ def test_set_mam_switches_the_data_path():
 def test_set_btmr_switches_back():
     world = line3_world(algorithm=Algorithm.MAM)
     world.run_until(1_500)
-    execute_command(world, Command(CommandVerb.SET_BTMR))
+    world.issue_command(CommandVerb.SET_BTMR)
     quiet(world)
     assert all(node.algorithm is Algorithm.BTMR for node in world.nodes.values())
 
@@ -99,7 +99,7 @@ def test_set_mam_twice_equals_once():
         world = line3_world()
         world.run_until(1_000)
         for _ in range(times):
-            execute_command(world, Command(CommandVerb.SET_MAM))
+            world.issue_command(CommandVerb.SET_MAM)
             quiet(world, 500)
         world.run_until(8_000)
         return [(n.algorithm, n.mam.best_node, n.mam.best_hops, n.generated,
@@ -111,7 +111,7 @@ def test_set_mam_twice_equals_once():
 def test_stats_collection_includes_every_node_and_the_hub_itself():
     world = line3_world()
     world.run_until(5_500)
-    execute_command(world, Command(CommandVerb.SIM_STATS))
+    world.issue_command(CommandVerb.SIM_STATS)
     quiet(world)
     assert sorted(world.collected_stats) == [0, 1, 2]
     assert world.collected_stats[2].generated > 0
@@ -121,7 +121,7 @@ def test_stats_collection_includes_every_node_and_the_hub_itself():
 def test_reboot_restarts_only_the_commander():
     world = line3_world(algorithm=Algorithm.MAM)
     world.run_until(5_000)
-    execute_command(world, Command(CommandVerb.REBOOT))
+    world.issue_command(CommandVerb.REBOOT)
     quiet(world)
     assert [world.nodes[n].restarts for n in (0, 1, 2)] == [0, 1, 0]
     assert world.nodes[1].mam.best_node is None
@@ -131,7 +131,7 @@ def test_reboot_restarts_only_the_commander():
 def test_reboot_all_extension_restarts_everyone():
     world = line3_world()
     world.run_until(5_000)
-    execute_command(world, Command(CommandVerb.REBOOT_ALL))
+    world.issue_command(CommandVerb.REBOOT_ALL)
     quiet(world)
     assert [world.nodes[n].restarts for n in (0, 1, 2)] == [1, 1, 1]
 
@@ -201,7 +201,7 @@ def test_reachability_sound_against_derived_graph():
     for bridge_x in (15.0, 40.0, 100.0):
         world = World(_cluster_config(bridge_x))
         report = check_reachability(world, deadline_ms=2_000)
-        component = world.topology.component(1)
+        component = world.component(1)
         assert report.acked <= component - {1}
         assert (component - {1}) <= report.acked  # generous deadline: complete too
 
@@ -249,6 +249,21 @@ def test_scripted_session_matches_golden_transcript():
     )
     golden = (DATA_DIR / "session_transcript.txt").read_text()
     assert transcript == golden
+
+
+SESSION_WORDS = [verb.wire for verb in CommandVerb]  # every session verb, and ping
+PADDING = st.sampled_from(["", " ", "\t", "\r\n", "  \n"])
+SESSION_LINE = (st.tuples(PADDING, st.sampled_from(SESSION_WORDS), PADDING).map("".join)
+                | PADDING | st.text(max_size=20))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(SESSION_LINE, min_size=1, max_size=6))
+def test_fuzzed_session_lines_answer_ok_or_err(lines):
+    session = CommanderSession(line3_world(), settle_ms=200)
+    for line in lines:
+        response = session.handle_line(line)
+        assert response[0] == "OK" or response[0].startswith("ERR ")
 
 
 def test_serve_session_over_pipe():

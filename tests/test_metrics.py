@@ -8,7 +8,6 @@ from meshsim import (
     IntervalTracker,
     MessageKey,
     RunReport,
-    TrackerLimitError,
     Verdict,
     aggregate,
     scale_rule_of_three,
@@ -87,15 +86,6 @@ def test_interval_memory_tracks_gaps_not_messages():
     assert tracker.interval_count(0) == 1
     assert tracker.unique_count == 100
     assert tracker.duplicate_count == 4900
-
-
-def test_hashmap_entry_limit_is_loud():
-    tracker = HashMapTracker(entry_limit=2)
-    tracker.record(MessageKey(0, 1))
-    tracker.record(MessageKey(0, 2))
-    assert tracker.record(MessageKey(0, 1)) is Verdict.DUPLICATE
-    with pytest.raises(TrackerLimitError):
-        tracker.record(MessageKey(0, 3))
 
 
 def test_tracker_reset():

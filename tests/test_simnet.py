@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -11,13 +13,12 @@ from meshsim import (
     NodeSpec,
     Role,
     ScenarioConfig,
-    Topology,
     Waypoint,
     World,
     load_scenario,
     run,
 )
-from meshsim.simnet import Deliver, RANGE_PRESETS
+from meshsim.simnet import RANGE_PRESETS
 
 
 def pair_config(distance, preset="ground", **overrides):
@@ -49,6 +50,18 @@ def test_mobility_trace_multi_segment():
                            Waypoint(300, 10.0, 40.0)])
     assert trace.position(50) == (5.0, 0.0)
     assert trace.position(200) == (10.0, 20.0)
+
+
+@pytest.mark.parametrize("waypoints,problem", [
+    ([], "mobility trace is empty"),
+    ([Waypoint(0, 0.0, 0.0), Waypoint(100, 1.0, 0.0), Waypoint(100, 2.0, 0.0)],
+     "mobility waypoint times must strictly increase"),
+    ([Waypoint(200, 0.0, 0.0), Waypoint(100, 1.0, 0.0)],
+     "mobility waypoint times must strictly increase"),
+])
+def test_mobility_trace_rejects_bad_waypoints(waypoints, problem):
+    with pytest.raises(ConfigError, match=problem):
+        MobilityTrace(waypoints)
 
 
 def test_moving_hub_breaks_and_restores_links():
@@ -125,14 +138,14 @@ def test_event_ties_pop_in_insertion_order():
     world._heap.clear()
     first = Message(MessageKind.DATA, origin=1, seq=0, hops=0, sender=1)
     second = Message(MessageKind.DATA, origin=1, seq=1, hops=0, sender=1)
-    world.schedule(50, Deliver(first, 0))
-    world.schedule(50, Deliver(second, 0))
+    world.schedule(50, World._deliver, first, world.nodes[0])
+    world.schedule(50, World._deliver, second, world.nodes[0])
     seen = []
     while world.pending():
-        event = world._heap[0][2]
+        _, _, handler, args = world._heap[0]
         world.step()
-        if isinstance(event, Deliver):
-            seen.append(event.message.seq)
+        if handler is World._deliver:
+            seen.append(args[0].seq)
     assert seen == [0, 1]
 
 
@@ -241,6 +254,20 @@ def test_interval_tracker_backend_matches_hashmap():
         (b.unique_received, b.duplicate_received)
 
 
+def test_finished_world_is_freed_without_the_cycle_collector():
+    # a reference cycle (say, bound methods kept in the heap) would keep every
+    # finished world of a campaign alive until the cyclic GC happened to run
+    gc.disable()
+    try:
+        world = World(replace(load_scenario("outdoor10"), duration_ms=20_000))
+        world.run_until(20_000)
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_world_rejects_invalid_config_naming_field():
     config = pair_config(5.0)
     config.loss_prob = 2.0
@@ -251,12 +278,14 @@ def test_world_rejects_invalid_config_naming_field():
 # --- derived connectivity -----------------------------------------------------------
 
 def test_topology_connectivity_is_derived():
-    topo = Topology([NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
-                     NodeSpec(1, 5.0, 0.0, Role.SENSOR),
-                     NodeSpec(2, 10.0, 0.0, Role.SENSOR),
-                     NodeSpec(3, 50.0, 0.0, Role.SENSOR)], range_m=6.0)
-    assert topo.neighbors(0) == [1]
-    assert topo.neighbors(1) == [0, 2]
-    assert topo.component(0) == {0, 1, 2}
-    assert topo.component(3) == {3}
-    assert topo.in_range(1, 2) and not topo.in_range(0, 2)
+    world = World(ScenarioConfig(
+        topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
+                  NodeSpec(1, 5.0, 0.0, Role.SENSOR),
+                  NodeSpec(2, 10.0, 0.0, Role.SENSOR),
+                  NodeSpec(3, 50.0, 0.0, Role.SENSOR)],
+        duration_ms=1_000, radio_preset=6.0))
+    assert world.neighbors(0) == [1]
+    assert world.neighbors(1) == [0, 2]
+    assert world.component(0) == {0, 1, 2}
+    assert world.component(3) == {3}
+    assert world.in_range(1, 2) and not world.in_range(0, 2)
