@@ -15,7 +15,7 @@ simulation engine owns the state and executes the returned actions.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import Message, MessageKind, NodeId, message_hash
@@ -94,12 +94,19 @@ class Drop:
 RelayAction = Union[Broadcast, Unicast, Drop]
 
 
-def btmr_relay(cache: RelayCache, sender: NodeId, hops: int, message: Message) -> RelayAction:
+def _forwarded(message: Message, hops: int, relay: Optional[NodeId]) -> Message:
+    """The frame a relay transmits: ``hops + 1``, sent by ``relay`` (None keeps the sender)."""
+    return Message(message.kind, message.origin, message.seq, hops + 1,
+                   message.sender if relay is None else relay, message.payload)
+
+
+def btmr_relay(cache: RelayCache, sender: NodeId, hops: int, message: Message,
+               relay: Optional[NodeId] = None) -> RelayAction:
     """Controlled-flooding relay decision for one incoming frame.
 
     Drops when the frame hash is already cached (recently relayed) or when
     ``hops`` exceeds the TTL budget; otherwise records the hash and
-    rebroadcasts with ``hops + 1``.
+    rebroadcasts with ``hops + 1`` and ``relay`` as the sender.
     """
     digest = message_hash(message.payload, message.origin, message.seq)
     if cache.seen(digest):
@@ -107,7 +114,7 @@ def btmr_relay(cache: RelayCache, sender: NodeId, hops: int, message: Message) -
     if hops > TTL_LIMIT:
         return Drop(DROP_TTL)
     cache.insert(digest)
-    return Broadcast(replace(message, hops=hops + 1))
+    return Broadcast(_forwarded(message, hops, relay))
 
 
 def mam_handle(
@@ -117,6 +124,7 @@ def mam_handle(
     sender: NodeId,
     hops: int,
     message: Message,
+    relay: Optional[NodeId] = None,
 ) -> list[RelayAction]:
     """Reactive least-hop handling of one incoming frame.
 
@@ -124,7 +132,8 @@ def mam_handle(
     dropped when no route is known). Discovery frames (heartbeats) update the
     cache when the previous entry expired or the new frame arrived over fewer
     hops, and are then flooded through ``btmr_relay`` so discovery keeps the
-    LRU dedup and TTL cap of the flooding path.
+    LRU dedup and TTL cap of the flooding path. A forwarded frame carries
+    ``hops + 1`` and ``relay`` as its sender.
     """
     if message.kind is not MessageKind.HEARTBEAT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
@@ -133,12 +142,12 @@ def mam_handle(
             return [Drop(DROP_TTL)]
         if state.best_node is None:
             return [Drop(DROP_NO_ROUTE)]
-        return [Unicast(state.best_node, replace(message, hops=hops + 1))]
+        return [Unicast(state.best_node, _forwarded(message, hops, relay))]
 
     expired = now > state.expiry
     if expired or hops < state.best_hops:
         state.best_node = sender
         state.best_hops = hops
         state.expiry = now + state.delta_ms
-    return [btmr_relay(cache, sender, hops, message)]
+    return [btmr_relay(cache, sender, hops, message, relay)]
 

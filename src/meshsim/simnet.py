@@ -10,13 +10,13 @@ byte.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
 import random
 import struct
 from collections import Counter, deque
-from dataclasses import replace
 from typing import Optional
 
 from .commander import CommandVerb, NodeStats, decode_stats, encode_stats
@@ -144,6 +144,13 @@ class World:
         hub_spec = next(s for s in config.topology if s.role is Role.MOBILE_HUB)
         waypoints = config.mobility or [Waypoint(0, hub_spec.x, hub_spec.y)]
         self.trace = MobilityTrace(waypoints)
+        # Only the hub moves, so the links between all other nodes are worked out
+        # once, each node's in id order, with the same test as ``in_range``.
+        static = [self.nodes[v] for v in self.node_ids if v != self.hub_id]
+        self._static_links: dict[NodeId, list[NodeId]] = {
+            u.id: [v.id for v in static if v is not u and math.hypot(
+                u.pos[0] - v.pos[0], u.pos[1] - v.pos[1]) <= self.range_m]
+            for u in static}
         self.tracker = make_tracker(config.tracker)
         self.collected_stats: dict[NodeId, NodeStats] = {}
         self.delivered: list[tuple[int, MessageKey]] = []
@@ -184,9 +191,9 @@ class World:
 
     # --- geometry: disc radio, evaluated at ``now`` -----------------------
 
-    def position(self, node: NodeId, t: Optional[int] = None) -> tuple[float, float]:
+    def position(self, node: NodeId) -> tuple[float, float]:
         if node == self.hub_id:
-            return self.trace.position(self.now if t is None else t)
+            return self.trace.position(self.now)
         return self.nodes[node].pos
 
     def in_range(self, u: NodeId, v: NodeId) -> bool:
@@ -195,7 +202,13 @@ class World:
         return math.hypot(ux - vx, uy - vy) <= self.range_m
 
     def neighbors(self, u: NodeId) -> list[NodeId]:
-        return [v for v in self.node_ids if v != u and self.in_range(u, v)]
+        """Nodes in range of ``u``, in id order; only links to the hub are re-tested."""
+        if u == self.hub_id:
+            return [v for v in self.node_ids if v != u and self.in_range(u, v)]
+        links = self._static_links[u].copy()
+        if self.in_range(u, self.hub_id):
+            bisect.insort(links, self.hub_id)
+        return links
 
     def component(self, start: NodeId) -> set[NodeId]:
         """Nodes connected to ``start`` over radio links as they stand now."""
@@ -240,6 +253,8 @@ class World:
             issuer = self.commander_id
         if issuer is None:
             raise ConfigError("topology has no commander node")
+        if issuer not in self.nodes:
+            raise ConfigError(f"node {issuer} is not in the topology")
         self.schedule(self.now, World._command_arrival, verb, self.nodes[issuer])
 
     # --- frame handling ---------------------------------------------------
@@ -288,18 +303,16 @@ class World:
         if (node.algorithm is Algorithm.MAM
                 and message.kind not in (MessageKind.COMMAND, MessageKind.ACK)):
             actions = mam_handle(node.mam, self.now, node.cache,
-                                 message.sender, message.hops, message)
+                                 message.sender, message.hops, message, node.id)
         else:
-            actions = [btmr_relay(node.cache, message.sender, message.hops, message)]
+            actions = [btmr_relay(node.cache, message.sender, message.hops, message, node.id)]
         for action in actions:
             if isinstance(action, Drop):
                 node.drops[action.reason] += 1
                 continue
-            if isinstance(action, Broadcast):
-                out, dest = action.message, None
-            else:
-                out, dest = action.message, action.dest
-            queued = self.enqueue_tx(node, replace(out, sender=node.id), dest)
+            out = action.message
+            dest = None if isinstance(action, Broadcast) else action.dest
+            queued = self.enqueue_tx(node, out, dest)
             if queued and out.kind is MessageKind.DATA and out.origin != node.id:
                 node.relayed += 1
 
@@ -384,29 +397,20 @@ class World:
             node.tx_scheduled = False
 
     def _fan_out(self, node: SimNode, message: Message, dest: Optional[NodeId]) -> None:
+        if dest is None:
+            targets = self.neighbors(node.id)
+        elif self.in_range(node.id, dest):
+            targets = [dest]
+        else:
+            return
         arrival = self.now + self.config.latency_ms
         loss_prob = self.config.loss_prob
-        targets = [dest] if dest is not None else self.node_ids
         for other in targets:
-            if other == node.id or not self.in_range(node.id, other):
-                continue
             if loss_prob > 0.0 and self.rng.random() < loss_prob:
                 continue
             self.schedule(arrival, World._deliver, message, self.nodes[other])
 
     # --- reporting ----------------------------------------------------------
-
-    @property
-    def tx_total(self) -> int:
-        return sum(n.tx_count for n in self.nodes.values())
-
-    @property
-    def rx_total(self) -> int:
-        return sum(n.rx_count for n in self.nodes.values())
-
-    @property
-    def tx_data(self) -> int:
-        return sum(n.tx_data_count for n in self.nodes.values())
 
     def delivered_counter(self) -> Counter:
         return Counter(key for _, key in self.delivered)
@@ -421,9 +425,9 @@ class World:
             unique_received=unique,
             duplicate_received=duplicate,
             total_received=unique + duplicate,
-            tx_total=self.tx_total,
-            rx_total=self.rx_total,
-            tx_data=self.tx_data,
+            tx_total=sum(n.tx_count for n in self.nodes.values()),
+            rx_total=sum(n.rx_count for n in self.nodes.values()),
+            tx_data=sum(n.tx_data_count for n in self.nodes.values()),
             per_node={
                 nid: {
                     "generated": n.generated,

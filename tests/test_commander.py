@@ -48,6 +48,18 @@ def test_command_without_commander_is_an_error():
         world.issue_command(CommandVerb.SIM_RESET)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda world: world.issue_command(CommandVerb.SIM_STATS, issuer=9),
+    lambda world: check_reachability(world, 1_000, prober=9),
+], ids=["issue_command", "check_reachability"])
+def test_unknown_node_id_is_a_config_error(entry):
+    world = line3_world()
+    pending = world.pending()
+    with pytest.raises(ConfigError, match="node 9 is not in the topology"):
+        entry(world)
+    assert world.pending() == pending
+
+
 def test_reset_then_stats_on_idle_network_reports_zeros():
     world = line3_world()
     world.run_until(9_500)

@@ -1,0 +1,61 @@
+"""Pinned reference reports: today's engine output against stored reports.
+
+``tests/data/golden_reports.json`` maps a run name to its ``RunReport`` JSON.
+The file was written by an earlier build, so a change that alters simulated
+behaviour fails here even when it is deterministic. Rewrite the file only in
+a change that alters behaviour on purpose, and say so in that change::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+from meshsim import Algorithm, NodeSpec, Role, ScenarioConfig, Waypoint, load_scenario, run
+
+GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+
+MINUTE_MS = 60_000
+SEEDS = (1, 2)
+GRID_MS = 20_000
+
+
+def grid25() -> ScenarioConfig:
+    """5x5 grid, 5 m apart, ground radio, btmr, 20 simulated s; the collector is centre node 12."""
+    topology = [NodeSpec(i, 5.0 * (i % 5), 5.0 * (i // 5),
+                         Role.MOBILE_HUB if i == 12 else Role.SENSOR)
+                for i in range(25)]
+    return ScenarioConfig(topology=topology, duration_ms=GRID_MS, radio_preset="ground",
+                          algorithm=Algorithm.BTMR, rng_seed=1)
+
+
+def golden_configs() -> dict[str, ScenarioConfig]:
+    configs = {}
+    for name in ("line3", "indoor10", "outdoor10"):
+        for algorithm in Algorithm:
+            for seed in SEEDS:
+                configs[f"{name}-{algorithm.value}-seed{seed}"] = replace(
+                    load_scenario(name), algorithm=algorithm, rng_seed=seed,
+                    duration_ms=MINUTE_MS)
+    configs["grid25-btmr-seed1"] = grid25()
+    # lossy links and a collector that crosses the grid: the loss draws of one
+    # broadcast follow the receivers' id order, with the hub among them
+    configs["grid25-mobile-lossy-btmr-seed3"] = replace(
+        grid25(), rng_seed=3, loss_prob=0.1,
+        mobility=[Waypoint(0, 10.0, 10.0), Waypoint(6_000, 20.0, 0.0),
+                  Waypoint(12_000, 0.0, 20.0), Waypoint(18_000, 10.0, 10.0)])
+    return configs
+
+
+def golden_text() -> str:
+    reports = {name: run(config).to_json_dict() for name, config in golden_configs().items()}
+    return json.dumps(reports, indent=2) + "\n"
+
+
+def test_reports_match_golden_file():
+    assert golden_text() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(golden_text())

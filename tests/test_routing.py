@@ -37,6 +37,9 @@ def test_btmr_first_relay_broadcasts_with_one_more_hop():
     action = btmr_relay(cache, sender=2, hops=0, message=data_msg(hops=0))
     assert isinstance(action, Broadcast)
     assert action.message.hops == 1
+    # a relay that names itself sends the frame on as its own, one hop further
+    action = btmr_relay(RelayCache(20), sender=2, hops=3, message=data_msg(hops=3), relay=5)
+    assert action == Broadcast(data_msg(hops=4, sender=5))
 
 
 def test_btmr_hop_budget_exhausted_drops():
@@ -157,6 +160,9 @@ def test_mam_data_unicasts_to_best_neighbor():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
     actions = mam_handle(state, 100, RelayCache(20), sender=2, hops=3, message=data_msg(hops=3))
     assert actions == [Unicast(7, data_msg(hops=4))]
+    actions = mam_handle(state, 100, RelayCache(20), sender=2, hops=3, message=data_msg(hops=3),
+                         relay=5)
+    assert actions == [Unicast(7, data_msg(hops=4, sender=5))]
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
 
 

@@ -3,6 +3,8 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsim import (
     Algorithm,
@@ -289,3 +291,36 @@ def test_topology_connectivity_is_derived():
     assert world.component(0) == {0, 1, 2}
     assert world.component(3) == {3}
     assert world.in_range(1, 2) and not world.in_range(0, 2)
+
+
+coordinate = st.one_of(st.integers(0, 20).map(float),
+                       st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def geometries(draw):
+    """Random placements of 2-30 nodes, a hub anywhere in the id order, maybe moving."""
+    n = draw(st.integers(2, 30))
+    base = draw(st.sampled_from([0, 1]))
+    hub = draw(st.integers(base, base + n - 1))
+    topology = [NodeSpec(i, draw(coordinate), draw(coordinate),
+                         Role.MOBILE_HUB if i == hub else Role.SENSOR)
+                for i in range(base, base + n)]
+    mobility = None
+    if draw(st.booleans()):
+        times = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=5, unique=True))
+        mobility = [Waypoint(t, draw(coordinate), draw(coordinate)) for t in sorted(times)]
+    radio_range = draw(st.one_of(st.integers(1, 15).map(float), st.floats(0.5, 30.0)))
+    return ScenarioConfig(topology=draw(st.permutations(topology)), duration_ms=10_000,
+                          radio_preset=radio_range, mobility=mobility)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(geometries(), st.lists(st.integers(0, 12_000), min_size=1, max_size=4))
+def test_neighbors_match_a_full_range_sweep(config, times):
+    world = World(config)
+    for now in times:
+        world.now = now
+        for u in world.node_ids:
+            assert world.neighbors(u) == [v for v in world.node_ids
+                                          if v != u and world.in_range(u, v)]
