@@ -63,6 +63,11 @@ class Message:
     payload: bytes = b""
 
 
+def forwarded(message: Message, hops: int, relay: NodeId) -> Message:
+    """The frame ``relay`` transmits for ``message``: ``hops + 1``, sent by ``relay``."""
+    return Message(message.kind, message.origin, message.seq, hops + 1, relay, message.payload)
+
+
 class MessageKey(NamedTuple):
     """Logical message identity; ordered lexicographically by (origin, seq)."""
 

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Message, MessageKind, NodeId, message_hash
+from .core import Message, MessageKind, NodeId, forwarded, message_hash
 
 # A relay never emits a frame with more hops than this.
 TTL_LIMIT = 126
@@ -94,14 +94,8 @@ class Drop:
 RelayAction = Union[Broadcast, Unicast, Drop]
 
 
-def _forwarded(message: Message, hops: int, relay: Optional[NodeId]) -> Message:
-    """The frame a relay transmits: ``hops + 1``, sent by ``relay`` (None keeps the sender)."""
-    return Message(message.kind, message.origin, message.seq, hops + 1,
-                   message.sender if relay is None else relay, message.payload)
-
-
 def btmr_relay(cache: RelayCache, sender: NodeId, hops: int, message: Message,
-               relay: Optional[NodeId] = None) -> RelayAction:
+               relay: NodeId) -> RelayAction:
     """Controlled-flooding relay decision for one incoming frame.
 
     Drops when the frame hash is already cached (recently relayed) or when
@@ -114,7 +108,7 @@ def btmr_relay(cache: RelayCache, sender: NodeId, hops: int, message: Message,
     if hops > TTL_LIMIT:
         return Drop(DROP_TTL)
     cache.insert(digest)
-    return Broadcast(_forwarded(message, hops, relay))
+    return Broadcast(forwarded(message, hops, relay))
 
 
 def mam_handle(
@@ -124,7 +118,7 @@ def mam_handle(
     sender: NodeId,
     hops: int,
     message: Message,
-    relay: Optional[NodeId] = None,
+    relay: NodeId,
 ) -> list[RelayAction]:
     """Reactive least-hop handling of one incoming frame.
 
@@ -142,7 +136,7 @@ def mam_handle(
             return [Drop(DROP_TTL)]
         if state.best_node is None:
             return [Drop(DROP_NO_ROUTE)]
-        return [Unicast(state.best_node, _forwarded(message, hops, relay))]
+        return [Unicast(state.best_node, forwarded(message, hops, relay))]
 
     expired = now > state.expiry
     if expired or hops < state.best_hops:

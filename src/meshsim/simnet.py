@@ -412,6 +412,18 @@ class World:
 
     # --- reporting ----------------------------------------------------------
 
+    @property
+    def tx_total(self) -> int:
+        return sum(n.tx_count for n in self.nodes.values())
+
+    @property
+    def rx_total(self) -> int:
+        return sum(n.rx_count for n in self.nodes.values())
+
+    @property
+    def tx_data(self) -> int:
+        return sum(n.tx_data_count for n in self.nodes.values())
+
     def delivered_counter(self) -> Counter:
         return Counter(key for _, key in self.delivered)
 
@@ -425,9 +437,9 @@ class World:
             unique_received=unique,
             duplicate_received=duplicate,
             total_received=unique + duplicate,
-            tx_total=sum(n.tx_count for n in self.nodes.values()),
-            rx_total=sum(n.rx_count for n in self.nodes.values()),
-            tx_data=sum(n.tx_data_count for n in self.nodes.values()),
+            tx_total=self.tx_total,
+            rx_total=self.rx_total,
+            tx_data=self.tx_data,
             per_node={
                 nid: {
                     "generated": n.generated,

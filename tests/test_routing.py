@@ -20,6 +20,7 @@ from meshsim.routing import DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
 from meshsim.simnet import SimNode
 
 DELTA = 100_000
+RELAY = 5  # id of the node making the relay decisions
 
 
 def data_msg(origin=2, seq=0, hops=0, sender=2):
@@ -34,24 +35,21 @@ def heartbeat(origin=0, seq=0, hops=0, sender=0):
 
 def test_btmr_first_relay_broadcasts_with_one_more_hop():
     cache = RelayCache(20)
-    action = btmr_relay(cache, sender=2, hops=0, message=data_msg(hops=0))
-    assert isinstance(action, Broadcast)
-    assert action.message.hops == 1
-    # a relay that names itself sends the frame on as its own, one hop further
-    action = btmr_relay(RelayCache(20), sender=2, hops=3, message=data_msg(hops=3), relay=5)
-    assert action == Broadcast(data_msg(hops=4, sender=5))
+    action = btmr_relay(cache, sender=2, hops=0, message=data_msg(hops=0), relay=RELAY)
+    # the relay sends the frame on as its own, one hop further
+    assert action == Broadcast(data_msg(hops=1, sender=RELAY))
 
 
 def test_btmr_hop_budget_exhausted_drops():
     cache = RelayCache(20)
-    action = btmr_relay(cache, sender=2, hops=127, message=data_msg(hops=127))
+    action = btmr_relay(cache, sender=2, hops=127, message=data_msg(hops=127), relay=RELAY)
     assert action == Drop(DROP_TTL)
     assert len(cache) == 0
 
 
 def test_btmr_hop_126_still_relays():
     cache = RelayCache(20)
-    action = btmr_relay(cache, sender=2, hops=126, message=data_msg(hops=126))
+    action = btmr_relay(cache, sender=2, hops=126, message=data_msg(hops=126), relay=RELAY)
     assert isinstance(action, Broadcast)
     assert action.message.hops == 127
 
@@ -59,26 +57,26 @@ def test_btmr_hop_126_still_relays():
 def test_btmr_second_relay_of_same_message_drops():
     cache = RelayCache(20)
     m = data_msg()
-    assert isinstance(btmr_relay(cache, 2, 0, m), Broadcast)
-    assert btmr_relay(cache, 3, 1, m) == Drop(DROP_SEEN)
+    assert isinstance(btmr_relay(cache, 2, 0, m, RELAY), Broadcast)
+    assert btmr_relay(cache, 3, 1, m, RELAY) == Drop(DROP_SEEN)
 
 
 def test_btmr_lru_eviction_capacity_two():
     cache = RelayCache(2)
     m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
-    assert isinstance(btmr_relay(cache, 2, 0, m1), Broadcast)
-    assert isinstance(btmr_relay(cache, 2, 0, m2), Broadcast)
-    assert isinstance(btmr_relay(cache, 2, 0, m3), Broadcast)
-    assert isinstance(btmr_relay(cache, 2, 0, m1), Broadcast)
+    assert isinstance(btmr_relay(cache, 2, 0, m1, RELAY), Broadcast)
+    assert isinstance(btmr_relay(cache, 2, 0, m2, RELAY), Broadcast)
+    assert isinstance(btmr_relay(cache, 2, 0, m3, RELAY), Broadcast)
+    assert isinstance(btmr_relay(cache, 2, 0, m1, RELAY), Broadcast)
 
 
 def test_btmr_hit_refreshes_recency():
     cache = RelayCache(2)
     m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
-    btmr_relay(cache, 2, 0, m1)
-    btmr_relay(cache, 2, 0, m2)
-    assert btmr_relay(cache, 2, 0, m1) == Drop(DROP_SEEN)
-    btmr_relay(cache, 2, 0, m3)
+    btmr_relay(cache, 2, 0, m1, RELAY)
+    btmr_relay(cache, 2, 0, m2, RELAY)
+    assert btmr_relay(cache, 2, 0, m1, RELAY) == Drop(DROP_SEEN)
+    btmr_relay(cache, 2, 0, m3, RELAY)
     assert message_hash(m1.payload, m1.origin, m1.seq) in cache
     assert message_hash(m2.payload, m2.origin, m2.seq) not in cache
 
@@ -104,7 +102,7 @@ def test_btmr_never_emits_hops_above_127():
     cache = RelayCache(4)
     for i in range(500):
         hops = rng.randrange(0, 140)
-        action = btmr_relay(cache, 1, hops, data_msg(seq=i, hops=hops))
+        action = btmr_relay(cache, 1, hops, data_msg(seq=i, hops=hops), RELAY)
         if isinstance(action, Broadcast):
             assert action.message.hops <= 127
 
@@ -114,7 +112,8 @@ def test_btmr_never_emits_hops_above_127():
 def test_mam_initial_discovery_accepted_by_expiry():
     state = MamState(delta_ms=DELTA)
     cache = RelayCache(20)
-    actions = mam_handle(state, 1, cache, sender=7, hops=2, message=heartbeat(hops=2, sender=7))
+    actions = mam_handle(state, 1, cache, sender=7, hops=2, message=heartbeat(hops=2, sender=7),
+                         relay=RELAY)
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 1 + DELTA)
     assert len(actions) == 1 and isinstance(actions[0], Broadcast)
 
@@ -122,7 +121,8 @@ def test_mam_initial_discovery_accepted_by_expiry():
 def test_mam_not_expired_and_more_hops_ignored():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
     cache = RelayCache(20)
-    actions = mam_handle(state, 1000, cache, sender=9, hops=5, message=heartbeat(hops=5, sender=9))
+    actions = mam_handle(state, 1000, cache, sender=9, hops=5, message=heartbeat(hops=5, sender=9),
+                         relay=RELAY)
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
     assert isinstance(actions[0], Broadcast)
 
@@ -130,52 +130,55 @@ def test_mam_not_expired_and_more_hops_ignored():
 def test_mam_expired_accepts_any_sender():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
     actions = mam_handle(state, 6000, RelayCache(20), sender=9, hops=5,
-                         message=heartbeat(hops=5, sender=9))
+                         message=heartbeat(hops=5, sender=9), relay=RELAY)
     assert (state.best_node, state.best_hops, state.expiry) == (9, 5, 6000 + DELTA)
     assert isinstance(actions[0], Broadcast)
 
 
 def test_mam_fewer_hops_updates_before_expiry():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=4, expiry=9000)
-    mam_handle(state, 100, RelayCache(20), sender=3, hops=1, message=heartbeat(hops=1, sender=3))
+    mam_handle(state, 100, RelayCache(20), sender=3, hops=1, message=heartbeat(hops=1, sender=3),
+               relay=RELAY)
     assert (state.best_node, state.best_hops, state.expiry) == (3, 1, 100 + DELTA)
 
 
 def test_mam_equal_hops_is_not_an_update():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    mam_handle(state, 100, RelayCache(20), sender=9, hops=2, message=heartbeat(hops=2, sender=9))
+    mam_handle(state, 100, RelayCache(20), sender=9, hops=2, message=heartbeat(hops=2, sender=9),
+               relay=RELAY)
     assert state.best_node == 7
 
 
 def test_mam_expiry_boundary_is_strict():
     # NOW() > expiry: at exactly the expiry tick the entry is still fresh
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    mam_handle(state, 5000, RelayCache(20), sender=9, hops=5, message=heartbeat(hops=5, sender=9))
+    mam_handle(state, 5000, RelayCache(20), sender=9, hops=5, message=heartbeat(hops=5, sender=9),
+               relay=RELAY)
     assert state.best_node == 7
-    mam_handle(state, 5001, RelayCache(20), sender=9, hops=5, message=heartbeat(hops=5, sender=9))
+    mam_handle(state, 5001, RelayCache(20), sender=9, hops=5, message=heartbeat(hops=5, sender=9),
+               relay=RELAY)
     assert state.best_node == 9
 
 
 def test_mam_data_unicasts_to_best_neighbor():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    actions = mam_handle(state, 100, RelayCache(20), sender=2, hops=3, message=data_msg(hops=3))
-    assert actions == [Unicast(7, data_msg(hops=4))]
     actions = mam_handle(state, 100, RelayCache(20), sender=2, hops=3, message=data_msg(hops=3),
-                         relay=5)
-    assert actions == [Unicast(7, data_msg(hops=4, sender=5))]
+                         relay=RELAY)
+    assert actions == [Unicast(7, data_msg(hops=4, sender=RELAY))]
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
 
 
 def test_mam_data_without_route_drops():
     state = MamState(delta_ms=DELTA)
-    actions = mam_handle(state, 100, RelayCache(20), sender=2, hops=0, message=data_msg())
+    actions = mam_handle(state, 100, RelayCache(20), sender=2, hops=0, message=data_msg(),
+                         relay=RELAY)
     assert actions == [Drop(DROP_NO_ROUTE)]
 
 
 def test_mam_data_hop_budget_capped():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
     actions = mam_handle(state, 100, RelayCache(20), sender=2, hops=127,
-                         message=data_msg(hops=127))
+                         message=data_msg(hops=127), relay=RELAY)
     assert actions == [Drop(DROP_TTL)]
 
 
@@ -183,8 +186,8 @@ def test_mam_discovery_update_even_when_flood_dedups():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=5, expiry=9000)
     cache = RelayCache(20)
     hb = heartbeat(seq=3, hops=4, sender=8)
-    mam_handle(state, 100, cache, sender=8, hops=4, message=hb)
-    actions = mam_handle(state, 200, cache, sender=6, hops=2, message=hb)
+    mam_handle(state, 100, cache, sender=8, hops=4, message=hb, relay=RELAY)
+    actions = mam_handle(state, 200, cache, sender=6, hops=2, message=hb, relay=RELAY)
     assert (state.best_node, state.best_hops) == (6, 2)
     assert actions == [Drop(DROP_SEEN)]
 
@@ -199,7 +202,8 @@ def test_mam_expiry_always_now_plus_delta():
         before = (state.best_node, state.best_hops, state.expiry)
         hops = rng.randrange(0, 10)
         sender = rng.randrange(1, 6)
-        mam_handle(state, now, cache, sender, hops, heartbeat(seq=i, hops=hops, sender=sender))
+        mam_handle(state, now, cache, sender, hops, heartbeat(seq=i, hops=hops, sender=sender),
+                   RELAY)
         updated = (state.best_node, state.best_hops) != before[:2] or state.expiry != before[2]
         if updated:
             assert state.expiry == now + 777
@@ -211,12 +215,13 @@ def test_mam_best_hops_non_increasing_within_window():
     rng = random.Random(17)
     state = MamState(delta_ms=10_000_000)
     cache = RelayCache(50)
-    mam_handle(state, 1, cache, sender=1, hops=9, message=heartbeat(seq=0, hops=9, sender=1))
+    mam_handle(state, 1, cache, sender=1, hops=9, message=heartbeat(seq=0, hops=9, sender=1),
+               relay=RELAY)
     last = state.best_hops
     for i in range(1, 300):
         hops = rng.randrange(0, 12)
         mam_handle(state, 1 + i, cache, sender=rng.randrange(1, 6), hops=hops,
-                   message=heartbeat(seq=i, hops=hops, sender=1))
+                   message=heartbeat(seq=i, hops=hops, sender=1), relay=RELAY)
         assert state.best_hops <= last
         last = state.best_hops
 
@@ -228,8 +233,8 @@ def test_handlers_are_deterministic_given_state():
     for message in (heartbeat(seq=1, hops=2, sender=5), data_msg(seq=2, hops=1)):
         s1, c1 = copy.deepcopy(state), copy.deepcopy(cache)
         s2, c2 = copy.deepcopy(state), copy.deepcopy(cache)
-        a1 = mam_handle(s1, 900, c1, message.sender, message.hops, message)
-        a2 = mam_handle(s2, 900, c2, message.sender, message.hops, message)
+        a1 = mam_handle(s1, 900, c1, message.sender, message.hops, message, RELAY)
+        a2 = mam_handle(s2, 900, c2, message.sender, message.hops, message, RELAY)
         assert a1 == a2
         assert (s1.best_node, s1.best_hops, s1.expiry) == (s2.best_node, s2.best_hops, s2.expiry)
 
@@ -254,17 +259,17 @@ def test_reset_returns_to_init_state():
     assert (node.mam.best_node, node.mam.best_hops, node.mam.expiry) == (None, 0, 0)
     assert len(node.cache) == 0
     assert node.relayed == 0
-    actions = mam_handle(node.mam, 10, node.cache, 2, 0, data_msg())
+    actions = mam_handle(node.mam, 10, node.cache, 2, 0, data_msg(), RELAY)
     assert actions == [Drop(DROP_NO_ROUTE)]
 
 
 def test_reset_allows_previously_seen_hash_to_relay():
     node = routed_node()
     m = data_msg(seq=9)
-    btmr_relay(node.cache, 2, 0, m)
-    assert btmr_relay(node.cache, 2, 0, m) == Drop(DROP_SEEN)
+    btmr_relay(node.cache, 2, 0, m, RELAY)
+    assert btmr_relay(node.cache, 2, 0, m, RELAY) == Drop(DROP_SEEN)
     node.reset_routing()
-    assert isinstance(btmr_relay(node.cache, 2, 0, m), Broadcast)
+    assert isinstance(btmr_relay(node.cache, 2, 0, m, RELAY), Broadcast)
 
 
 def test_reset_is_idempotent():
