@@ -22,18 +22,19 @@ RELAY = 5
 cache = RelayCache(capacity=3)
 reading = Message(MessageKind.DATA, origin=2, seq=0, hops=0, sender=2, payload=b"\x17")
 
-print("flooding relay, first contact:   ", btmr_relay(cache, 2, 0, reading, RELAY))
-print("same frame from another neighbor:", btmr_relay(cache, 3, 1, reading, RELAY))
+echo = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=3, payload=b"\x17")
+print("flooding relay, first contact:   ", btmr_relay(cache, reading, RELAY))
+print("same frame from another neighbor:", btmr_relay(cache, echo, RELAY))
 
 stale = Message(MessageKind.DATA, origin=2, seq=1, hops=127, sender=2, payload=b"\x17")
-print("hop budget exhausted:            ", btmr_relay(cache, 2, 127, stale, RELAY))
+print("hop budget exhausted:            ", btmr_relay(cache, stale, RELAY))
 
 # The cache is a bounded LRU, so old entries age out and a frame can relay
 # again once enough newer traffic displaced it.
 for seq in (10, 11, 12):
-    btmr_relay(cache, 2, 0, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"), RELAY)
+    btmr_relay(cache, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"), RELAY)
 print("after 3 newer frames, the first relays again:",
-      btmr_relay(cache, 2, 0, reading, RELAY))
+      btmr_relay(cache, reading, RELAY))
 
 # --- reactive least-hop route --------------------------------------------------
 
@@ -48,22 +49,22 @@ def hb(seq, hops, sender):
 
 print()
 print("before any heartbeat:", state)
-mam_handle(state, 1_000, cache, sender=7, hops=2, message=hb(0, 2, 7), relay=RELAY)
+mam_handle(state, 1_000, cache, hb(0, 2, 7), RELAY)
 print("heartbeat via node 7:", state)
 
-mam_handle(state, 3_000, cache, sender=9, hops=5, message=hb(1, 5, 9), relay=RELAY)
+mam_handle(state, 3_000, cache, hb(1, 5, 9), RELAY)
 print("worse offer ignored: ", state)
 
-mam_handle(state, 4_000, cache, sender=4, hops=1, message=hb(2, 1, 4), relay=RELAY)
+mam_handle(state, 4_000, cache, hb(2, 1, 4), RELAY)
 print("fewer hops accepted: ", state)
 
 # Data rides the cached route as a unicast; with no route it is dropped.
 print("data with a route:   ",
-      mam_handle(state, 5_000, cache, 2, 0, reading, RELAY))
+      mam_handle(state, 5_000, cache, reading, RELAY))
 print("data without a route:",
-      mam_handle(MamState(delta_ms=100_000), 5_000, cache, 2, 0, reading, RELAY))
+      mam_handle(MamState(delta_ms=100_000), 5_000, cache, reading, RELAY))
 
 # After the expiry window, whoever forwards the next heartbeat wins -- that is
 # how routes follow a moving collector.
-mam_handle(state, 200_000, cache, sender=9, hops=6, message=hb(3, 6, 9), relay=RELAY)
+mam_handle(state, 200_000, cache, hb(3, 6, 9), RELAY)
 print("after expiry:        ", state)

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import socketserver
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import Iterable, Optional
 
 from .core import ConfigError, NodeId
-
-_STATS_PAYLOAD = struct.Struct(">HIIIII")
 
 
 class CommandVerb(Enum):
@@ -54,7 +52,11 @@ SESSION_VERBS = (CommandVerb.SIM_RESET, CommandVerb.SET_MAM, CommandVerb.SET_BTM
 
 @dataclass(frozen=True)
 class NodeStats:
-    """One node's counters as reported over the mesh."""
+    """One node's counters as reported over the mesh.
+
+    The fields after ``node`` name the ``SimNode`` counters; the snapshot, the
+    wire payload and the stats table all follow this list.
+    """
 
     node: NodeId
     generated: int = 0
@@ -64,15 +66,18 @@ class NodeStats:
     restarts: int = 0
 
 
+STATS_COUNTERS = tuple(f.name for f in fields(NodeStats)[1:])
+
+# node id (16 bit), then one 32-bit word per counter
+_STATS_PAYLOAD = struct.Struct(">H" + "I" * len(STATS_COUNTERS))
+
+
 def encode_stats(stats: NodeStats) -> bytes:
-    return _STATS_PAYLOAD.pack(stats.node, stats.generated, stats.relayed,
-                               stats.received, stats.tx_dropped, stats.restarts)
+    return _STATS_PAYLOAD.pack(*astuple(stats))
 
 
 def decode_stats(payload: bytes) -> NodeStats:
-    node, generated, relayed, received, tx_dropped, restarts = \
-        _STATS_PAYLOAD.unpack(payload)
-    return NodeStats(node, generated, relayed, received, tx_dropped, restarts)
+    return NodeStats(*_STATS_PAYLOAD.unpack(payload))
 
 
 @dataclass
@@ -103,8 +108,7 @@ def check_reachability(world, deadline_ms: int,
                               missing=missing, deadline_ms=deadline_ms)
 
 
-STATS_COLUMNS = ("node", "role", "generated", "relayed", "received",
-                 "tx_dropped", "restarts")
+STATS_COLUMNS = ("node", "role", *STATS_COUNTERS)
 
 
 def format_stats_table(world) -> list[str]:
@@ -113,8 +117,7 @@ def format_stats_table(world) -> list[str]:
     for node_id in sorted(world.collected_stats):
         stats = world.collected_stats[node_id]
         rows.append((str(node_id), world.nodes[node_id].role.value,
-                     str(stats.generated), str(stats.relayed), str(stats.received),
-                     str(stats.tx_dropped), str(stats.restarts)))
+                     *(str(getattr(stats, name)) for name in STATS_COUNTERS)))
     widths = [max(len(col), *(len(row[i]) for row in rows)) if rows else len(col)
               for i, col in enumerate(STATS_COLUMNS)]
     lines = ["  ".join(col.ljust(widths[i]) for i, col in enumerate(STATS_COLUMNS)).rstrip()]

@@ -63,9 +63,10 @@ class Message:
     payload: bytes = b""
 
 
-def forwarded(message: Message, hops: int, relay: NodeId) -> Message:
-    """The frame ``relay`` transmits for ``message``: ``hops + 1``, sent by ``relay``."""
-    return Message(message.kind, message.origin, message.seq, hops + 1, relay, message.payload)
+def forwarded(message: Message, relay: NodeId) -> Message:
+    """The frame ``relay`` transmits for ``message``: one more hop, sent by ``relay``."""
+    return Message(message.kind, message.origin, message.seq, message.hops + 1, relay,
+                   message.payload)
 
 
 class MessageKey(NamedTuple):

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .core import Algorithm, ScenarioConfig, check_fields, setting
 from .metrics import AggregateSummary, RunReport, aggregate, scale_rule_of_three
-from .scenario import build, content_lines, file_keys, load_scenario, read_setting
+from .scenario import build, content_lines, file_keys, load_scenario, read_setting, read_source
 from .simnet import run
 
 DEFAULT_REFERENCE_MINUTES = 3.33
@@ -264,12 +264,5 @@ def parse_plan(text: str, base_dir: Optional[Path] = None, name: str = "") -> Ex
 
 def load_plan(source: Union[str, Path]) -> ExperimentPlan:
     """Load a plan from a path, or by built-in name (``line3_quick``, ...)."""
-    path = Path(source)
-    if path.is_file():
-        return parse_plan(path.read_text(), base_dir=path.parent, name=path.stem)
-    name = str(source)
-    if name in BUILTIN_PLANS:
-        from importlib import resources
-        text = resources.files("meshsim").joinpath(f"plans/{name}.plan").read_text()
-        return parse_plan(text, name=name)
-    raise PlanError(f"plan not found: {source}")
+    text, path, name = read_source(source, "plan", BUILTIN_PLANS, "plans/{}.plan", PlanError)
+    return parse_plan(text, base_dir=path.parent if path else None, name=name)

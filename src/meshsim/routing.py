@@ -94,54 +94,44 @@ class Drop:
 RelayAction = Union[Broadcast, Unicast, Drop]
 
 
-def btmr_relay(cache: RelayCache, sender: NodeId, hops: int, message: Message,
-               relay: NodeId) -> RelayAction:
+def btmr_relay(cache: RelayCache, message: Message, relay: NodeId) -> RelayAction:
     """Controlled-flooding relay decision for one incoming frame.
 
     Drops when the frame hash is already cached (recently relayed) or when
-    ``hops`` exceeds the TTL budget; otherwise records the hash and
-    rebroadcasts with ``hops + 1`` and ``relay`` as the sender.
+    the frame's hops exceed the TTL budget; otherwise records the hash and
+    rebroadcasts the frame one hop further with ``relay`` as the sender.
     """
     digest = message_hash(message.payload, message.origin, message.seq)
     if cache.seen(digest):
         return Drop(DROP_SEEN)
-    if hops > TTL_LIMIT:
+    if message.hops > TTL_LIMIT:
         return Drop(DROP_TTL)
     cache.insert(digest)
-    return Broadcast(forwarded(message, hops, relay))
+    return Broadcast(forwarded(message, relay))
 
 
-def mam_handle(
-    state: MamState,
-    now: int,
-    cache: RelayCache,
-    sender: NodeId,
-    hops: int,
-    message: Message,
-    relay: NodeId,
-) -> list[RelayAction]:
+def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message,
+               relay: NodeId) -> RelayAction:
     """Reactive least-hop handling of one incoming frame.
 
     Non-discovery frames are unicast toward the cached best neighbor (or
-    dropped when no route is known). Discovery frames (heartbeats) update the
-    cache when the previous entry expired or the new frame arrived over fewer
-    hops, and are then flooded through ``btmr_relay`` so discovery keeps the
-    LRU dedup and TTL cap of the flooding path. A forwarded frame carries
-    ``hops + 1`` and ``relay`` as its sender.
+    dropped when no route is known). Discovery frames (heartbeats) make their
+    sender the best neighbor when the previous entry expired or the frame
+    arrived over fewer hops, and are then flooded through ``btmr_relay`` so
+    discovery keeps the LRU dedup and TTL cap of the flooding path. A
+    forwarded frame carries one more hop and ``relay`` as its sender.
     """
     if message.kind is not MessageKind.HEARTBEAT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
-        if hops > TTL_LIMIT:
-            return [Drop(DROP_TTL)]
+        if message.hops > TTL_LIMIT:
+            return Drop(DROP_TTL)
         if state.best_node is None:
-            return [Drop(DROP_NO_ROUTE)]
-        return [Unicast(state.best_node, forwarded(message, hops, relay))]
+            return Drop(DROP_NO_ROUTE)
+        return Unicast(state.best_node, forwarded(message, relay))
 
-    expired = now > state.expiry
-    if expired or hops < state.best_hops:
-        state.best_node = sender
-        state.best_hops = hops
+    if now > state.expiry or message.hops < state.best_hops:
+        state.best_node = message.sender
+        state.best_hops = message.hops
         state.expiry = now + state.delta_ms
-    return [btmr_relay(cache, sender, hops, message, relay)]
-
+    return btmr_relay(cache, message, relay)

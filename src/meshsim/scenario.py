@@ -26,7 +26,7 @@ from dataclasses import MISSING, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .core import (
     ConfigError,
@@ -163,13 +163,25 @@ def dump_scenario(config: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_scenario(source: Union[str, Path]) -> ScenarioConfig:
-    """Load a scenario from a path, or by built-in name (``line3``, ...)."""
+def read_source(source: Union[str, Path], what: str, builtins: tuple[str, ...],
+                resource: str, error: type[Exception]) -> tuple[str, Optional[Path], str]:
+    """``(text, path, name)`` of a file path, or of a built-in name (path None).
+
+    ``resource`` is the packaged file of a built-in, with ``{}`` for its name;
+    anything else raises ``error("<what> not found: <source>")``.
+    """
     path = Path(source)
     if path.is_file():
-        return parse_scenario(path.read_text(), name=path.stem)
+        return path.read_text(), path, path.stem
     name = str(source)
-    if name in BUILTIN_SCENARIOS:
-        text = resources.files("meshsim").joinpath(f"scenarios/{name}.scn").read_text()
-        return parse_scenario(text, name=name)
-    raise ConfigError(f"scenario not found: {source}")
+    if name in builtins:
+        text = resources.files("meshsim").joinpath(resource.format(name)).read_text()
+        return text, None, name
+    raise error(f"{what} not found: {source}")
+
+
+def load_scenario(source: Union[str, Path]) -> ScenarioConfig:
+    """Load a scenario from a path, or by built-in name (``line3``, ...)."""
+    text, _, name = read_source(source, "scenario", BUILTIN_SCENARIOS, "scenarios/{}.scn",
+                                ConfigError)
+    return parse_scenario(text, name=name)

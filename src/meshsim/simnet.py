@@ -19,7 +19,7 @@ import struct
 from collections import Counter, deque
 from typing import Optional
 
-from .commander import CommandVerb, NodeStats, decode_stats, encode_stats
+from .commander import STATS_COUNTERS, CommandVerb, NodeStats, decode_stats, encode_stats
 from .core import (
     RANGE_PRESETS,
     Algorithm,
@@ -115,14 +115,13 @@ class SimNode:
         self.txq.clear()
 
     def stats_snapshot(self) -> NodeStats:
-        return NodeStats(
-            node=self.id,
-            generated=self.generated,
-            relayed=self.relayed,
-            received=self.received,
-            tx_dropped=self.tx_dropped,
-            restarts=self.restarts,
-        )
+        return NodeStats(self.id, *(getattr(self, name) for name in STATS_COUNTERS))
+
+    def originate(self, kind: MessageKind, payload: bytes = b"") -> Message:
+        """A new frame from this node, under its next sequence number."""
+        message = Message(kind, self.id, self.next_seq, 0, self.id, payload)
+        self.next_seq += 1
+        return message
 
 
 class World:
@@ -224,26 +223,17 @@ class World:
     # --- event handlers ---------------------------------------------------
 
     def _emit_heartbeat(self, hub: SimNode) -> None:
-        message = Message(MessageKind.HEARTBEAT, origin=hub.id, seq=hub.next_seq,
-                          hops=0, sender=hub.id)
-        hub.next_seq += 1
-        self.enqueue_tx(hub, message, dest=None)
+        self.enqueue_tx(hub, hub.originate(MessageKind.HEARTBEAT), dest=None)
         self.schedule(self.now + self.config.heartbeat_period_ms, World._emit_heartbeat, hub)
 
     def _generate_data(self, node: SimNode) -> None:
-        message = Message(MessageKind.DATA, origin=node.id, seq=node.next_seq,
-                          hops=0, sender=node.id,
-                          payload=sensor_reading(node.id, node.next_seq))
-        node.next_seq += 1
         node.generated += 1
-        self._relay(node, message)
+        self._relay(node, node.originate(MessageKind.DATA,
+                                         sensor_reading(node.id, node.next_seq)))
         self.schedule(self.now + self.config.data_period_ms, World._generate_data, node)
 
     def _command_arrival(self, verb: CommandVerb, issuer: SimNode) -> None:
-        message = Message(MessageKind.COMMAND, origin=issuer.id, seq=issuer.next_seq,
-                          hops=0, sender=issuer.id,
-                          payload=bytes([verb.code]))
-        issuer.next_seq += 1
+        message = issuer.originate(MessageKind.COMMAND, bytes([verb.code]))
         self._apply_command(issuer, message)
         self._relay(issuer, message)
 
@@ -267,8 +257,9 @@ class World:
         if kind is MessageKind.DATA:
             node.received += 1
             if node.id == self.hub_id:
-                self.tracker.record(message_key(message))
-                self.delivered.append((self.now, message_key(message)))
+                key = message_key(message)
+                self.tracker.record(key)
+                self.delivered.append((self.now, key))
                 return
             self._relay(node, message)
         elif kind is MessageKind.HEARTBEAT:
@@ -294,7 +285,7 @@ class World:
             self._relay(node, message)
 
     def _relay(self, node: SimNode, message: Message) -> None:
-        """Route one frame through the node's relay logic and execute the actions.
+        """Route one frame through the node's relay logic and execute its action.
 
         Control frames (commands, reachability acks) always flood so that
         algorithm switches reach every node even before routes exist; data,
@@ -302,19 +293,17 @@ class World:
         """
         if (node.algorithm is Algorithm.MAM
                 and message.kind not in (MessageKind.COMMAND, MessageKind.ACK)):
-            actions = mam_handle(node.mam, self.now, node.cache,
-                                 message.sender, message.hops, message, node.id)
+            action = mam_handle(node.mam, self.now, node.cache, message, node.id)
         else:
-            actions = [btmr_relay(node.cache, message.sender, message.hops, message, node.id)]
-        for action in actions:
-            if isinstance(action, Drop):
-                node.drops[action.reason] += 1
-                continue
-            out = action.message
-            dest = None if isinstance(action, Broadcast) else action.dest
-            queued = self.enqueue_tx(node, out, dest)
-            if queued and out.kind is MessageKind.DATA and out.origin != node.id:
-                node.relayed += 1
+            action = btmr_relay(node.cache, message, node.id)
+        if isinstance(action, Drop):
+            node.drops[action.reason] += 1
+            return
+        out = action.message
+        dest = None if isinstance(action, Broadcast) else action.dest
+        queued = self.enqueue_tx(node, out, dest)
+        if queued and out.kind is MessageKind.DATA and out.origin != node.id:
+            node.relayed += 1
 
     def _apply_command(self, node: SimNode, message: Message) -> None:
         if message.seq <= node.last_cmd_seq.get(message.origin, -1):
@@ -335,11 +324,8 @@ class World:
             if node.id == self.hub_id:
                 self.collected_stats[node.id] = snapshot
             else:
-                report = Message(MessageKind.STATS_REPORT, origin=node.id,
-                                 seq=node.next_seq, hops=0, sender=node.id,
-                                 payload=encode_stats(snapshot))
-                node.next_seq += 1
-                self._relay(node, report)
+                self._relay(node, node.originate(MessageKind.STATS_REPORT,
+                                                 encode_stats(snapshot)))
         elif verb is CommandVerb.REBOOT:
             if node.role is Role.COMMANDER:
                 self._reboot(node)
@@ -350,11 +336,8 @@ class World:
                 self.probes[(message.origin, message.seq)] = set()
                 self.last_probe = (message.origin, message.seq)
             else:
-                ack = Message(MessageKind.ACK, origin=node.id, seq=node.next_seq,
-                              hops=0, sender=node.id,
-                              payload=_ACK_PAYLOAD.pack(message.origin, message.seq))
-                node.next_seq += 1
-                self._relay(node, ack)
+                self._relay(node, node.originate(
+                    MessageKind.ACK, _ACK_PAYLOAD.pack(message.origin, message.seq)))
 
     def _reboot(self, node: SimNode) -> None:
         node.reboot()
@@ -423,9 +406,6 @@ class World:
     @property
     def tx_data(self) -> int:
         return sum(n.tx_data_count for n in self.nodes.values())
-
-    def delivered_counter(self) -> Counter:
-        return Counter(key for _, key in self.delivered)
 
     def report(self) -> RunReport:
         unique = self.tracker.unique_count

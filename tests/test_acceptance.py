@@ -95,31 +95,30 @@ def test_criterion_2_algorithm_branch_coverage():
 
     # flood relay: TTL cap exceeded / at the cap / LRU hit / LRU miss
     cache = RelayCache(20)
-    assert btmr_relay(cache, 2, 127, data(hops=127), relay) == Drop(DROP_TTL)
-    action = btmr_relay(cache, 2, 126, data(hops=126), relay)
+    assert btmr_relay(cache, data(hops=127), relay) == Drop(DROP_TTL)
+    action = btmr_relay(cache, data(hops=126), relay)
     assert isinstance(action, Broadcast) and action.message.hops == 127
-    assert btmr_relay(cache, 2, 0, data(), relay) == Drop(DROP_SEEN)  # hops=126 cached it
-    fresh = btmr_relay(RelayCache(20), 2, 0, data(), relay)
+    assert btmr_relay(cache, data(), relay) == Drop(DROP_SEEN)  # hops=126 cached it
+    fresh = btmr_relay(RelayCache(20), data(), relay)
     assert isinstance(fresh, Broadcast) and fresh.message.hops == 1
 
     # route cache: expired true / false, fewer hops true / false
     state = MamState(delta_ms=1_000)
-    mam_handle(state, 5, RelayCache(4), 7, 3, heartbeat(hops=3, sender=7), relay)
+    mam_handle(state, 5, RelayCache(4), heartbeat(hops=3, sender=7), relay)
     assert (state.best_node, state.best_hops, state.expiry) == (7, 3, 1_005)
-    mam_handle(state, 10, RelayCache(4), 9, 9, heartbeat(seq=1, hops=9, sender=9), relay)
+    mam_handle(state, 10, RelayCache(4), heartbeat(seq=1, hops=9, sender=9), relay)
     assert state.best_node == 7  # fresh entry, more hops: ignored
-    mam_handle(state, 20, RelayCache(4), 9, 1, heartbeat(seq=2, hops=1, sender=9), relay)
+    mam_handle(state, 20, RelayCache(4), heartbeat(seq=2, hops=1, sender=9), relay)
     assert (state.best_node, state.best_hops) == (9, 1)  # fresh entry, fewer hops
-    mam_handle(state, 5_000, RelayCache(4), 4, 8, heartbeat(seq=3, hops=8, sender=4), relay)
+    mam_handle(state, 5_000, RelayCache(4), heartbeat(seq=3, hops=8, sender=4), relay)
     assert (state.best_node, state.best_hops) == (4, 8)  # expired: any sender wins
 
     # data path: route present / absent, TTL cap
-    routed = mam_handle(state, 5_001, RelayCache(4), 2, 2, data(seq=9, hops=2), relay)
-    assert routed == [Unicast(4, data(seq=9, hops=3, sender=relay))]
-    assert mam_handle(MamState(delta_ms=1), 0, RelayCache(4), 2, 0, data(), relay) == \
-        [Drop(DROP_NO_ROUTE)]
-    assert mam_handle(state, 5_002, RelayCache(4), 2, 127, data(hops=127), relay) == \
-        [Drop(DROP_TTL)]
+    routed = mam_handle(state, 5_001, RelayCache(4), data(seq=9, hops=2), relay)
+    assert routed == Unicast(4, data(seq=9, hops=3, sender=relay))
+    assert mam_handle(MamState(delta_ms=1), 0, RelayCache(4), data(), relay) == \
+        Drop(DROP_NO_ROUTE)
+    assert mam_handle(state, 5_002, RelayCache(4), data(hops=127), relay) == Drop(DROP_TTL)
     _passed(2, "algorithm branch coverage")
 
 

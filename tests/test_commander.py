@@ -1,5 +1,6 @@
 import socket
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,7 +96,7 @@ def test_set_mam_switches_the_data_path():
     world.run_until(4_000)
     # heartbeat at 2000 built routes; the 3000 ms data frame went over them
     assert world.nodes[2].mam.best_node == 1
-    assert world.delivered_counter()[(2, 0)] == 1
+    assert Counter(key for _, key in world.delivered)[(2, 0)] == 1
 
 
 def test_set_btmr_switches_back():

@@ -297,10 +297,13 @@ coordinate = st.one_of(st.integers(0, 20).map(float),
                        st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False))
 
 
+radio_ranges = st.one_of(st.integers(1, 15).map(float), st.floats(0.5, 30.0))
+
+
 @st.composite
-def geometries(draw):
-    """Random placements of 2-30 nodes, a hub anywhere in the id order, maybe moving."""
-    n = draw(st.integers(2, 30))
+def geometries(draw, node_counts=st.integers(2, 30), ranges=radio_ranges):
+    """Random placements of some nodes, a hub anywhere in the id order, maybe moving."""
+    n = draw(node_counts)
     base = draw(st.sampled_from([0, 1]))
     hub = draw(st.integers(base, base + n - 1))
     topology = [NodeSpec(i, draw(coordinate), draw(coordinate),
@@ -310,9 +313,8 @@ def geometries(draw):
     if draw(st.booleans()):
         times = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=5, unique=True))
         mobility = [Waypoint(t, draw(coordinate), draw(coordinate)) for t in sorted(times)]
-    radio_range = draw(st.one_of(st.integers(1, 15).map(float), st.floats(0.5, 30.0)))
     return ScenarioConfig(topology=draw(st.permutations(topology)), duration_ms=10_000,
-                          radio_preset=radio_range, mobility=mobility)
+                          radio_preset=draw(ranges), mobility=mobility)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -324,3 +326,20 @@ def test_neighbors_match_a_full_range_sweep(config, times):
         for u in world.node_ids:
             assert world.neighbors(u) == [v for v in world.node_ids
                                           if v != u and world.in_range(u, v)]
+
+
+@st.composite
+def lossy_mam_runs(draw):
+    """3-25 nodes on a ground or numeric range, up to 30% link loss, any seed, under MAM."""
+    config = draw(geometries(st.integers(3, 25), st.one_of(st.just("ground"), radio_ranges)))
+    return replace(config, algorithm=Algorithm.MAM, fault_duplicate=False,
+                   loss_prob=draw(st.floats(0.0, 0.3)), rng_seed=draw(st.integers(0, 2**64)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(lossy_mam_runs())
+def test_mam_collects_no_duplicates(config):
+    # a unicast route forwards one copy of each frame, so the hub sees each at most once
+    report = run(config)
+    assert report.duplicate_received == 0
+    assert report.unique_received <= sum(row["generated"] for row in report.per_node.values())
