@@ -45,6 +45,14 @@ def golden_configs() -> dict[str, ScenarioConfig]:
         grid25(), rng_seed=3, loss_prob=0.1,
         mobility=[Waypoint(0, 10.0, 10.0), Waypoint(6_000, 20.0, 0.0),
                   Waypoint(12_000, 0.0, 20.0), Waypoint(18_000, 10.0, 10.0)])
+    # MAM's duplication fault: the one path where two fan-outs of one frame
+    # are scheduled back to back
+    configs["outdoor10-mam-duplicate-seed1"] = replace(
+        load_scenario("outdoor10"), algorithm=Algorithm.MAM, rng_seed=1,
+        duration_ms=MINUTE_MS, fault_duplicate=True)
+    configs["indoor10-mam-loss30-seed2"] = replace(
+        load_scenario("indoor10"), algorithm=Algorithm.MAM, rng_seed=2,
+        duration_ms=MINUTE_MS, loss_prob=0.3)
     return configs
 
 
