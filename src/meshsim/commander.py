@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import socketserver
 import struct
+from collections import deque
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from typing import Iterable, Optional
@@ -126,18 +127,23 @@ def format_stats_table(world) -> list[str]:
     return lines
 
 
+# lines of transcript the long-lived TCP server's session keeps, newest last
+SERVER_TRANSCRIPT_LINES = 1000
+
+
 class CommanderSession:
     """Line protocol against a live world: one command in, OK/ERR plus payload out.
 
     After flooding a command the session advances the simulation by a settle
     window so the command's effects (and any returning statistics) land before
-    the response is rendered.
+    the response is rendered. ``transcript`` records every line in and out,
+    or only the newest ``transcript_lines`` of them when that is given.
     """
 
-    def __init__(self, world, settle_ms: int = 1000):
+    def __init__(self, world, settle_ms: int = 1000, transcript_lines: Optional[int] = None):
         self.world = world
         self.settle_ms = settle_ms
-        self.transcript: list[str] = []
+        self.transcript = [] if transcript_lines is None else deque(maxlen=transcript_lines)
 
     def handle_line(self, line: str) -> list[str]:
         text = line.strip()
@@ -202,9 +208,11 @@ def make_server(world, host: str = "127.0.0.1", port: int = 0,
 
     The bound address is ``server.server_address``; run ``serve_forever`` (in a
     thread if the caller owns the world) and ``shutdown`` to stop. Commands
-    from concurrent clients serialize through one shared session.
+    from concurrent clients serialize through one shared session, which keeps
+    only the newest ``SERVER_TRANSCRIPT_LINES`` lines of its transcript.
     """
-    session = CommanderSession(world, settle_ms=settle_ms)
+    session = CommanderSession(world, settle_ms=settle_ms,
+                               transcript_lines=SERVER_TRANSCRIPT_LINES)
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):

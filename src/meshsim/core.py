@@ -53,6 +53,11 @@ class Message:
     ``(origin, seq)`` identifies the logical message for the whole run;
     relaying only rewrites ``hops`` (transmissions so far) and ``sender``
     (the immediate previous transmitter).
+
+    ``digest`` carries ``message_hash(payload, origin, seq)`` once a relay has
+    computed it, so that later hops need not hash the frame again; ``None``
+    means not yet computed. It is not part of the frame: equality, ``repr``
+    and the wire encoding ignore it.
     """
 
     kind: MessageKind
@@ -61,12 +66,16 @@ class Message:
     hops: int
     sender: NodeId
     payload: bytes = b""
+    digest: Optional[int] = field(default=None, compare=False, repr=False)
 
 
-def forwarded(message: Message, relay: NodeId) -> Message:
-    """The frame ``relay`` transmits for ``message``: one more hop, sent by ``relay``."""
+def forwarded(message: Message, relay: NodeId, digest: Optional[int] = None) -> Message:
+    """The frame ``relay`` transmits for ``message``: one more hop, sent by ``relay``.
+
+    It carries ``digest`` when given, else the digest ``message`` carries.
+    """
     return Message(message.kind, message.origin, message.seq, message.hops + 1, relay,
-                   message.payload)
+                   message.payload, message.digest if digest is None else digest)
 
 
 class MessageKey(NamedTuple):

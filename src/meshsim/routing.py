@@ -47,7 +47,8 @@ class RelayCache:
     def insert(self, digest: int) -> None:
         self._entries[digest] = None
         self._entries.move_to_end(digest)
-        while len(self._entries) > self.capacity:
+        # one key was added, so at most one has to go
+        if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
@@ -93,21 +94,28 @@ class Drop:
 
 RelayAction = Union[Broadcast, Unicast, Drop]
 
+# A drop carries only its reason, so each reason has one shared action.
+_SEEN, _TTL, _NO_ROUTE = Drop(DROP_SEEN), Drop(DROP_TTL), Drop(DROP_NO_ROUTE)
+
 
 def btmr_relay(cache: RelayCache, message: Message, relay: NodeId) -> RelayAction:
     """Controlled-flooding relay decision for one incoming frame.
 
     Drops when the frame hash is already cached (recently relayed) or when
     the frame's hops exceed the TTL budget; otherwise records the hash and
-    rebroadcasts the frame one hop further with ``relay`` as the sender.
+    rebroadcasts the frame one hop further with ``relay`` as the sender. The
+    hash is the digest the frame carries, computed only when it carries none,
+    and the rebroadcast frame carries it on.
     """
-    digest = message_hash(message.payload, message.origin, message.seq)
+    digest = message.digest
+    if digest is None:
+        digest = message_hash(message.payload, message.origin, message.seq)
     if cache.seen(digest):
-        return Drop(DROP_SEEN)
+        return _SEEN
     if message.hops > TTL_LIMIT:
-        return Drop(DROP_TTL)
+        return _TTL
     cache.insert(digest)
-    return Broadcast(forwarded(message, relay))
+    return Broadcast(forwarded(message, relay, digest))
 
 
 def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message,
@@ -125,9 +133,9 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message,
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
         if message.hops > TTL_LIMIT:
-            return Drop(DROP_TTL)
+            return _TTL
         if state.best_node is None:
-            return Drop(DROP_NO_ROUTE)
+            return _NO_ROUTE
         return Unicast(state.best_node, forwarded(message, relay))
 
     if now > state.expiry or message.hops < state.best_hops:

@@ -5,7 +5,8 @@ collector's mobility trace, per-node transmit queues, and a single seeded
 RNG for link-loss draws. Each event is a heap entry ``(t, tie, handler,
 args)`` and runs as ``handler(world, *args)``. Events pop in (time,
 insertion) order, so identical configurations replay identical runs byte for
-byte.
+byte. One transmission's fan-out is one entry: it delivers the frame to every
+receiver that the loss draws spared, in id order.
 """
 
 from __future__ import annotations
@@ -386,12 +387,18 @@ class World:
             targets = [dest]
         else:
             return
-        arrival = self.now + self.config.latency_ms
         loss_prob = self.config.loss_prob
-        for other in targets:
-            if loss_prob > 0.0 and self.rng.random() < loss_prob:
-                continue
-            self.schedule(arrival, World._deliver, message, self.nodes[other])
+        receivers = [self.nodes[v] for v in targets
+                     if loss_prob == 0.0 or self.rng.random() >= loss_prob]
+        if receivers:
+            self.schedule(self.now + self.config.latency_ms, World._deliver_all,
+                          message, receivers)
+
+    def _deliver_all(self, message: Message, receivers: list[SimNode]) -> None:
+        # Receivers take the frame in turn, as one event per receiver at
+        # consecutive ties would: whatever one schedules gets a later tie.
+        for node in receivers:
+            self._deliver(message, node)
 
     # --- reporting ----------------------------------------------------------
 

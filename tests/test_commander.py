@@ -23,7 +23,7 @@ from meshsim import (
     make_server,
     run_script,
 )
-from meshsim.commander import decode_stats, encode_stats
+from meshsim.commander import SERVER_TRANSCRIPT_LINES, decode_stats, encode_stats
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -312,3 +312,14 @@ def test_tcp_server_speaks_the_line_protocol():
         server.server_close()
         thread.join(timeout=5)
     assert data == b"OK\r\nERR unknown command\r\n"
+
+
+def test_server_session_keeps_a_bounded_transcript():
+    server = make_server(line3_world(), settle_ms=10)
+    server.server_close()  # only the shared session is driven, straight
+    session = server.session
+    lines = ["sim-stats", "bogus", "", "set-mam"] * 2_000
+    for line in lines:
+        last = session.handle_line(line)
+    assert len(session.transcript) == SERVER_TRANSCRIPT_LINES
+    assert list(session.transcript)[-len(last):] == last

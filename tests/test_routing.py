@@ -1,6 +1,9 @@
 import copy
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from meshsim import (
     Broadcast,
     Drop,
@@ -106,6 +109,46 @@ def test_btmr_never_emits_hops_above_127():
         action = btmr_relay(cache, data_msg(seq=i, hops=hops, sender=1), RELAY)
         if isinstance(action, Broadcast):
             assert action.message.hops <= 127
+
+
+# --- frame digest ---------------------------------------------------------------
+
+node_ids = st.integers(0, 0xFFFF)
+hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
+                              st.integers(0, 0xFFFFFFFF), st.integers(0, 127), node_ids,
+                              st.binary(max_size=16))
+# (decision, deciding node, MAM best neighbour or none)
+relay_steps = st.tuples(st.sampled_from(["btmr", "mam"]), node_ids, st.none() | node_ids)
+
+
+def without_digest(m):
+    return Message(m.kind, m.origin, m.seq, m.hops, m.sender, m.payload)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(hand_built_frames, st.lists(relay_steps, max_size=8))
+def test_forwarded_frames_carry_the_right_digest(frame, steps):
+    expected = message_hash(frame.payload, frame.origin, frame.seq)
+    message = frame
+    for decision, relay, best in steps:
+        cache = RelayCache(4)
+        if decision == "btmr":
+            action = btmr_relay(cache, message, relay)
+        else:
+            action = mam_handle(MamState(DELTA, best_node=best), 0, cache, message, relay)
+        if isinstance(action, Drop):
+            break
+        message = action.message
+        assert message.digest in (None, expected)
+        assert message == without_digest(message)
+        assert repr(message) == repr(without_digest(message))
+
+    # the frame as built by hand and its forwarded copy are one cache entry
+    cache = RelayCache(4)
+    action = btmr_relay(cache, frame, RELAY)
+    if isinstance(action, Broadcast):
+        assert btmr_relay(cache, action.message, RELAY) == Drop(DROP_SEEN)
+        assert expected in cache and len(cache) == 1
 
 
 # --- reactive least-hop route -----------------------------------------------

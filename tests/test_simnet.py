@@ -20,7 +20,9 @@ from meshsim import (
     load_scenario,
     run,
 )
+from meshsim import routing
 from meshsim.simnet import RANGE_PRESETS
+from test_golden import grid25
 
 
 def pair_config(distance, preset="ground", **overrides):
@@ -160,6 +162,50 @@ def test_step_pops_exactly_one_event():
     empty._heap.clear()
     assert not empty.step()
     assert before >= 2
+
+
+def line_of_four(**overrides):
+    """Sensors 1-4 a metre apart, the hub out of everyone's range."""
+    topology = [NodeSpec(0, 100.0, 0.0, Role.MOBILE_HUB)] + [
+        NodeSpec(i, float(i), 0.0, Role.SENSOR) for i in range(1, 5)]
+    return ScenarioConfig(topology=topology, duration_ms=10_000, data_period_ms=10_000,
+                          **overrides)
+
+
+def test_broadcast_fan_out_is_one_heap_entry(monkeypatch):
+    received = []
+    deliver = World._deliver
+
+    def recording(world, message, node):
+        received.append(node.id)
+        deliver(world, message, node)
+
+    monkeypatch.setattr(World, "_deliver", recording)
+    world = World(line_of_four())
+    world.run_until(1)  # the hub's first heartbeat reaches nobody
+    before = world.pending()
+    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), None)
+    assert world.pending() == before + 1
+    assert world.step()
+    assert received == [1, 3, 4]
+
+
+def test_fan_out_that_loses_every_copy_schedules_nothing():
+    world = World(line_of_four(loss_prob=0.999, rng_seed=5))
+    world.run_until(1)
+    before = world.pending()
+    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), None)
+    assert world.pending() == before
+
+
+def test_relays_hash_each_frame_about_once(monkeypatch):
+    calls = []
+    digest = routing.message_hash
+    monkeypatch.setattr(routing, "message_hash",
+                        lambda *args: calls.append(args) or digest(*args))
+    world = World(grid25())
+    world.run_until(world.config.duration_ms)
+    assert len(calls) <= 2 * sum(node.next_seq for node in world.nodes.values())
 
 
 def test_tx_queue_overflow_drops_newest_and_counts():
