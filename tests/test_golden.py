@@ -1,20 +1,25 @@
-"""Pinned reference reports: today's engine output against stored reports.
+"""Pinned reference outputs: today's engine output against stored files.
 
 ``tests/data/golden_reports.json`` maps a run name to its ``RunReport`` JSON.
-The file was written by an earlier build, so a change that alters simulated
-behaviour fails here even when it is deterministic. Rewrite the file only in
-a change that alters behaviour on purpose, and say so in that change::
+``tests/data/plan_outputs/<plan>/`` holds every file ``run_plan`` writes for
+each plan in ``pinned_plans``. The files were written by an earlier build, so
+a change that alters simulated behaviour or campaign output fails here even
+when it is deterministic. Rewrite them only in a change that alters
+behaviour on purpose, and say so in that change::
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
-from meshsim import Algorithm, NodeSpec, Role, ScenarioConfig, Waypoint, load_scenario, run
+from meshsim import (Algorithm, ExperimentPlan, NodeSpec, Role, ScenarioConfig, Waypoint,
+                     load_plan, load_scenario, run, run_plan)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+PLAN_OUTPUTS = Path(__file__).parent / "data" / "plan_outputs"
 
 MINUTE_MS = 60_000
 SEEDS = (1, 2)
@@ -65,5 +70,29 @@ def test_reports_match_golden_file():
     assert golden_text() == GOLDEN.read_text()
 
 
+def pinned_plans() -> dict[str, ExperimentPlan]:
+    descending = load_plan("line3_quick")
+    # durations out of order: the series files must still come out sorted
+    descending.durations_min = [0.4, 0.2]
+    return {"line3_quick": load_plan("line3_quick"), "line3_quick_descending": descending}
+
+
+def write_plan_outputs(root: Path) -> None:
+    for name, plan in pinned_plans().items():
+        run_plan(plan, out_dir=root / name)
+
+
+def read_tree(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_plan_outputs_match_pinned_files(tmp_path):
+    write_plan_outputs(tmp_path)
+    assert read_tree(tmp_path) == read_tree(PLAN_OUTPUTS)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(golden_text())
+    shutil.rmtree(PLAN_OUTPUTS, ignore_errors=True)
+    write_plan_outputs(PLAN_OUTPUTS)
