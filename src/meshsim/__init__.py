@@ -37,7 +37,6 @@ from .experiments import (
     ComparisonTable,
     ExperimentPlan,
     PlanError,
-    emit_accumulated_series,
     load_plan,
     render_series_csv,
     run_plan,
@@ -100,7 +99,6 @@ __all__ = [
     "check_reachability",
     "decode_message",
     "dump_scenario",
-    "emit_accumulated_series",
     "encode_message",
     "format_stats_table",
     "load_plan",

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .core import ConfigError, NodeId
+from .metrics import text_table
 
 
 class CommandVerb(Enum):
@@ -119,12 +120,7 @@ def format_stats_table(world) -> list[str]:
         stats = world.collected_stats[node_id]
         rows.append((str(node_id), world.nodes[node_id].role.value,
                      *(str(getattr(stats, name)) for name in STATS_COUNTERS)))
-    widths = [max(len(col), *(len(row[i]) for row in rows)) if rows else len(col)
-              for i, col in enumerate(STATS_COLUMNS)]
-    lines = ["  ".join(col.ljust(widths[i]) for i, col in enumerate(STATS_COLUMNS)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return lines
+    return text_table(STATS_COLUMNS, rows)
 
 
 # lines of transcript the long-lived TCP server's session keeps, newest last

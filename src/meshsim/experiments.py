@@ -2,8 +2,9 @@
 
 A plan expands into ``len(algorithms) x len(durations) x repetitions`` runs,
 aggregates repetitions into mean/stdev rows, and renders comparison tables
-(text, CSV, structured) with an optional column scaled to a common reference
-duration for cross-duration comparisons.
+(text and CSV) with a column scaled to a common reference duration for
+cross-duration comparisons. Every output is built from those rows, except
+the per-run report files.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
 from .core import Algorithm, ScenarioConfig, check_fields, setting
-from .metrics import AggregateSummary, RunReport, aggregate, scale_rule_of_three
+from .metrics import AggregateSummary, RunReport, aggregate, scale_rule_of_three, text_table
 from .scenario import build, content_lines, file_keys, load_scenario, read_setting, read_source
 from .simnet import run
 
@@ -75,7 +76,11 @@ class TableRow:
     runs: int
 
 
-TABLE_CSV_FIELDS = [f.name for f in fields(TableRow)]
+def _csv_cell(name: str, value) -> str:
+    """A duration as the plan gives it, a mean to two decimals, a count as is."""
+    if name == "duration_min":
+        return f"{value:g}"
+    return f"{value:.2f}" if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -84,49 +89,27 @@ class ComparisonTable:
     reference_minutes: float
     reports: dict[tuple[str, float], list[RunReport]] = field(default_factory=dict)
 
-    def to_dicts(self) -> list[dict]:
-        return [asdict(row) for row in self.rows]
-
     def render_csv(self) -> str:
+        names = [f.name for f in fields(TableRow)]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TABLE_CSV_FIELDS)
+        writer.writerow(names)
         for row in self.rows:
-            writer.writerow([
-                row.algorithm,
-                f"{row.duration_min:g}",
-                f"{row.unique_mean:.2f}",
-                f"{row.unique_stdev:.2f}",
-                f"{row.duplicate_mean:.2f}",
-                f"{row.duplicate_stdev:.2f}",
-                f"{row.tx_total_mean:.2f}",
-                f"{row.rx_total_mean:.2f}",
-                f"{row.scaled_unique:.2f}",
-                str(row.runs),
-            ])
+            writer.writerow([_csv_cell(name, getattr(row, name)) for name in names])
         return buf.getvalue()
 
     def render_text(self) -> str:
         header = ["algo", "min", "unique", "duplicate", "tx", "rx",
                   f"unique@{self.reference_minutes:g}min", "runs"]
-        body = []
-        for row in self.rows:
-            body.append([
-                row.algorithm,
-                f"{row.duration_min:g}",
-                f"{row.unique_mean:.2f} (stdev={row.unique_stdev:.2f})",
-                f"{row.duplicate_mean:.2f} (stdev={row.duplicate_stdev:.2f})",
-                f"{row.tx_total_mean:.1f}",
-                f"{row.rx_total_mean:.1f}",
-                f"{row.scaled_unique:.2f}",
-                str(row.runs),
-            ])
-        widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-                  for i in range(len(header))]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-        for r in body:
-            lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(r)).rstrip())
-        return "\n".join(lines) + "\n"
+        body = [[row.algorithm,
+                 f"{row.duration_min:g}",
+                 f"{row.unique_mean:.2f} (stdev={row.unique_stdev:.2f})",
+                 f"{row.duplicate_mean:.2f} (stdev={row.duplicate_stdev:.2f})",
+                 f"{row.tx_total_mean:.1f}",
+                 f"{row.rx_total_mean:.1f}",
+                 f"{row.scaled_unique:.2f}",
+                 str(row.runs)] for row in self.rows]
+        return "\n".join(text_table(header, body)) + "\n"
 
 
 def run_plan(plan: ExperimentPlan, out_dir: Optional[Union[str, Path]] = None) -> ComparisonTable:
@@ -179,27 +162,6 @@ def _row_from_summary(summary: AggregateSummary, minutes: float,
     )
 
 
-def emit_accumulated_series(reports_by_duration: dict[float, list[RunReport]]
-                            ) -> list[tuple[float, float, float]]:
-    """(duration, unique, duplicate) triples sorted by duration.
-
-    Repetitions at one duration are averaged; all groups must share one
-    algorithm.
-    """
-    algorithms = {r.algorithm for batch in reports_by_duration.values() for r in batch}
-    if len(algorithms) > 1:
-        raise ValueError(f"series mixes algorithms: {sorted(algorithms)}")
-    series = []
-    for minutes in sorted(reports_by_duration):
-        batch = reports_by_duration[minutes]
-        if not batch:
-            continue
-        unique = sum(r.unique_received for r in batch) / len(batch)
-        duplicate = sum(r.duplicate_received for r in batch) / len(batch)
-        series.append((minutes, unique, duplicate))
-    return series
-
-
 def render_series_csv(series: list[tuple[float, float, float]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -219,9 +181,8 @@ def write_outputs(table: ComparisonTable, plan: ExperimentPlan, out_dir: Path) -
     path.write_text(table.render_csv())
     written.append(path)
     for algorithm in plan.algorithms:
-        grouped = {minutes: table.reports[(algorithm.value, minutes)]
-                   for minutes in plan.durations_min}
-        series = emit_accumulated_series(grouped)
+        series = sorted({(row.duration_min, row.unique_mean, row.duplicate_mean)
+                         for row in table.rows if row.algorithm == algorithm.value})
         path = out_dir / f"series_{algorithm.value}.csv"
         path.write_text(render_series_csv(series))
         written.append(path)

@@ -15,6 +15,7 @@ import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import Iterable, Sequence
 
 from .core import MessageKey, NodeId
 
@@ -141,18 +142,12 @@ class RunReport:
     per_node: dict[NodeId, dict[str, int]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        data = {name: getattr(self, name) for name in REPORT_CSV_FIELDS}
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["per_node"] = {str(node): dict(row) for node, row in sorted(self.per_node.items())}
         return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    def to_csv_row(self) -> list[str]:
-        return [str(getattr(self, name)) for name in REPORT_CSV_FIELDS]
-
-
-REPORT_CSV_FIELDS = [f.name for f in fields(RunReport) if f.name != "per_node"]
 
 
 def scale_rule_of_three(count: float, from_minutes: float, to_minutes: float) -> float:
@@ -179,7 +174,6 @@ class AggregateSummary:
     runs: int
     mean: dict[str, float]
     stdev: dict[str, float]
-    single_run: bool
 
 
 def aggregate(reports: list[RunReport]) -> AggregateSummary:
@@ -191,18 +185,24 @@ def aggregate(reports: list[RunReport]) -> AggregateSummary:
     for r in reports[1:]:
         if r.algorithm != algorithm or r.duration_ms != duration:
             raise ValueError("aggregate needs homogeneous algorithm and duration")
-    single = len(reports) == 1
     mean = {}
     stdev = {}
     for name in AGGREGATE_FIELDS:
         values = [getattr(r, name) for r in reports]
         mean[name] = statistics.fmean(values)
-        stdev[name] = 0.0 if single else statistics.stdev(values)
+        stdev[name] = 0.0 if len(values) == 1 else statistics.stdev(values)
     return AggregateSummary(
         algorithm=algorithm,
         duration_ms=duration,
         runs=len(reports),
         mean=mean,
         stdev=stdev,
-        single_run=single,
     )
+
+
+def text_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
+    """Lines of left-aligned columns two spaces apart, header first, no trailing blanks."""
+    lines = [header, *rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+    return ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+            for line in lines]

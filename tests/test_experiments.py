@@ -12,9 +12,7 @@ from meshsim import (
     NodeSpec,
     PlanError,
     Role,
-    RunReport,
     ScenarioConfig,
-    emit_accumulated_series,
     load_plan,
     load_scenario,
     render_series_csv,
@@ -126,19 +124,8 @@ def test_plan_reruns_are_byte_identical(tmp_path):
 
 # --- accumulated series --------------------------------------------------------
 
-def _report(unique, duplicate, algorithm="mam", duration_ms=60_000):
-    return RunReport(algorithm=algorithm, duration_ms=duration_ms, seed=0,
-                     unique_received=unique, duplicate_received=duplicate,
-                     total_received=unique + duplicate,
-                     tx_total=0, rx_total=0, tx_data=0)
-
-
-def test_field_series_fixture_round_trips_through_the_emitter():
-    grouped = {minutes: [_report(unique, duplicate)]
-               for minutes, unique, duplicate in refdata.FIELD_SERIES["mam"]}
-    series = emit_accumulated_series(grouped)
-    assert series == [(5, 484.0, 180.0), (10, 996.0, 370.0), (15, 1458.0, 536.0)]
-    assert render_series_csv(series) == (
+def test_field_series_fixture_renders_as_series_csv():
+    assert render_series_csv(refdata.FIELD_SERIES["mam"]) == (
         "duration_min,unique,duplicate\n"
         "5,484.00,180.00\n"
         "10,996.00,370.00\n"
@@ -146,24 +133,18 @@ def test_field_series_fixture_round_trips_through_the_emitter():
     )
 
 
-def test_empty_group_gives_empty_series():
-    assert emit_accumulated_series({}) == []
-    assert emit_accumulated_series({5.0: []}) == []
-
-
-def test_series_rejects_mixed_algorithms():
-    with pytest.raises(ValueError, match="algorithms"):
-        emit_accumulated_series({5.0: [_report(1, 0, algorithm="mam"),
-                                       _report(1, 0, algorithm="btmr")]})
-
-
-def test_simulated_series_is_monotone_in_duration():
-    plan = quick_plan(algorithms=[Algorithm.MAM], durations_min=[0.2, 0.5, 1.0],
+def test_series_file_holds_the_row_means_sorted_by_duration(tmp_path):
+    plan = quick_plan(algorithms=[Algorithm.MAM], durations_min=[1.0, 0.2, 0.5],
                       repetitions=1)
-    table = run_plan(plan)
-    grouped = {minutes: table.reports[("mam", minutes)]
-               for minutes in plan.durations_min}
-    series = emit_accumulated_series(grouped)
+    table = run_plan(plan, out_dir=tmp_path)
+    lines = (tmp_path / "series_mam.csv").read_text().splitlines()
+    assert lines[0] == "duration_min,unique,duplicate"
+    series = [tuple(float(cell) for cell in line.split(",")) for line in lines[1:]]
+    by_duration = {row.duration_min: row for row in table.rows}
+    assert [minutes for minutes, _, _ in series] == [0.2, 0.5, 1.0]
+    for minutes, unique, duplicate in series:
+        assert unique == round(by_duration[minutes].unique_mean, 2)
+        assert duplicate == round(by_duration[minutes].duplicate_mean, 2)
     uniques = [unique for _, unique, _ in series]
     assert uniques == sorted(uniques)
 

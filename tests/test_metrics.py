@@ -12,7 +12,6 @@ from meshsim import (
     aggregate,
     scale_rule_of_three,
 )
-from meshsim.metrics import REPORT_CSV_FIELDS
 
 
 def test_sequential_inserts_coalesce_to_one_interval():
@@ -138,7 +137,7 @@ def test_aggregate_constant_runs():
     summary = aggregate([_report(477, seed=s) for s in range(3)])
     assert summary.mean["unique_received"] == 477
     assert summary.stdev["unique_received"] == 0
-    assert summary.runs == 3 and not summary.single_run
+    assert summary.runs == 3
 
 
 def test_aggregate_sample_stdev():
@@ -149,7 +148,7 @@ def test_aggregate_sample_stdev():
 
 def test_aggregate_single_run_flagged():
     summary = aggregate([_report(500)])
-    assert summary.single_run
+    assert summary.runs == 1
     assert summary.mean["unique_received"] == 500
     assert summary.stdev["unique_received"] == 0
 
@@ -177,6 +176,3 @@ def test_report_identity_and_formats():
                              "rx_total", "tx_data", "per_node"]
     assert payload["per_node"]["0"] == {"generated": 0, "relayed": 1,
                                         "tx_dropped": 0, "restarts": 0}
-    row = report.to_csv_row()
-    assert len(row) == len(REPORT_CSV_FIELDS)
-    assert row[0] == "mam" and row[3] == "5"
