@@ -32,19 +32,25 @@ def _list_of(parse):
     return lambda text: [parse(part.strip()) for part in text.split(",")]
 
 
+def _distinct(values: list) -> bool:
+    return len(set(values)) == len(values)
+
+
 @dataclass
 class ExperimentPlan:
     """A sweep over a scenario; each field but ``name`` is a plan-file setting."""
 
     scenario: ScenarioConfig = setting(load_scenario, "must name a scenario file or built-in")
     algorithms: list[Algorithm] = setting(
-        _list_of(Algorithm), "must be a comma-separated list of btmr and mam", bool)
+        _list_of(Algorithm), "must be a comma-separated list of distinct algorithms (btmr, mam)",
+        lambda v: len(v) > 0 and _distinct(v))
     durations_min: list[float] = setting(
-        _list_of(float), "must be a comma-separated list of positive minutes",
-        lambda v: len(v) > 0 and all(0 < d < math.inf for d in v))
+        _list_of(float), "must be a comma-separated list of distinct positive minutes",
+        lambda v: len(v) > 0 and _distinct(v) and all(0 < d < math.inf for d in v))
     repetitions: int = setting(int, "must be an integer >= 1", lambda v: v >= 1, default=1)
     seeds: Optional[list[int]] = setting(
-        _list_of(int), "must be a comma-separated list of integers", default=None)
+        _list_of(int), "must be a comma-separated list of distinct integers",
+        lambda v: v is None or _distinct(v), default=None)
     seed_base: int = setting(int, "must be an integer", default=0)
     reference_minutes: float = setting(float, "must be a number",
                                        default=DEFAULT_REFERENCE_MINUTES)

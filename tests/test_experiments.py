@@ -79,6 +79,16 @@ def test_explicit_seeds_must_match_repetitions():
     assert plan.run_seeds() == [1, 2, 3]
 
 
+@pytest.mark.parametrize("overrides,field", [
+    (dict(algorithms=[Algorithm.MAM, Algorithm.MAM]), "algorithms"),
+    (dict(durations_min=[0.2, 0.2]), "durations_min"),
+    (dict(seeds=[3, 4, 3]), "seeds"),
+])
+def test_plan_built_in_code_rejects_repeated_entries(overrides, field):
+    with pytest.raises(PlanError, match=f"^{field}: must be .* distinct"):
+        run_plan(quick_plan(**overrides))
+
+
 def test_failing_run_aborts_with_config_echoed():
     broken = ScenarioConfig(
         topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
@@ -206,6 +216,11 @@ PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
      "line 4: algorithms: already set on line 2"),
     ("scenario = atlantis\nalgorithms = btmr\ndurations_min = 1\n", "line 1: scenario"),
     ("scenario = line3\ndurations_min = 1\n", "algorithms: missing"),
+    ("scenario = line3\nalgorithms = btmr, mam, btmr\ndurations_min = 1\n",
+     "line 2: algorithms: must be .* distinct"),
+    (PLAN_HEAD + "durations_min = 0.2, 0.4, 0.20\n", "line 3: durations_min: must be .* distinct"),
+    (PLAN_HEAD + "durations_min = 1\nrepetitions = 2\nseeds = 3, 3\n",
+     "line 5: seeds: must be .* distinct"),
 ])
 def test_plan_errors_name_the_line(text, complaint):
     with pytest.raises(PlanError, match=complaint):
