@@ -15,7 +15,6 @@ from .commander import (
     format_stats_table,
     make_server,
     run_script,
-    serve_session,
 )
 from .core import (
     RANGE_PRESETS,
@@ -113,5 +112,4 @@ __all__ = [
     "run_plan",
     "run_script",
     "scale_rule_of_three",
-    "serve_session",
 ]

@@ -174,30 +174,6 @@ def run_script(world, lines: Iterable[str], settle_ms: int = 1000) -> str:
     return "\n".join(session.transcript) + "\n"
 
 
-def serve_session(world, port: Optional[int] = None, pipe=None,
-                  settle_ms: int = 1000):
-    """Interactive session over TCP (``port``) or a ``(rfile, wfile)`` pair.
-
-    The TCP form blocks until interrupted; the pipe form consumes ``rfile``
-    to EOF and returns the session (transcript included).
-    """
-    if (port is None) == (pipe is None):
-        raise ValueError("provide exactly one of port or pipe")
-    if port is not None:
-        server = make_server(world, port=port, settle_ms=settle_ms)
-        try:
-            server.serve_forever()
-        finally:
-            server.server_close()
-        return None
-    rfile, wfile = pipe
-    session = CommanderSession(world, settle_ms=settle_ms)
-    for line in rfile:
-        for out in session.handle_line(line):
-            wfile.write(out + "\n")
-    return session
-
-
 def make_server(world, host: str = "127.0.0.1", port: int = 0,
                 settle_ms: int = 1000) -> socketserver.TCPServer:
     """TCP server speaking the session protocol (telnet-compatible line endings).

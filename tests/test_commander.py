@@ -279,19 +279,6 @@ def test_fuzzed_session_lines_answer_ok_or_err(lines):
         assert response[0] == "OK" or response[0].startswith("ERR ")
 
 
-def test_serve_session_over_pipe():
-    import io
-    from meshsim import serve_session
-
-    rfile = io.StringIO("sim-reset\nbogus\n")
-    wfile = io.StringIO()
-    session = serve_session(line3_world(), pipe=(rfile, wfile), settle_ms=200)
-    assert wfile.getvalue() == "OK\nERR unknown command\n"
-    assert session.transcript[0] == "> sim-reset"
-    with pytest.raises(ValueError):
-        serve_session(line3_world())
-
-
 def test_tcp_server_speaks_the_line_protocol():
     server = make_server(line3_world(), settle_ms=200)
     host, port = server.server_address
