@@ -18,10 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Message, MessageKind, NodeId, forwarded, message_hash
-
-# A relay never emits a frame with more hops than this.
-TTL_LIMIT = 126
+from .core import MAX_HOPS, Message, MessageKind, NodeId, forwarded, message_hash
 
 DROP_SEEN = "seen"
 DROP_TTL = "ttl"
@@ -45,8 +42,8 @@ class RelayCache:
         return False
 
     def insert(self, digest: int) -> None:
+        """Add a digest that ``seen`` has just found absent; a new key is the most recent."""
         self._entries[digest] = None
-        self._entries.move_to_end(digest)
         # one key was added, so at most one has to go
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -102,7 +99,8 @@ def btmr_relay(cache: RelayCache, message: Message, relay: NodeId) -> RelayActio
     """Controlled-flooding relay decision for one incoming frame.
 
     Drops when the frame hash is already cached (recently relayed) or when
-    the frame's hops exceed the TTL budget; otherwise records the hash and
+    the frame has used up its hop budget (``MAX_HOPS``, the most the wire
+    format carries); otherwise records the hash and
     rebroadcasts the frame one hop further with ``relay`` as the sender. The
     hash is the digest the frame carries, computed only when it carries none,
     and the rebroadcast frame carries it on.
@@ -112,7 +110,7 @@ def btmr_relay(cache: RelayCache, message: Message, relay: NodeId) -> RelayActio
         digest = message_hash(message.payload, message.origin, message.seq)
     if cache.seen(digest):
         return _SEEN
-    if message.hops > TTL_LIMIT:
+    if message.hops >= MAX_HOPS:
         return _TTL
     cache.insert(digest)
     return Broadcast(forwarded(message, relay, digest))
@@ -132,7 +130,7 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message,
     if message.kind is not MessageKind.HEARTBEAT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
-        if message.hops > TTL_LIMIT:
+        if message.hops >= MAX_HOPS:
             return _TTL
         if state.best_node is None:
             return _NO_ROUTE
