@@ -187,8 +187,8 @@ def write_outputs(table: ComparisonTable, plan: ExperimentPlan, out_dir: Path) -
     path.write_text(table.render_csv())
     written.append(path)
     for algorithm in plan.algorithms:
-        series = sorted({(row.duration_min, row.unique_mean, row.duplicate_mean)
-                         for row in table.rows if row.algorithm == algorithm.value})
+        series = sorted((row.duration_min, row.unique_mean, row.duplicate_mean)
+                        for row in table.rows if row.algorithm == algorithm.value)
         path = out_dir / f"series_{algorithm.value}.csv"
         path.write_text(render_series_csv(series))
         written.append(path)

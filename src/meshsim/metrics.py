@@ -4,8 +4,8 @@ The collector tells first-time sensor messages from repeats by their
 ``(origin, seq)`` key. Two interchangeable trackers implement that check: a
 hash map (simple, memory per message) and an interval set (memory per gap,
 suited to sequential per-origin sequence numbers). A run's counters are
-frozen into a ``RunReport``; helpers scale counts between run durations and
-aggregate repeated runs.
+frozen into a ``RunReport``; helpers scale counts between run durations,
+aggregate repeated runs and align the columns of text tables.
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ def test_field_series_fixture_renders_as_series_csv():
     )
 
 
-def test_series_file_holds_the_row_means_sorted_by_duration(tmp_path):
+def test_simulated_series_is_monotone_in_duration(tmp_path):
     plan = quick_plan(algorithms=[Algorithm.MAM], durations_min=[1.0, 0.2, 0.5],
                       repetitions=1)
     table = run_plan(plan, out_dir=tmp_path)
