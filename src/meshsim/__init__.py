@@ -36,17 +36,16 @@ from .experiments import (
     ComparisonTable,
     ExperimentPlan,
     PlanError,
+    aggregate,
     load_plan,
     render_series_csv,
     run_plan,
 )
 from .metrics import (
-    AggregateSummary,
     HashMapTracker,
     IntervalTracker,
     RunReport,
     Verdict,
-    aggregate,
     scale_rule_of_three,
 )
 from .routing import (
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Algorithm",
-    "AggregateSummary",
     "Broadcast",
     "CommanderSession",
     "CommandVerb",

@@ -171,24 +171,23 @@ def setting(parse: Callable[[str], Any], rule: str,
     ``rule`` says in words what both demand. ``alias`` is an optional
     second ``(key, parse)`` spelling of the same field.
     """
-    def check(value) -> Optional[str]:
-        return None if ok(value) else f"{rule}, got {value!r}"
-
-    return field(metadata={"parse": parse, "rule": rule, "check": check, "alias": alias},
-                 **default)
+    return field(metadata={"parse": parse, "rule": rule, "ok": ok, "alias": alias}, **default)
 
 
 def check_fields(obj, error: type[Exception], where: Optional[dict] = None) -> None:
     """Raise ``error`` naming the first field of ``obj`` that fails its check.
 
-    ``where`` maps each field read from a file to its ``(line, key)``, so that
-    the message points at the line.
+    ``where`` maps each field read from a file to its ``(line, key, text)``, so
+    that the message points at the line and quotes the text written there.
     """
     for f in fields(obj):
-        check = f.metadata.get("check")
-        problem = check(getattr(obj, f.name)) if check else None
+        value = getattr(obj, f.name)
+        lineno, key, text = (where or {}).get(f.name, (None, f.name, value))
+        if "ok" in f.metadata:
+            problem = None if f.metadata["ok"](value) else f"{f.metadata['rule']}, got {text!r}"
+        else:
+            problem = f.metadata["check"](value) if "check" in f.metadata else None
         if problem:
-            lineno, key = (where or {}).get(f.name, (None, f.name))
             raise error(f"line {lineno}: {key}: {problem}" if lineno else f"{key}: {problem}")
 
 

@@ -1,10 +1,10 @@
 """Experiment plans: algorithm/duration sweeps over a scenario.
 
 A plan expands into ``len(algorithms) x len(durations) x repetitions`` runs,
-aggregates repetitions into mean/stdev rows, and renders comparison tables
-(text and CSV) with a column scaled to a common reference duration for
-cross-duration comparisons. Every output is built from those rows, except
-the per-run report files.
+aggregates each batch of repetitions into one mean/stdev ``TableRow``, and
+renders comparison tables (text and CSV) with a column scaled to a common
+reference duration for cross-duration comparisons. Every output is built
+from those rows, except the per-run report files.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
 from .core import Algorithm, ScenarioConfig, check_fields, setting
-from .metrics import AggregateSummary, RunReport, aggregate, scale_rule_of_three, text_table
+from .metrics import RunReport, scale_rule_of_three, text_table
 from .scenario import build, content_lines, file_keys, load_scenario, read_setting, read_source
 from .simnet import run
 
@@ -44,15 +45,19 @@ class ExperimentPlan:
     algorithms: list[Algorithm] = setting(
         _list_of(Algorithm), "must be a comma-separated list of distinct algorithms (btmr, mam)",
         lambda v: len(v) > 0 and _distinct(v))
+    # each duration names its own run length in ms and its own printed label
     durations_min: list[float] = setting(
-        _list_of(float), "must be a comma-separated list of distinct positive minutes",
-        lambda v: len(v) > 0 and _distinct(v) and all(0 < d < math.inf for d in v))
+        _list_of(float),
+        "must be a comma-separated list of positive minutes, distinct in whole ms and as printed",
+        lambda v: len(v) > 0 and all(0 < d * 60_000 < math.inf for d in v)
+        and _distinct([round(d * 60_000) for d in v]) and _distinct([f"{d:g}" for d in v]))
     repetitions: int = setting(int, "must be an integer >= 1", lambda v: v >= 1, default=1)
     seeds: Optional[list[int]] = setting(
         _list_of(int), "must be a comma-separated list of distinct integers",
         lambda v: v is None or _distinct(v), default=None)
     seed_base: int = setting(int, "must be an integer", default=0)
-    reference_minutes: float = setting(float, "must be a number",
+    reference_minutes: float = setting(float, "must be a positive number",
+                                       lambda v: 0 < v < math.inf,
                                        default=DEFAULT_REFERENCE_MINUTES)
     name: str = ""
 
@@ -80,6 +85,35 @@ class TableRow:
     rx_total_mean: float
     scaled_unique: float
     runs: int
+
+
+def aggregate(reports: list[RunReport], minutes: float, reference_minutes: float) -> TableRow:
+    """The row of one batch of runs: means and sample (n-1) standard deviations."""
+    if not reports:
+        raise ValueError("aggregate needs at least one report")
+    first = reports[0]
+    if any((r.algorithm, r.duration_ms) != (first.algorithm, first.duration_ms) for r in reports):
+        raise ValueError("aggregate needs homogeneous algorithm and duration")
+
+    def mean(name: str) -> float:
+        return statistics.fmean(getattr(r, name) for r in reports)
+
+    def stdev(name: str) -> float:
+        return statistics.stdev(getattr(r, name) for r in reports) if len(reports) > 1 else 0.0
+
+    unique = mean("unique_received")
+    return TableRow(
+        algorithm=first.algorithm,
+        duration_min=minutes,
+        unique_mean=unique,
+        unique_stdev=stdev("unique_received"),
+        duplicate_mean=mean("duplicate_received"),
+        duplicate_stdev=stdev("duplicate_received"),
+        tx_total_mean=mean("tx_total"),
+        rx_total_mean=mean("rx_total"),
+        scaled_unique=scale_rule_of_three(unique, minutes, reference_minutes),
+        runs=len(reports),
+    )
 
 
 def _csv_cell(name: str, value) -> str:
@@ -141,31 +175,13 @@ def run_plan(plan: ExperimentPlan, out_dir: Optional[Union[str, Path]] = None) -
                         f"run failed (algorithm={algorithm.value}, "
                         f"duration_min={minutes}, seed={seed}): {exc}"
                     ) from exc
-            summary = aggregate(batch)
-            rows.append(_row_from_summary(summary, minutes, plan.reference_minutes))
+            rows.append(aggregate(batch, minutes, plan.reference_minutes))
             reports[(algorithm.value, minutes)] = batch
     table = ComparisonTable(rows=rows, reference_minutes=plan.reference_minutes,
                             reports=reports)
     if out_dir is not None:
-        write_outputs(table, plan, Path(out_dir))
+        write_outputs(table, Path(out_dir))
     return table
-
-
-def _row_from_summary(summary: AggregateSummary, minutes: float,
-                      reference_minutes: float) -> TableRow:
-    return TableRow(
-        algorithm=summary.algorithm,
-        duration_min=minutes,
-        unique_mean=summary.mean["unique_received"],
-        unique_stdev=summary.stdev["unique_received"],
-        duplicate_mean=summary.mean["duplicate_received"],
-        duplicate_stdev=summary.stdev["duplicate_received"],
-        tx_total_mean=summary.mean["tx_total"],
-        rx_total_mean=summary.mean["rx_total"],
-        scaled_unique=scale_rule_of_three(summary.mean["unique_received"],
-                                          minutes, reference_minutes),
-        runs=summary.runs,
-    )
 
 
 def render_series_csv(series: list[tuple[float, float, float]]) -> str:
@@ -177,27 +193,18 @@ def render_series_csv(series: list[tuple[float, float, float]]) -> str:
     return buf.getvalue()
 
 
-def write_outputs(table: ComparisonTable, plan: ExperimentPlan, out_dir: Path) -> list[Path]:
+def write_outputs(table: ComparisonTable, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    path = out_dir / "table.txt"
-    path.write_text(table.render_text())
-    written.append(path)
-    path = out_dir / "table.csv"
-    path.write_text(table.render_csv())
-    written.append(path)
-    for algorithm in plan.algorithms:
+    (out_dir / "table.txt").write_text(table.render_text())
+    (out_dir / "table.csv").write_text(table.render_csv())
+    for algorithm in sorted({row.algorithm for row in table.rows}):
         series = sorted((row.duration_min, row.unique_mean, row.duplicate_mean)
-                        for row in table.rows if row.algorithm == algorithm.value)
-        path = out_dir / f"series_{algorithm.value}.csv"
-        path.write_text(render_series_csv(series))
-        written.append(path)
+                        for row in table.rows if row.algorithm == algorithm)
+        (out_dir / f"series_{algorithm}.csv").write_text(render_series_csv(series))
     for (algorithm, minutes), batch in sorted(table.reports.items()):
         for report in batch:
-            path = out_dir / f"report_{algorithm}_{minutes:g}min_s{report.seed}.json"
-            path.write_text(report.to_json())
-            written.append(path)
-    return written
+            name = f"report_{algorithm}_{minutes:g}min_s{report.seed}.json"
+            (out_dir / name).write_text(report.to_json())
 
 
 # --- plan files -------------------------------------------------------------

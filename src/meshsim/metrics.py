@@ -4,14 +4,13 @@ The collector tells first-time sensor messages from repeats by their
 ``(origin, seq)`` key. Two interchangeable trackers implement that check: a
 hash map (simple, memory per message) and an interval set (memory per gap,
 suited to sequential per-origin sequence numbers). A run's counters are
-frozen into a ``RunReport``; helpers scale counts between run durations,
-aggregate repeated runs and align the columns of text tables.
+frozen into a ``RunReport``; helpers scale counts between run durations
+and align the columns of text tables.
 """
 
 from __future__ import annotations
 
 import json
-import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -155,49 +154,6 @@ def scale_rule_of_three(count: float, from_minutes: float, to_minutes: float) ->
     if from_minutes <= 0:
         raise ValueError("from_minutes must be positive")
     return count * to_minutes / from_minutes
-
-
-AGGREGATE_FIELDS = [
-    "unique_received",
-    "duplicate_received",
-    "total_received",
-    "tx_total",
-    "rx_total",
-    "tx_data",
-]
-
-
-@dataclass
-class AggregateSummary:
-    algorithm: str
-    duration_ms: int
-    runs: int
-    mean: dict[str, float]
-    stdev: dict[str, float]
-
-
-def aggregate(reports: list[RunReport]) -> AggregateSummary:
-    """Mean and sample (n-1) standard deviation per numeric report field."""
-    if not reports:
-        raise ValueError("aggregate needs at least one report")
-    algorithm = reports[0].algorithm
-    duration = reports[0].duration_ms
-    for r in reports[1:]:
-        if r.algorithm != algorithm or r.duration_ms != duration:
-            raise ValueError("aggregate needs homogeneous algorithm and duration")
-    mean = {}
-    stdev = {}
-    for name in AGGREGATE_FIELDS:
-        values = [getattr(r, name) for r in reports]
-        mean[name] = statistics.fmean(values)
-        stdev[name] = 0.0 if len(values) == 1 else statistics.stdev(values)
-    return AggregateSummary(
-        algorithm=algorithm,
-        duration_ms=duration,
-        runs=len(reports),
-        mean=mean,
-        stdev=stdev,
-    )
 
 
 def text_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:

@@ -69,8 +69,8 @@ def file_keys(cls) -> dict[str, tuple[str, Callable[[str], object], str]]:
 def read_setting(keys: dict, line: str, lineno: int, values: dict, where: dict) -> None:
     """Read one ``key = value`` line into ``values``; a ValueError names the key.
 
-    ``where`` keeps the ``(line, key)`` that set each field: a field may be set
-    only once, and later checks name that line.
+    ``where`` keeps the ``(line, key, text)`` that set each field: a field may
+    be set only once, and later checks name that line and quote its text.
     """
     key, eq, text = (part.strip() for part in line.partition("="))
     if not eq:
@@ -86,7 +86,7 @@ def read_setting(keys: dict, line: str, lineno: int, values: dict, where: dict) 
         raise ValueError(f"{key}: {exc}") from None
     except (KeyError, OSError, ValueError):
         raise ValueError(f"{key}: {rule}, got {text!r}") from None
-    where[name] = (lineno, key)
+    where[name] = (lineno, key, text)
 
 
 def build(cls, values: dict, where: dict, error: type[Exception]):
@@ -123,7 +123,7 @@ def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
                 header, field_name = line, _SECTIONS[line][0]
                 if field_name in where:
                     raise ValueError(f"{header}: already opened on line {where[field_name][0]}")
-                where[field_name] = (lineno, header[1:-1])
+                where[field_name] = (lineno, header[1:-1], line)
                 values[field_name] = []
             elif header is None:
                 read_setting(keys, line, lineno, values, where)

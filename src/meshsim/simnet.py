@@ -402,19 +402,8 @@ class World:
 
     # --- reporting ----------------------------------------------------------
 
-    @property
-    def tx_total(self) -> int:
-        return sum(n.tx_count for n in self.nodes.values())
-
-    @property
-    def rx_total(self) -> int:
-        return sum(n.rx_count for n in self.nodes.values())
-
-    @property
-    def tx_data(self) -> int:
-        return sum(n.tx_data_count for n in self.nodes.values())
-
     def report(self) -> RunReport:
+        nodes = self.nodes.values()
         unique = self.tracker.unique_count
         duplicate = self.tracker.duplicate_count
         return RunReport(
@@ -424,9 +413,9 @@ class World:
             unique_received=unique,
             duplicate_received=duplicate,
             total_received=unique + duplicate,
-            tx_total=self.tx_total,
-            rx_total=self.rx_total,
-            tx_data=self.tx_data,
+            tx_total=sum(n.tx_count for n in nodes),
+            rx_total=sum(n.rx_count for n in nodes),
+            tx_data=sum(n.tx_data_count for n in nodes),
             per_node={
                 nid: {
                     "generated": n.generated,

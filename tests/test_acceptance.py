@@ -70,6 +70,18 @@ def test_criterion_1_scaling_each_published_value(count, minutes, expected):
     assert scaled == pytest.approx(expected, abs=0.01)
 
 
+def test_criterion_1_simulated_series_rescales_the_simulated_counts():
+    # the published series truncates rather than rounds: gaps of 0.0025 to 0.0092
+    simulated = {algo: (minutes, unique)
+                 for algo, minutes, unique, _ in refdata.SIMULATED_RESULTS}
+    assert set(refdata.SIMULATED_SERIES) == set(simulated)
+    for algorithm, series in refdata.SIMULATED_SERIES.items():
+        from_minutes, unique = simulated[algorithm]
+        for minutes, value in series:
+            expected = scale_rule_of_three(unique, from_minutes, minutes)
+            assert value == pytest.approx(expected, abs=0.01)
+
+
 def test_criterion_1_scaling_averages_and_runtime():
     start = time.perf_counter()
     flood = [scale_rule_of_three(c, m, 3.33)

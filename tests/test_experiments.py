@@ -82,6 +82,7 @@ def test_explicit_seeds_must_match_repetitions():
 @pytest.mark.parametrize("overrides,field", [
     (dict(algorithms=[Algorithm.MAM, Algorithm.MAM]), "algorithms"),
     (dict(durations_min=[0.2, 0.2]), "durations_min"),
+    (dict(durations_min=[0.2, 0.2000001]), "durations_min"),
     (dict(seeds=[3, 4, 3]), "seeds"),
 ])
 def test_plan_built_in_code_rejects_repeated_entries(overrides, field):
@@ -217,8 +218,18 @@ PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
     ("scenario = atlantis\nalgorithms = btmr\ndurations_min = 1\n", "line 1: scenario"),
     ("scenario = line3\ndurations_min = 1\n", "algorithms: missing"),
     ("scenario = line3\nalgorithms = btmr, mam, btmr\ndurations_min = 1\n",
-     "line 2: algorithms: must be .* distinct"),
+     "line 2: algorithms: must be .* distinct .*, got 'btmr, mam, btmr'$"),
     (PLAN_HEAD + "durations_min = 0.2, 0.4, 0.20\n", "line 3: durations_min: must be .* distinct"),
+    # one run length in whole ms, and one printed label, for two durations
+    (PLAN_HEAD + "durations_min = 0.2, 0.2000001\nrepetitions = 2\n",
+     "line 3: durations_min: must be .* distinct .*, got '0.2, 0.2000001'$"),
+    (PLAN_HEAD + "durations_min = 1000000.3, 1000000.4\n",
+     "line 3: durations_min: must be .* distinct"),
+    (PLAN_HEAD + "durations_min = 1\nreference_minutes = 0\n",
+     "line 4: reference_minutes: must be a positive number, got '0'$"),
+    (PLAN_HEAD + "durations_min = 1\nreference_minutes = -2\n", "line 4: reference_minutes"),
+    (PLAN_HEAD + "durations_min = 1\nreference_minutes = nan\n", "line 4: reference_minutes"),
+    (PLAN_HEAD + "durations_min = 1\nreference_minutes = inf\n", "line 4: reference_minutes"),
     (PLAN_HEAD + "durations_min = 1\nrepetitions = 2\nseeds = 3, 3\n",
      "line 5: seeds: must be .* distinct"),
 ])

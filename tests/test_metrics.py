@@ -134,32 +134,34 @@ def _report(unique, algorithm="btmr", duration_ms=300_000, seed=0):
 
 
 def test_aggregate_constant_runs():
-    summary = aggregate([_report(477, seed=s) for s in range(3)])
-    assert summary.mean["unique_received"] == 477
-    assert summary.stdev["unique_received"] == 0
-    assert summary.runs == 3
+    row = aggregate([_report(477, seed=s) for s in range(3)], 5, 3.33)
+    assert (row.algorithm, row.duration_min) == ("btmr", 5)
+    assert row.unique_mean == 477
+    assert row.unique_stdev == 0
+    assert row.runs == 3
+    assert row.scaled_unique == pytest.approx(477 * 3.33 / 5)
 
 
 def test_aggregate_sample_stdev():
-    summary = aggregate([_report(468), _report(477), _report(486)])
-    assert summary.mean["unique_received"] == pytest.approx(477)
-    assert summary.stdev["unique_received"] == pytest.approx(9)
+    row = aggregate([_report(468), _report(477), _report(486)], 5, 3.33)
+    assert row.unique_mean == pytest.approx(477)
+    assert row.unique_stdev == pytest.approx(9)
 
 
 def test_aggregate_single_run_flagged():
-    summary = aggregate([_report(500)])
-    assert summary.runs == 1
-    assert summary.mean["unique_received"] == 500
-    assert summary.stdev["unique_received"] == 0
+    row = aggregate([_report(500)], 5, 3.33)
+    assert row.runs == 1
+    assert row.unique_mean == 500
+    assert row.unique_stdev == 0
 
 
 def test_aggregate_rejects_empty_and_mixed():
     with pytest.raises(ValueError):
-        aggregate([])
+        aggregate([], 5, 3.33)
     with pytest.raises(ValueError):
-        aggregate([_report(1, algorithm="btmr"), _report(1, algorithm="mam")])
+        aggregate([_report(1, algorithm="btmr"), _report(1, algorithm="mam")], 5, 3.33)
     with pytest.raises(ValueError):
-        aggregate([_report(1, duration_ms=1000), _report(1, duration_ms=2000)])
+        aggregate([_report(1, duration_ms=1000), _report(1, duration_ms=2000)], 5, 3.33)
 
 
 # --- report formats --------------------------------------------------------------
