@@ -12,44 +12,32 @@ import socketserver
 import struct
 from collections import deque
 from dataclasses import astuple, dataclass, fields
-from enum import Enum
+from enum import IntEnum
 from typing import Iterable, Optional
 
 from .core import ConfigError, NodeId
 from .metrics import text_table
 
 
-class CommandVerb(Enum):
-    SIM_RESET = ("sim-reset", 0)
-    SET_MAM = ("set-mam", 1)
-    SET_BTMR = ("set-btmr", 2)
-    SIM_STATS = ("sim-stats", 3)
-    REBOOT = ("reboot", 4)
-    REBOOT_ALL = ("reboot-all", 5)  # extension: reboot every node, not just the commander
-    PING = ("ping", 6)  # internal, drives the reachability probe
+class CommandVerb(IntEnum):
+    """A control command; its value is the one-byte code a command frame carries."""
 
-    def __init__(self, wire: str, code: int):
-        self.wire = wire
-        self.code = code
+    SIM_RESET = 0
+    SET_MAM = 1
+    SET_BTMR = 2
+    SIM_STATS = 3
+    REBOOT = 4
+    REBOOT_ALL = 5  # extension: reboot every node, not just the commander
+    PING = 6  # internal, drives the reachability probe
 
-    @classmethod
-    def from_code(cls, code: int) -> "CommandVerb":
-        for verb in cls:
-            if verb.code == code:
-                return verb
-        raise ValueError(f"unknown command code: {code}")
-
-    @classmethod
-    def from_wire(cls, text: str) -> Optional["CommandVerb"]:
-        for verb in cls:
-            if verb.wire == text:
-                return verb
-        return None
+    @property
+    def wire(self) -> str:
+        """The word an operator types, such as ``sim-reset``."""
+        return self.name.lower().replace("_", "-")
 
 
-# verbs an operator may type; PING is reachability-tool plumbing
-SESSION_VERBS = (CommandVerb.SIM_RESET, CommandVerb.SET_MAM, CommandVerb.SET_BTMR,
-                 CommandVerb.SIM_STATS, CommandVerb.REBOOT, CommandVerb.REBOOT_ALL)
+# verbs an operator may type, by word; PING is reachability-tool plumbing
+SESSION_VERBS = {verb.wire: verb for verb in CommandVerb if verb is not CommandVerb.PING}
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ def check_reachability(world, deadline_ms: int,
     probed_at = world.now
     world.issue_command(CommandVerb.PING, issuer=prober)
     world.run_until(world.now + deadline_ms)
-    acked = set(world.probes.get(world.last_probe, set()))
+    acked = set(world.acked)
     missing = set(world.node_ids) - {prober} - acked
     return ReachabilityReport(probed_at=probed_at, acked=acked,
                               missing=missing, deadline_ms=deadline_ms)
@@ -147,8 +135,8 @@ class CommanderSession:
         if not text:
             response = ["ERR empty command"]
         else:
-            verb = CommandVerb.from_wire(text)
-            if verb is None or verb not in SESSION_VERBS:
+            verb = SESSION_VERBS.get(text)
+            if verb is None:
                 response = ["ERR unknown command"]
             else:
                 try:

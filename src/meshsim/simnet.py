@@ -154,8 +154,9 @@ class World:
         self.tracker = make_tracker(config.tracker)
         self.collected_stats: dict[NodeId, NodeStats] = {}
         self.delivered: list[tuple[int, MessageKey]] = []
-        self.probes: dict[tuple[NodeId, int], set[NodeId]] = {}
-        self.last_probe: Optional[tuple[NodeId, int]] = None
+        # the newest reachability probe, as (origin, seq), and the nodes that acked it
+        self.probe: Optional[tuple[NodeId, int]] = None
+        self.acked: set[NodeId] = set()
         self.schedule(0, World._emit_heartbeat, self.nodes[self.hub_id])
         for sensor in config.sensor_ids:
             self.schedule(config.data_period_ms, World._generate_data, self.nodes[sensor])
@@ -234,7 +235,7 @@ class World:
         self.schedule(self.now + self.config.data_period_ms, World._generate_data, node)
 
     def _command_arrival(self, verb: CommandVerb, issuer: SimNode) -> None:
-        message = issuer.originate(MessageKind.COMMAND, bytes([verb.code]))
+        message = issuer.originate(MessageKind.COMMAND, bytes([verb]))
         self._apply_command(issuer, message)
         self._relay(issuer, message)
 
@@ -251,6 +252,7 @@ class World:
     # --- frame handling ---------------------------------------------------
 
     def _deliver(self, message: Message, node: SimNode) -> None:
+        """Take one received frame: consume it here, or act on it and relay it."""
         node.rx_count += 1
         if message.origin == node.id:
             return
@@ -262,28 +264,20 @@ class World:
                 self.tracker.record(key)
                 self.delivered.append((self.now, key))
                 return
-            self._relay(node, message)
-        elif kind is MessageKind.HEARTBEAT:
-            if node.id == self.hub_id:
-                return
-            self._relay(node, message)
         elif kind is MessageKind.COMMAND:
             self._apply_command(node, message)
-            self._relay(node, message)
         elif kind is MessageKind.STATS_REPORT:
             if node.id == self.hub_id:
                 stats = decode_stats(message.payload)
                 self.collected_stats[stats.node] = stats
                 return
-            self._relay(node, message)
         elif kind is MessageKind.ACK:
-            probe_origin, probe_seq = _ACK_PAYLOAD.unpack(message.payload)
-            if node.id == probe_origin:
-                acked = self.probes.get((probe_origin, probe_seq))
-                if acked is not None:
-                    acked.add(message.origin)
+            probe = _ACK_PAYLOAD.unpack(message.payload)
+            if node.id == probe[0]:
+                if probe == self.probe:
+                    self.acked.add(message.origin)
                 return
-            self._relay(node, message)
+        self._relay(node, message)
 
     def _relay(self, node: SimNode, message: Message) -> None:
         """Route one frame through the node's relay logic and execute its action.
@@ -310,9 +304,13 @@ class World:
         if message.seq <= node.last_cmd_seq.get(message.origin, -1):
             return
         node.last_cmd_seq[message.origin] = message.seq
-        verb = CommandVerb.from_code(message.payload[0])
-        if verb is CommandVerb.SIM_RESET:
-            node.reset_routing()
+        verb = CommandVerb(message.payload[0])
+        if (verb is CommandVerb.SIM_RESET or verb is CommandVerb.REBOOT_ALL
+                or (verb is CommandVerb.REBOOT and node.role is Role.COMMANDER)):
+            if verb is CommandVerb.SIM_RESET:
+                node.reset_routing()
+            else:
+                node.reboot()
             if node.id == self.hub_id:
                 self.tracker.reset()
                 self.collected_stats.clear()
@@ -327,24 +325,13 @@ class World:
             else:
                 self._relay(node, node.originate(MessageKind.STATS_REPORT,
                                                  encode_stats(snapshot)))
-        elif verb is CommandVerb.REBOOT:
-            if node.role is Role.COMMANDER:
-                self._reboot(node)
-        elif verb is CommandVerb.REBOOT_ALL:
-            self._reboot(node)
         elif verb is CommandVerb.PING:
             if node.id == message.origin:
-                self.probes[(message.origin, message.seq)] = set()
-                self.last_probe = (message.origin, message.seq)
+                self.probe = (message.origin, message.seq)
+                self.acked = set()
             else:
                 self._relay(node, node.originate(
                     MessageKind.ACK, _ACK_PAYLOAD.pack(message.origin, message.seq)))
-
-    def _reboot(self, node: SimNode) -> None:
-        node.reboot()
-        if node.id == self.hub_id:
-            self.tracker.reset()
-            self.collected_stats.clear()
 
     # --- transmission -----------------------------------------------------
 
