@@ -113,6 +113,8 @@ def format_stats_table(world) -> list[str]:
 
 # lines of transcript the long-lived TCP server's session keeps, newest last
 SERVER_TRANSCRIPT_LINES = 1000
+# longest line the TCP server reads, in bytes with its line ending; far above any verb
+SERVER_LINE_BYTES = 256
 
 
 class CommanderSession:
@@ -169,14 +171,19 @@ def make_server(world, host: str = "127.0.0.1", port: int = 0,
     The bound address is ``server.server_address``; run ``serve_forever`` (in a
     thread if the caller owns the world) and ``shutdown`` to stop. Commands
     from concurrent clients serialize through one shared session, which keeps
-    only the newest ``SERVER_TRANSCRIPT_LINES`` lines of its transcript.
+    only the newest ``SERVER_TRANSCRIPT_LINES`` lines of its transcript. A line
+    longer than ``SERVER_LINE_BYTES`` is answered ``ERR line too long``, and
+    its connection is closed.
     """
     session = CommanderSession(world, settle_ms=settle_ms,
                                transcript_lines=SERVER_TRANSCRIPT_LINES)
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            for raw in self.rfile:
+            while raw := self.rfile.readline(SERVER_LINE_BYTES):
+                if len(raw) == SERVER_LINE_BYTES and not raw.endswith(b"\n"):
+                    self.wfile.write(b"ERR line too long\r\n")
+                    return
                 line = raw.decode("ascii", errors="replace")
                 for out in session.handle_line(line):
                     self.wfile.write(out.encode("ascii") + b"\r\n")

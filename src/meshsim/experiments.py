@@ -19,10 +19,9 @@ from typing import Optional, Union
 
 from .core import Algorithm, ScenarioConfig, check_fields, setting
 from .metrics import RunReport, scale_rule_of_three, text_table
+from .refdata import REFERENCE_MINUTES
 from .scenario import build, content_lines, file_keys, load_scenario, read_setting, read_source
 from .simnet import run
-
-DEFAULT_REFERENCE_MINUTES = 3.33
 
 
 class PlanError(ValueError):
@@ -45,11 +44,13 @@ class ExperimentPlan:
     algorithms: list[Algorithm] = setting(
         _list_of(Algorithm), "must be a comma-separated list of distinct algorithms (btmr, mam)",
         lambda v: len(v) > 0 and _distinct(v))
-    # each duration names its own run length in ms and its own printed label
+    # each duration names its own run length in ms and its own printed label; a
+    # run length over 0.5 ms rounds to at least 1 ms
     durations_min: list[float] = setting(
         _list_of(float),
-        "must be a comma-separated list of positive minutes, distinct in whole ms and as printed",
-        lambda v: len(v) > 0 and all(0 < d * 60_000 < math.inf for d in v)
+        "must be a comma-separated list of minutes, each at least 1 ms long, "
+        "distinct in whole ms and as printed",
+        lambda v: len(v) > 0 and all(0.5 < d * 60_000 < math.inf for d in v)
         and _distinct([round(d * 60_000) for d in v]) and _distinct([f"{d:g}" for d in v]))
     repetitions: int = setting(int, "must be an integer >= 1", lambda v: v >= 1, default=1)
     seeds: Optional[list[int]] = setting(
@@ -58,7 +59,7 @@ class ExperimentPlan:
     seed_base: int = setting(int, "must be an integer", default=0)
     reference_minutes: float = setting(float, "must be a positive number",
                                        lambda v: 0 < v < math.inf,
-                                       default=DEFAULT_REFERENCE_MINUTES)
+                                       default=REFERENCE_MINUTES)
     name: str = ""
 
     def run_seeds(self) -> list[int]:

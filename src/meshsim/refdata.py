@@ -43,6 +43,7 @@ SIMULATED_RESULTS = [
     ("mam", 3.33, 1498, 24.99),
 ]
 
+# the duration published rows are scaled to, and a plan's default reference_minutes
 REFERENCE_MINUTES = 3.33
 
 # (algorithm, source label, minutes, unique_received) -- every row already

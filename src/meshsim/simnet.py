@@ -64,11 +64,12 @@ class MobilityTrace:
             return (pts[0].x, pts[0].y)
         if t >= pts[-1].t_ms:
             return (pts[-1].x, pts[-1].y)
+        # strictly between the endpoints, so the loop stops at the segment holding t
         for a, b in zip(pts, pts[1:]):
             if t <= b.t_ms:
-                frac = (t - a.t_ms) / (b.t_ms - a.t_ms)
-                return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
-        return (pts[-1].x, pts[-1].y)
+                break
+        frac = (t - a.t_ms) / (b.t_ms - a.t_ms)
+        return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
 
 
 class SimNode:

@@ -1,6 +1,7 @@
 import socket
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,12 +40,15 @@ def quiet(world, ms=400):
 
 # --- command execution --------------------------------------------------------
 
-def test_command_without_commander_is_an_error():
-    config = ScenarioConfig(
+def no_commander_world():
+    return World(ScenarioConfig(
         topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
                   NodeSpec(1, 5.0, 0.0, Role.SENSOR)],
-        duration_ms=10_000, radio_preset="ground")
-    world = World(config)
+        duration_ms=10_000, radio_preset="ground"))
+
+
+def test_command_without_commander_is_an_error():
+    world = no_commander_world()
     with pytest.raises(ConfigError, match="commander"):
         world.issue_command(CommandVerb.SIM_RESET)
 
@@ -243,6 +247,11 @@ def test_session_ok_and_err_lines():
     assert session.handle_line("ping") == ["ERR unknown command"]
 
 
+def test_session_without_commander_answers_err():
+    session = CommanderSession(no_commander_world(), settle_ms=500)
+    assert session.handle_line("sim-reset") == ["ERR topology has no commander node"]
+
+
 def test_session_reports_algorithm_switch():
     session = CommanderSession(line3_world(), settle_ms=500)
     session.handle_line("set-mam")
@@ -279,26 +288,46 @@ def test_fuzzed_session_lines_answer_ok_or_err(lines):
         assert response[0] == "OK" or response[0].startswith("ERR ")
 
 
-def test_tcp_server_speaks_the_line_protocol():
-    server = make_server(line3_world(), settle_ms=200)
-    host, port = server.server_address
+@contextmanager
+def serving(world):
+    """A line-protocol server on ``world``, running in a thread; yields its address."""
+    server = make_server(world, settle_ms=200)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        with socket.create_connection((host, port), timeout=5) as conn:
-            conn.sendall(b"sim-reset\r\nbogus\r\n")
-            conn.shutdown(socket.SHUT_WR)
-            data = b""
-            while True:
-                chunk = conn.recv(4096)
-                if not chunk:
-                    break
-                data += chunk
+        yield server.server_address
     finally:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def exchange(address, payload):
+    """Send ``payload``, close the sending side, and return every byte of the reply."""
+    with socket.create_connection(address, timeout=5) as conn:
+        conn.sendall(payload)
+        conn.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := conn.recv(4096):
+            data += chunk
+    return data
+
+
+def test_tcp_server_speaks_the_line_protocol():
+    with serving(line3_world()) as address:
+        data = exchange(address, b"sim-reset\r\nbogus\r\n")
     assert data == b"OK\r\nERR unknown command\r\n"
+
+
+def test_tcp_server_refuses_an_over_long_line():
+    with serving(line3_world()) as address:
+        with socket.create_connection(address, timeout=5) as conn:
+            conn.sendall(b"x" * 10_000)  # and no newline
+            refused = conn.recv(4096)
+        data = exchange(address, b"sim-reset\r\n")
+    assert refused == b"ERR line too long\r\n"
+    assert data == b"OK\r\n"
 
 
 def test_server_session_keeps_a_bounded_transcript():

@@ -75,12 +75,16 @@ def test_wire_round_trip():
 
 def test_encode_rejects_out_of_range():
     base = Message(MessageKind.DATA, origin=0, seq=0, hops=0, sender=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="origin"):
         encode_message(Message(MessageKind.DATA, 70000, 0, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hops"):
         encode_message(Message(MessageKind.DATA, 0, 0, 128, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seq"):
         encode_message(Message(MessageKind.DATA, 0, 1 << 32, 0, 0))
+    with pytest.raises(ValueError, match="sender"):
+        encode_message(Message(MessageKind.DATA, 0, 0, 0, 70000))
+    with pytest.raises(ValueError, match="payload"):
+        encode_message(Message(MessageKind.DATA, 0, 0, 0, 0, bytes(0x10000)))
     assert decode_message(encode_message(base)) == base
 
 

@@ -90,6 +90,12 @@ def test_plan_built_in_code_rejects_repeated_entries(overrides, field):
         run_plan(quick_plan(**overrides))
 
 
+@pytest.mark.parametrize("durations", [[0.000001], [0.2, 0.000008]])
+def test_plan_built_in_code_rejects_sub_millisecond_durations(durations):
+    with pytest.raises(PlanError, match="^durations_min: must be .* at least 1 ms"):
+        run_plan(quick_plan(durations_min=durations))
+
+
 def test_failing_run_aborts_with_config_echoed():
     broken = ScenarioConfig(
         topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
@@ -225,6 +231,9 @@ PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
      "line 3: durations_min: must be .* distinct .*, got '0.2, 0.2000001'$"),
     (PLAN_HEAD + "durations_min = 1000000.3, 1000000.4\n",
      "line 3: durations_min: must be .* distinct"),
+    # a run length that rounds to 0 ms
+    (PLAN_HEAD + "durations_min = 0.000001\n",
+     "line 3: durations_min: must be .* at least 1 ms .*, got '0.000001'$"),
     (PLAN_HEAD + "durations_min = 1\nreference_minutes = 0\n",
      "line 4: reference_minutes: must be a positive number, got '0'$"),
     (PLAN_HEAD + "durations_min = 1\nreference_minutes = -2\n", "line 4: reference_minutes"),
@@ -272,6 +281,11 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert "algorithm=mam" in captured and "unique=3" in captured
     payload = json.loads(out.read_text())
     assert payload["seed"] == 9 and payload["algorithm"] == "mam"
+
+
+def test_cli_run_takes_a_duration(capsys):
+    assert cli_main(["run", "line3", "--duration-ms", "5000"]) == 0
+    assert "duration_ms=5000" in capsys.readouterr().out
 
 
 def test_cli_run_scenario_file_path(tmp_path, capsys):
