@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import socketserver
 import struct
-from collections import deque
+import threading
 from dataclasses import astuple, dataclass, fields
 from enum import IntEnum
 from typing import Iterable, Optional
@@ -77,7 +77,6 @@ class ReachabilityReport:
     probed_at: int
     acked: set[NodeId]
     missing: set[NodeId]
-    deadline_ms: int
 
 
 def check_reachability(world, deadline_ms: int,
@@ -94,8 +93,7 @@ def check_reachability(world, deadline_ms: int,
     world.run_until(world.now + deadline_ms)
     acked = set(world.acked)
     missing = set(world.node_ids) - {prober} - acked
-    return ReachabilityReport(probed_at=probed_at, acked=acked,
-                              missing=missing, deadline_ms=deadline_ms)
+    return ReachabilityReport(probed_at=probed_at, acked=acked, missing=missing)
 
 
 STATS_COLUMNS = ("node", "role", *STATS_COUNTERS)
@@ -111,47 +109,45 @@ def format_stats_table(world) -> list[str]:
     return text_table(STATS_COLUMNS, rows)
 
 
-# lines of transcript the long-lived TCP server's session keeps, newest last
-SERVER_TRANSCRIPT_LINES = 1000
 # longest line the TCP server reads, in bytes with its line ending; far above any verb
 SERVER_LINE_BYTES = 256
 
 
-class CommanderSession:
-    """Line protocol against a live world: one command in, OK/ERR plus payload out.
+def respond(world, text: str, settle_ms: int) -> list[str]:
+    """The response lines to one stripped session line: OK/ERR plus payload.
 
-    After flooding a command the session advances the simulation by a settle
-    window so the command's effects (and any returning statistics) land before
-    the response is rendered. ``transcript`` records every line in and out,
-    or only the newest ``transcript_lines`` of them when that is given.
+    After flooding a command the world runs on for a settle window, so the
+    command's effects (and any returning statistics) land before the response
+    is rendered.
     """
+    if not text:
+        return ["ERR empty command"]
+    verb = SESSION_VERBS.get(text)
+    if verb is None:
+        return ["ERR unknown command"]
+    try:
+        world.issue_command(verb)
+    except ConfigError as exc:
+        return [f"ERR {exc}"]
+    world.run_until(world.now + settle_ms)
+    if verb is not CommandVerb.SIM_STATS:
+        return ["OK"]
+    hub_algo = world.nodes[world.hub_id].algorithm
+    return ["OK", f"algorithm={hub_algo.value}", *format_stats_table(world)]
 
-    def __init__(self, world, settle_ms: int = 1000, transcript_lines: Optional[int] = None):
+
+class CommanderSession:
+    """Line protocol against a live world; ``transcript`` records every line in and out."""
+
+    def __init__(self, world, settle_ms: int = 1000):
         self.world = world
         self.settle_ms = settle_ms
-        self.transcript = [] if transcript_lines is None else deque(maxlen=transcript_lines)
+        self.transcript: list[str] = []
 
     def handle_line(self, line: str) -> list[str]:
         text = line.strip()
+        response = respond(self.world, text, self.settle_ms)
         self.transcript.append("> " + text)
-        if not text:
-            response = ["ERR empty command"]
-        else:
-            verb = SESSION_VERBS.get(text)
-            if verb is None:
-                response = ["ERR unknown command"]
-            else:
-                try:
-                    self.world.issue_command(verb)
-                except ConfigError as exc:
-                    response = [f"ERR {exc}"]
-                else:
-                    self.world.run_until(self.world.now + self.settle_ms)
-                    response = ["OK"]
-                    if verb is CommandVerb.SIM_STATS:
-                        hub_algo = self.world.nodes[self.world.hub_id].algorithm
-                        response.append(f"algorithm={hub_algo.value}")
-                        response.extend(format_stats_table(self.world))
         self.transcript.extend(response)
         return response
 
@@ -165,18 +161,17 @@ def run_script(world, lines: Iterable[str], settle_ms: int = 1000) -> str:
 
 
 def make_server(world, host: str = "127.0.0.1", port: int = 0,
-                settle_ms: int = 1000) -> socketserver.TCPServer:
+                settle_ms: int = 1000) -> socketserver.ThreadingTCPServer:
     """TCP server speaking the session protocol (telnet-compatible line endings).
 
     The bound address is ``server.server_address``; run ``serve_forever`` (in a
-    thread if the caller owns the world) and ``shutdown`` to stop. Commands
-    from concurrent clients serialize through one shared session, which keeps
-    only the newest ``SERVER_TRANSCRIPT_LINES`` lines of its transcript. A line
-    longer than ``SERVER_LINE_BYTES`` is answered ``ERR line too long``, and
-    its connection is closed.
+    thread if the caller owns the world) and ``shutdown`` to stop. Each client
+    has its own connection thread, so an idle client holds up no one; commands
+    take turns on the world under one lock, and the server keeps no transcript.
+    A line longer than ``SERVER_LINE_BYTES`` is answered ``ERR line too long``,
+    and its connection is closed.
     """
-    session = CommanderSession(world, settle_ms=settle_ms,
-                               transcript_lines=SERVER_TRANSCRIPT_LINES)
+    lock = threading.Lock()
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
@@ -184,11 +179,13 @@ def make_server(world, host: str = "127.0.0.1", port: int = 0,
                 if len(raw) == SERVER_LINE_BYTES and not raw.endswith(b"\n"):
                     self.wfile.write(b"ERR line too long\r\n")
                     return
-                line = raw.decode("ascii", errors="replace")
-                for out in session.handle_line(line):
+                text = raw.decode("ascii", errors="replace").strip()
+                with lock:
+                    response = respond(world, text, settle_ms)
+                for out in response:
                     self.wfile.write(out.encode("ascii") + b"\r\n")
                 self.wfile.flush()
 
-    server = socketserver.TCPServer((host, port), Handler)
-    server.session = session  # type: ignore[attr-defined]
+    server = socketserver.ThreadingTCPServer((host, port), Handler)
+    server.daemon_threads = True
     return server

@@ -35,10 +35,6 @@ class HashMapTracker:
     def unique_count(self) -> int:
         return len(self._seen)
 
-    @property
-    def total_count(self) -> int:
-        return self.unique_count + self.duplicate_count
-
     def record(self, key: MessageKey) -> Verdict:
         if key in self._seen:
             self.duplicate_count += 1
@@ -52,72 +48,56 @@ class HashMapTracker:
 
 
 class IntervalTracker:
-    """Per-origin sorted sets of maximal seen-seq intervals ``[lo, hi]``.
+    """Per origin, one sorted list of the bounds of the maximal seen-seq runs.
 
-    Memory grows with the number of gaps in each origin's sequence space,
-    not with the number of messages; adjacent intervals coalesce as gaps
-    fill in.
+    The list reads ``[lo, hi + 1, lo2, hi2 + 1, ...]``, so a seq has been seen
+    when an odd number of its origin's bounds are at or below it. Memory grows
+    with the number of gaps in each origin's sequence space, not with the
+    number of messages; adjacent runs coalesce as gaps fill in.
     """
 
     def __init__(self):
-        # origin -> parallel lists of interval starts and [lo, hi] pairs
-        self._starts: dict[NodeId, list[int]] = {}
-        self._intervals: dict[NodeId, list[list[int]]] = {}
+        self._bounds: dict[NodeId, list[int]] = {}
         self.unique_count = 0
         self.duplicate_count = 0
 
-    @property
-    def total_count(self) -> int:
-        return self.unique_count + self.duplicate_count
-
     def record(self, key: MessageKey) -> Verdict:
         origin, seq = key
-        starts = self._starts.setdefault(origin, [])
-        intervals = self._intervals.setdefault(origin, [])
-        idx = bisect_right(starts, seq) - 1
-        if idx >= 0 and seq <= intervals[idx][1]:
+        bounds = self._bounds.setdefault(origin, [])
+        i = bisect_right(bounds, seq)
+        if i & 1:
             self.duplicate_count += 1
             return Verdict.DUPLICATE
 
         self.unique_count += 1
-        extends_left = idx >= 0 and intervals[idx][1] == seq - 1
-        extends_right = idx + 1 < len(intervals) and intervals[idx + 1][0] == seq + 1
-        if extends_left and extends_right:
-            intervals[idx][1] = intervals[idx + 1][1]
-            del intervals[idx + 1]
-            del starts[idx + 1]
-        elif extends_left:
-            intervals[idx][1] = seq
-        elif extends_right:
-            intervals[idx + 1][0] = seq
-            starts[idx + 1] = seq
+        # seq lies in the gap after the run ending at bounds[i - 1] - 1
+        # and before the run starting at bounds[i]
+        joins_left = i > 0 and bounds[i - 1] == seq
+        joins_right = i < len(bounds) and bounds[i] == seq + 1
+        if joins_left and joins_right:
+            del bounds[i - 1:i + 1]
+        elif joins_left:
+            bounds[i - 1] = seq + 1
+        elif joins_right:
+            bounds[i] = seq
         else:
-            intervals.insert(idx + 1, [seq, seq])
-            starts.insert(idx + 1, seq)
+            bounds[i:i] = [seq, seq + 1]
         return Verdict.UNIQUE
 
     def intervals(self, origin: NodeId) -> list[tuple[int, int]]:
-        return [(lo, hi) for lo, hi in self._intervals.get(origin, [])]
+        bounds = self._bounds.get(origin, [])
+        return [(lo, end - 1) for lo, end in zip(bounds[::2], bounds[1::2])]
 
     def interval_count(self, origin: NodeId) -> int:
-        return len(self._intervals.get(origin, []))
+        return len(self._bounds.get(origin, [])) // 2
 
     def origins(self) -> list[NodeId]:
-        return sorted(self._intervals)
+        return sorted(self._bounds)
 
     def reset(self) -> None:
-        self._starts.clear()
-        self._intervals.clear()
+        self._bounds.clear()
         self.unique_count = 0
         self.duplicate_count = 0
-
-
-def make_tracker(kind: str):
-    if kind == "hashmap":
-        return HashMapTracker()
-    if kind == "interval":
-        return IntervalTracker()
-    raise ValueError(f"tracker unknown: {kind}")
 
 
 @dataclass

@@ -76,6 +76,7 @@ class MamState:
 @dataclass(frozen=True)
 class Broadcast:
     message: Message
+    dest = None  # a class attribute, not a field: every neighbour receives it
 
 
 @dataclass(frozen=True)

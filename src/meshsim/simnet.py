@@ -36,17 +36,11 @@ from .core import (
     message_key,
     sensor_reading,
 )
-from .metrics import RunReport, make_tracker
-from .routing import (
-    Broadcast,
-    Drop,
-    MamState,
-    RelayCache,
-    btmr_relay,
-    mam_handle,
-)
+from .metrics import HashMapTracker, IntervalTracker, RunReport
+from .routing import Drop, MamState, RelayCache, btmr_relay, mam_handle
 
 _ACK_PAYLOAD = struct.Struct(">HI")
+_TRACKERS = {"hashmap": HashMapTracker, "interval": IntervalTracker}
 
 
 class MobilityTrace:
@@ -142,8 +136,7 @@ class World:
         self.node_ids = sorted(self.nodes)
         self.hub_id = config.hub_id
         self.commander_id = config.commander_id
-        hub_spec = next(s for s in config.topology if s.role is Role.MOBILE_HUB)
-        waypoints = config.mobility or [Waypoint(0, hub_spec.x, hub_spec.y)]
+        waypoints = config.mobility or [Waypoint(0, *self.nodes[self.hub_id].pos)]
         self.trace = MobilityTrace(waypoints)
         # Only the hub moves, so the links between all other nodes are worked out
         # once, each node's in id order, with the same test as ``in_range``.
@@ -152,7 +145,7 @@ class World:
             u.id: [v.id for v in static if v is not u and math.hypot(
                 u.pos[0] - v.pos[0], u.pos[1] - v.pos[1]) <= self.range_m]
             for u in static}
-        self.tracker = make_tracker(config.tracker)
+        self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         self.delivered: list[tuple[int, MessageKey]] = []
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
@@ -252,33 +245,38 @@ class World:
 
     # --- frame handling ---------------------------------------------------
 
-    def _deliver(self, message: Message, node: SimNode) -> None:
-        """Take one received frame: consume it here, or act on it and relay it."""
-        node.rx_count += 1
-        if message.origin == node.id:
-            return
+    def _deliver(self, message: Message, receivers: list[SimNode]) -> None:
+        """Hand one transmission to each receiver: consume it there, or act on it and relay it.
+
+        Receivers take the frame in id order, as one event per receiver at
+        consecutive ties would: whatever one schedules gets a later tie.
+        """
         kind = message.kind
-        if kind is MessageKind.DATA:
-            node.received += 1
-            if node.id == self.hub_id:
-                key = message_key(message)
-                self.tracker.record(key)
-                self.delivered.append((self.now, key))
-                return
-        elif kind is MessageKind.COMMAND:
-            self._apply_command(node, message)
-        elif kind is MessageKind.STATS_REPORT:
-            if node.id == self.hub_id:
-                stats = decode_stats(message.payload)
-                self.collected_stats[stats.node] = stats
-                return
-        elif kind is MessageKind.ACK:
-            probe = _ACK_PAYLOAD.unpack(message.payload)
-            if node.id == probe[0]:
-                if probe == self.probe:
-                    self.acked.add(message.origin)
-                return
-        self._relay(node, message)
+        for node in receivers:
+            node.rx_count += 1
+            if message.origin == node.id:
+                continue
+            if kind is MessageKind.DATA:
+                node.received += 1
+                if node.id == self.hub_id:
+                    key = message_key(message)
+                    self.tracker.record(key)
+                    self.delivered.append((self.now, key))
+                    continue
+            elif kind is MessageKind.COMMAND:
+                self._apply_command(node, message)
+            elif kind is MessageKind.STATS_REPORT:
+                if node.id == self.hub_id:
+                    stats = decode_stats(message.payload)
+                    self.collected_stats[stats.node] = stats
+                    continue
+            elif kind is MessageKind.ACK:
+                probe = _ACK_PAYLOAD.unpack(message.payload)
+                if node.id == probe[0]:
+                    if probe == self.probe:
+                        self.acked.add(message.origin)
+                    continue
+            self._relay(node, message)
 
     def _relay(self, node: SimNode, message: Message) -> None:
         """Route one frame through the node's relay logic and execute its action.
@@ -296,8 +294,7 @@ class World:
             node.drops[action.reason] += 1
             return
         out = action.message
-        dest = None if isinstance(action, Broadcast) else action.dest
-        queued = self.enqueue_tx(node, out, dest)
+        queued = self.enqueue_tx(node, out, action.dest)
         if queued and out.kind is MessageKind.DATA and out.origin != node.id:
             node.relayed += 1
 
@@ -379,14 +376,8 @@ class World:
         receivers = [self.nodes[v] for v in targets
                      if loss_prob == 0.0 or self.rng.random() >= loss_prob]
         if receivers:
-            self.schedule(self.now + self.config.latency_ms, World._deliver_all,
+            self.schedule(self.now + self.config.latency_ms, World._deliver,
                           message, receivers)
-
-    def _deliver_all(self, message: Message, receivers: list[SimNode]) -> None:
-        # Receivers take the frame in turn, as one event per receiver at
-        # consecutive ties would: whatever one schedules gets a later tie.
-        for node in receivers:
-            self._deliver(message, node)
 
     # --- reporting ----------------------------------------------------------
 

@@ -24,7 +24,7 @@ from meshsim import (
     make_server,
     run_script,
 )
-from meshsim.commander import SERVER_TRANSCRIPT_LINES, decode_stats, encode_stats
+from meshsim.commander import decode_stats, encode_stats
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -330,12 +330,8 @@ def test_tcp_server_refuses_an_over_long_line():
     assert data == b"OK\r\n"
 
 
-def test_server_session_keeps_a_bounded_transcript():
-    server = make_server(line3_world(), settle_ms=10)
-    server.server_close()  # only the shared session is driven, straight
-    session = server.session
-    lines = ["sim-stats", "bogus", "", "set-mam"] * 2_000
-    for line in lines:
-        last = session.handle_line(line)
-    assert len(session.transcript) == SERVER_TRANSCRIPT_LINES
-    assert list(session.transcript)[-len(last):] == last
+def test_tcp_server_answers_while_another_client_idles():
+    with serving(line3_world()) as address:
+        with socket.create_connection(address, timeout=5):  # connects, sends nothing
+            data = exchange(address, b"sim-reset\r\n")
+    assert data == b"OK\r\n"

@@ -56,25 +56,36 @@ def test_origins_tracked_independently():
     assert tracker.origins() == [1, 2]
 
 
-def _gap_count(seqs):
-    seen = sorted(seqs)
-    return sum(1 for a, b in zip(seen, seen[1:]) if b - a > 1)
+def _maximal_runs(seqs):
+    """The maximal runs of consecutive ints in ``seqs``, as sorted ``(lo, hi)`` pairs."""
+    runs = []
+    for seq in sorted(seqs):
+        if runs and runs[-1][1] == seq - 1:
+            runs[-1][1] = seq
+        else:
+            runs.append([seq, seq])
+    return [tuple(run) for run in runs]
 
 
-def test_trackers_agree_on_random_stream():
+@pytest.mark.parametrize("origins, seqs, records", [
+    (6, 400, 10_000),  # sparse: many short runs
+    (2, 60, 2_000),  # dense: gaps fill in, so runs merge from both sides
+], ids=["sparse", "dense"])
+def test_trackers_agree_on_random_stream(origins, seqs, records):
     rng = random.Random(42)
     hashmap = HashMapTracker()
     interval = IntervalTracker()
     seen_by_origin = {}
-    for _ in range(10_000):
-        key = MessageKey(rng.randrange(6), rng.randrange(400))
+    for _ in range(records):
+        key = MessageKey(rng.randrange(origins), rng.randrange(seqs))
         assert hashmap.record(key) is interval.record(key)
         seen_by_origin.setdefault(key.origin, set()).add(key.seq)
-        assert interval.total_count == interval.unique_count + interval.duplicate_count
     assert (hashmap.unique_count, hashmap.duplicate_count) == \
         (interval.unique_count, interval.duplicate_count)
-    for origin, seqs in seen_by_origin.items():
-        assert interval.interval_count(origin) <= _gap_count(seqs) + 1
+    assert interval.origins() == sorted(seen_by_origin)
+    for origin, seen in seen_by_origin.items():
+        assert interval.intervals(origin) == _maximal_runs(seen)
+        assert interval.interval_count(origin) == len(_maximal_runs(seen))
 
 
 def test_interval_memory_tracks_gaps_not_messages():

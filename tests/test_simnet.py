@@ -142,8 +142,8 @@ def test_event_ties_pop_in_insertion_order():
     world._heap.clear()
     first = Message(MessageKind.DATA, origin=1, seq=0, hops=0, sender=1)
     second = Message(MessageKind.DATA, origin=1, seq=1, hops=0, sender=1)
-    world.schedule(50, World._deliver, first, world.nodes[0])
-    world.schedule(50, World._deliver, second, world.nodes[0])
+    world.schedule(50, World._deliver, first, [world.nodes[0]])
+    world.schedule(50, World._deliver, second, [world.nodes[0]])
     seen = []
     while world.pending():
         _, _, handler, args = world._heap[0]
@@ -176,9 +176,9 @@ def test_broadcast_fan_out_is_one_heap_entry(monkeypatch):
     received = []
     deliver = World._deliver
 
-    def recording(world, message, node):
-        received.append(node.id)
-        deliver(world, message, node)
+    def recording(world, message, receivers):
+        received.extend(node.id for node in receivers)
+        deliver(world, message, receivers)
 
     monkeypatch.setattr(World, "_deliver", recording)
     world = World(line_of_four())
