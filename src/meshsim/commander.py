@@ -79,6 +79,12 @@ class ReachabilityReport:
     missing: set[NodeId]
 
 
+def _check_wait(name: str, ms) -> None:
+    """Reject a wait that would not run the world forward by at least 1 ms."""
+    if not isinstance(ms, int) or ms < 1:
+        raise ConfigError(f"{name}: must be an integer >= 1, got {ms!r}")
+
+
 def check_reachability(world, deadline_ms: int,
                        prober: Optional[NodeId] = None) -> ReachabilityReport:
     """Flood a probe, wait out the deadline, and partition nodes by response.
@@ -86,6 +92,7 @@ def check_reachability(world, deadline_ms: int,
     The probe and its acknowledgments always travel by flooding, so the check
     works before any reactive routes exist.
     """
+    _check_wait("deadline_ms", deadline_ms)
     if prober is None:
         prober = world.commander_id if world.commander_id is not None else world.hub_id
     probed_at = world.now
@@ -140,6 +147,7 @@ class CommanderSession:
     """Line protocol against a live world; ``transcript`` records every line in and out."""
 
     def __init__(self, world, settle_ms: int = 1000):
+        _check_wait("settle_ms", settle_ms)
         self.world = world
         self.settle_ms = settle_ms
         self.transcript: list[str] = []
@@ -171,6 +179,7 @@ def make_server(world, host: str = "127.0.0.1", port: int = 0,
     A line longer than ``SERVER_LINE_BYTES`` is answered ``ERR line too long``,
     and its connection is closed.
     """
+    _check_wait("settle_ms", settle_ms)
     lock = threading.Lock()
 
     class Handler(socketserver.StreamRequestHandler):

@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -234,6 +235,22 @@ def test_reachability_prober_defaults_to_hub_without_commander():
     assert report.missing == set()
 
 
+@pytest.mark.parametrize("entry, name", [
+    (lambda world: check_reachability(world, deadline_ms=-5), "deadline_ms"),
+    (lambda world: check_reachability(world, deadline_ms=0), "deadline_ms"),
+    (lambda world: CommanderSession(world, settle_ms=-100), "settle_ms"),
+    (lambda world: CommanderSession(world, settle_ms=2.5), "settle_ms"),
+    (lambda world: make_server(world, settle_ms=-100), "settle_ms"),
+], ids=["negative-deadline", "zero-deadline", "negative-settle", "fractional-settle",
+        "server-settle"])
+def test_waits_that_run_no_time_are_config_errors(entry, name):
+    world = line3_world()
+    pending = world.pending()
+    with pytest.raises(ConfigError, match=f"{name}: must be an integer >= 1"):
+        entry(world)
+    assert world.pending() == pending  # nothing was issued
+
+
 # --- session protocol --------------------------------------------------------------
 
 def test_session_ok_and_err_lines():
@@ -318,6 +335,29 @@ def test_tcp_server_speaks_the_line_protocol():
     with serving(line3_world()) as address:
         data = exchange(address, b"sim-reset\r\nbogus\r\n")
     assert data == b"OK\r\nERR unknown command\r\n"
+
+
+def test_tcp_server_commands_from_many_clients_take_turns():
+    world = line3_world()
+    clients, commands = 6, 40
+    replies = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serving(world) as address:
+            threads = [threading.Thread(target=lambda: replies.append(
+                exchange(address, b"sim-reset\r\n" * commands))) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == [b"OK\r\n" * commands] * clients
+    # each command is one frame from the commander, and each took the world a settle window on
+    assert world.nodes[world.commander_id].next_seq == clients * commands
+    assert world.now == clients * commands * 200
 
 
 def test_tcp_server_refuses_an_over_long_line():

@@ -143,6 +143,9 @@ def test_config_valid():
     (dict(tracker="bloom"), "tracker"),
     (dict(radio_preset=-2.0), "radio_preset"),
     (dict(radio_preset="moon"), "radio_preset"),
+    (dict(topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB)]
+          + [NodeSpec(i, float(i), 0.0, Role.SENSOR) for i in range(1, 0x10001)]),
+     "topology: node id exceeds 16 bits"),
 ])
 def test_config_errors_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):

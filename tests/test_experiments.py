@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from meshsim import (
     PlanError,
     Role,
     ScenarioConfig,
+    dump_scenario,
     load_plan,
     load_scenario,
     render_series_csv,
@@ -202,6 +204,17 @@ def test_plan_file_round_trip(tmp_path):
     plan = load_plan(path)
     assert plan.run_seeds() == [3, 4]
     assert plan.algorithms == [Algorithm.BTMR, Algorithm.MAM]
+
+
+@pytest.mark.parametrize("file_name", ["line3.scn", "line3"])
+def test_plan_prefers_a_scenario_file_next_to_it(tmp_path, file_name):
+    (tmp_path / file_name).write_text(
+        dump_scenario(replace(load_scenario("line3"), latency_ms=25)))
+    path = tmp_path / "mini.plan"
+    path.write_text(f"scenario = {file_name}\nalgorithms = btmr\ndurations_min = 0.2\n")
+    scenario = load_plan(path).scenario  # the file is read from the plan's directory
+    assert (scenario.name, scenario.latency_ms) == ("line3", 25)
+    assert load_scenario("line3").latency_ms == 10
 
 
 def test_plan_file_unknown_key_rejected(tmp_path):

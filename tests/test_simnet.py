@@ -219,6 +219,20 @@ def test_tx_queue_overflow_drops_newest_and_counts():
     assert len(node.txq) == 2
 
 
+def test_queue_wiped_by_a_reboot_still_sends_the_next_frame():
+    world = World(pair_config(5.0))
+    world._heap.clear()
+    node = world.nodes[1]
+    world.enqueue_tx(node, node.originate(MessageKind.DATA, b"lost"), None)
+    node.reboot()  # wipes the queue before its dequeue fires
+    assert world.step()
+    assert node.tx_count == 0
+    world.enqueue_tx(node, node.originate(MessageKind.DATA, b"sent"), None)
+    world.run_until(world.now + 100)
+    assert node.tx_count == 1
+    assert world.delivered == [(10, (1, 1))]
+
+
 def test_per_hop_latency_respected():
     config = pair_config(5.0, latency_ms=25, duration_ms=4_000, data_period_ms=1_000)
     world = World(config)
