@@ -8,7 +8,21 @@
 
 from dataclasses import replace
 
-from meshsim import Algorithm, World, load_scenario
+from meshsim import Algorithm, HashMapTracker, World, load_scenario
+
+
+class ArrivalLog(HashMapTracker):
+    """The collector's tracker, also logging when each data frame arrives."""
+
+    def __init__(self, world):
+        super().__init__()
+        self.world = world
+        self.arrivals = []
+
+    def record(self, key):
+        self.arrivals.append((self.world.now, key))
+        return super().record(key)
+
 
 config = load_scenario("line3")
 print(f"scenario: {config.name}, duration {config.duration_ms} ms, "
@@ -18,11 +32,12 @@ print()
 
 for algorithm in (Algorithm.BTMR, Algorithm.MAM):
     world = World(replace(config, algorithm=algorithm))
+    world.tracker = log = ArrivalLog(world)
     world.run_until(config.duration_ms)
     report = world.report()
     print(f"--- {algorithm.value} ---")
     print("deliveries at the collector:")
-    for t, key in world.delivered:
+    for t, key in log.arrivals:
         print(f"  t={t} ms  origin={key.origin} seq={key.seq}")
     print(f"unique={report.unique_received} duplicate={report.duplicate_received} "
           f"tx_total={report.tx_total} rx_total={report.rx_total} "

@@ -2,8 +2,9 @@
 # campaign was run: several durations, repeated seeds, results averaged and
 # rescaled to a common reference duration for comparison.
 #
-# By default this trims the sweep to seconds of runtime; pass --full for the
-# shipped 5/10/15-minute x 3-seed campaign shape (minutes of runtime).
+# By default this trims the sweep to under a second of runtime; pass --full
+# for the shipped 5/10/15-minute x 3-seed campaign shape (a few seconds: each
+# algorithm is simulated once, to 15 minutes, and its seeds share that run).
 
 import sys
 from pathlib import Path

@@ -1,6 +1,6 @@
 """Experiment plans: algorithm/duration sweeps over a scenario.
 
-A plan expands into ``len(algorithms) x len(durations) x repetitions`` runs,
+A plan expands into ``len(algorithms) x len(durations) x repetitions`` reports,
 aggregates each batch of repetitions into one mean/stdev ``TableRow``, and
 renders comparison tables (text and CSV) with a column scaled to a common
 reference duration for cross-duration comparisons. Every output is built
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from .core import Algorithm, ScenarioConfig, check_fields, setting
 from .metrics import RunReport, scale_rule_of_three, text_table
 from .refdata import REFERENCE_MINUTES
 from .scenario import build, content_lines, file_keys, load_scenario, read_setting, read_source
-from .simnet import run
+from .simnet import World, run  # noqa: F401  (bench/tracer.py wraps experiments.run)
 
 
 class PlanError(ValueError):
@@ -153,29 +154,46 @@ class ComparisonTable:
         return "\n".join(text_table(header, body)) + "\n"
 
 
+def _run_seed(plan: ExperimentPlan, algorithm: Algorithm,
+              seed: int) -> tuple[dict[float, RunReport], bool]:
+    """One world run through the plan's durations in ascending order, reported at
+    each (a shorter run is the prefix of a longer one), and whether it drew from
+    its RNG: a run that drew nothing is the same under every seed."""
+    by_length = sorted(plan.durations_min)
+    config = replace(plan.scenario, algorithm=algorithm, rng_seed=seed)
+    taken: dict[float, RunReport] = {}
+    try:
+        world = World(config)
+        for minutes in by_length:
+            duration_ms = int(round(minutes * 60_000))
+            world.run_until(duration_ms)
+            taken[minutes] = replace(world.report(), duration_ms=duration_ms)
+    except Exception as exc:
+        raise PlanError(
+            f"run failed (algorithm={algorithm.value}, "
+            f"duration_min={by_length[len(taken)]}, seed={seed}): {exc}"
+        ) from exc
+    return taken, world.rng.getstate() != random.Random(seed).getstate()
+
+
 def run_plan(plan: ExperimentPlan, out_dir: Optional[Union[str, Path]] = None) -> ComparisonTable:
-    """Execute the full sweep; optionally write table/series/report files."""
+    """Execute the full sweep; optionally write table/series/report files.
+
+    Each (algorithm, seed) is simulated once. An algorithm's other seeds reuse
+    its first seed's reports when that run drew nothing from the RNG.
+    """
     plan.validate()
     seeds = plan.run_seeds()
     rows: list[TableRow] = []
     reports: dict[tuple[str, float], list[RunReport]] = {}
     for algorithm in plan.algorithms:
+        first, drew = _run_seed(plan, algorithm, seeds[0])
+        runs = [first]
+        for seed in seeds[1:]:
+            runs.append(_run_seed(plan, algorithm, seed)[0] if drew
+                        else {m: replace(r, seed=seed) for m, r in first.items()})
         for minutes in plan.durations_min:
-            batch: list[RunReport] = []
-            for seed in seeds:
-                config = replace(
-                    plan.scenario,
-                    algorithm=algorithm,
-                    duration_ms=int(round(minutes * 60_000)),
-                    rng_seed=seed,
-                )
-                try:
-                    batch.append(run(config))
-                except Exception as exc:
-                    raise PlanError(
-                        f"run failed (algorithm={algorithm.value}, "
-                        f"duration_min={minutes}, seed={seed}): {exc}"
-                    ) from exc
+            batch = [taken[minutes] for taken in runs]
             rows.append(aggregate(batch, minutes, plan.reference_minutes))
             reports[(algorithm.value, minutes)] = batch
     table = ComparisonTable(rows=rows, reference_minutes=plan.reference_minutes,

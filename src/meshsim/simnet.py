@@ -26,7 +26,6 @@ from .core import (
     Algorithm,
     ConfigError,
     Message,
-    MessageKey,
     MessageKind,
     NodeId,
     Role,
@@ -147,7 +146,6 @@ class World:
             for u in static}
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
-        self.delivered: list[tuple[int, MessageKey]] = []
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
         self.probe: Optional[tuple[NodeId, int]] = None
         self.acked: set[NodeId] = set()
@@ -259,9 +257,7 @@ class World:
             if kind is MessageKind.DATA:
                 node.received += 1
                 if node.id == self.hub_id:
-                    key = message_key(message)
-                    self.tracker.record(key)
-                    self.delivered.append((self.now, key))
+                    self.tracker.record(message_key(message))
                     continue
             elif kind is MessageKind.COMMAND:
                 self._apply_command(node, message)

@@ -39,6 +39,7 @@ from meshsim import (
 )
 from meshsim import refdata
 from meshsim.routing import DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
+from recording import record_arrivals
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -166,9 +167,10 @@ def test_criterion_3_line3_matches_hand_computed_trace():
     tx_data = {}
     for algorithm in (Algorithm.BTMR, Algorithm.MAM):
         world = World(replace(config, algorithm=algorithm))
+        arrivals = record_arrivals(world)
         world.run_until(config.duration_ms)
         expected = _line3_oracle(config, algorithm)
-        assert world.delivered == expected["delivered"]
+        assert arrivals == expected["delivered"]
         report = world.report()
         assert report.tx_total == expected["tx_total"]
         assert report.tx_data == expected["tx_data"]

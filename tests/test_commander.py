@@ -26,6 +26,7 @@ from meshsim import (
     run_script,
 )
 from meshsim.commander import decode_stats, encode_stats
+from recording import record_arrivals
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -93,6 +94,7 @@ def test_reset_restores_routing_init_values():
 
 def test_set_mam_switches_the_data_path():
     world = line3_world()
+    arrivals = record_arrivals(world)
     world.run_until(1_500)
     assert world.nodes[2].algorithm is Algorithm.BTMR
     world.issue_command(CommandVerb.SET_MAM)
@@ -101,7 +103,7 @@ def test_set_mam_switches_the_data_path():
     world.run_until(4_000)
     # heartbeat at 2000 built routes; the 3000 ms data frame went over them
     assert world.nodes[2].mam.best_node == 1
-    assert Counter(key for _, key in world.delivered)[(2, 0)] == 1
+    assert Counter(key for _, key in arrivals)[(2, 0)] == 1
 
 
 def test_set_btmr_switches_back():

@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsim import (
     Algorithm,
@@ -14,17 +16,21 @@ from meshsim import (
     PlanError,
     Role,
     ScenarioConfig,
+    Waypoint,
+    World,
     dump_scenario,
     load_plan,
     load_scenario,
     render_series_csv,
+    run,
     run_plan,
     scale_rule_of_three,
 )
 import meshsim
-from meshsim import refdata
+from meshsim import experiments, refdata
 from meshsim.cli import main as cli_main
 from meshsim.experiments import parse_plan
+from test_simnet import coordinate, geometries
 
 
 def quick_plan(**overrides):
@@ -103,8 +109,70 @@ def test_failing_run_aborts_with_config_echoed():
         topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
                   NodeSpec(1, 5.0, 0.0, Role.MOBILE_HUB)],
         duration_ms=1_000)
-    with pytest.raises(PlanError, match=r"algorithm=btmr.*seed=5"):
+    with pytest.raises(PlanError, match=r"algorithm=btmr, duration_min=0\.2, seed=5\)"):
         run_plan(quick_plan(scenario=broken))
+
+
+def test_failure_mid_run_names_the_first_unreported_duration(monkeypatch):
+    class FailsPastTwelveSeconds(World):
+        def run_until(self, limit_ms):
+            if limit_ms > 12_000:
+                raise RuntimeError("boom")
+            super().run_until(limit_ms)
+
+    monkeypatch.setattr(experiments, "World", FailsPastTwelveSeconds)
+    with pytest.raises(PlanError,
+                       match=r"algorithm=btmr, duration_min=0\.4, seed=5\): boom$"):
+        run_plan(quick_plan(durations_min=[0.6, 0.2, 0.4]))
+
+
+# --- one simulation per distinct run --------------------------------------------
+
+def test_plan_builds_one_world_per_distinct_run(monkeypatch):
+    built = []
+
+    def counting_world(config):
+        built.append((config.algorithm, config.rng_seed))
+        return World(config)
+
+    monkeypatch.setattr(experiments, "World", counting_world)
+    plan = quick_plan(algorithms=[Algorithm.BTMR, Algorithm.MAM], durations_min=[0.4, 0.2])
+    run_plan(plan)
+    # lossless: the first seed draws nothing, so the other seeds reuse its run
+    assert built == [(Algorithm.BTMR, 5), (Algorithm.MAM, 5)]
+    built.clear()
+    run_plan(replace(plan, scenario=replace(plan.scenario, loss_prob=0.2)))
+    assert built == [(algorithm, seed) for algorithm in (Algorithm.BTMR, Algorithm.MAM)
+                     for seed in (5, 6, 7)]
+
+
+@st.composite
+def prefix_cases(draw):
+    """A random run, 2-15 nodes and 0-3 waypoints, and two durations D1 < D2 in ms."""
+    config = draw(geometries(st.integers(2, 15)))
+    times = draw(st.lists(st.integers(0, 20_000), max_size=3, unique=True))
+    config = replace(
+        config,
+        mobility=[Waypoint(t, draw(coordinate), draw(coordinate)) for t in sorted(times)] or None,
+        algorithm=draw(st.sampled_from(list(Algorithm))),
+        tracker=draw(st.sampled_from(["hashmap", "interval"])),
+        loss_prob=draw(st.floats(0.0, 0.3)),
+        fault_duplicate=draw(st.booleans()),
+        rng_seed=draw(st.integers(0, 2**32)))
+    d1 = draw(st.integers(1, 20_000))
+    return config, d1, draw(st.integers(d1 + 1, 25_000))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(prefix_cases())
+def test_reports_taken_on_the_way_equal_separate_runs(case):
+    config, d1, d2 = case
+    plan = ExperimentPlan(scenario=config, algorithms=[config.algorithm],
+                          durations_min=[d2 / 60_000, d1 / 60_000], seeds=[config.rng_seed])
+    table = run_plan(plan)
+    for duration_ms in (d1, d2):
+        [report] = table.reports[(config.algorithm.value, duration_ms / 60_000)]
+        assert report.to_json() == run(replace(config, duration_ms=duration_ms)).to_json()
 
 
 def test_plan_outputs_are_written(tmp_path):
@@ -264,7 +332,7 @@ def run_cli(*args):
     """Run the command line in a fresh interpreter, as a user would."""
     src = str(Path(meshsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "meshsim.cli", *args],
+    return subprocess.run([sys.executable, "-m", "meshsim", *args],
                           capture_output=True, text=True, env=env, timeout=60)
 
 

@@ -74,7 +74,13 @@ def pinned_plans() -> dict[str, ExperimentPlan]:
     descending = load_plan("line3_quick")
     # durations out of order: the series files must still come out sorted
     descending.durations_min = [0.4, 0.2]
-    return {"line3_quick": load_plan("line3_quick"), "line3_quick_descending": descending}
+    # lossy links: every seed draws from the RNG, so no seed may reuse another's run
+    lossy = ExperimentPlan(
+        scenario=replace(load_scenario("indoor10"), tracker="interval"),
+        algorithms=[Algorithm.BTMR, Algorithm.MAM], durations_min=[0.5, 0.2, 1],
+        repetitions=3, seed_base=11, reference_minutes=3.33)
+    return {"line3_quick": load_plan("line3_quick"), "line3_quick_descending": descending,
+            "outdoor_comparison": load_plan("outdoor_comparison"), "indoor10_lossy": lossy}
 
 
 def write_plan_outputs(root: Path) -> None:

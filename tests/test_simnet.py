@@ -22,6 +22,7 @@ from meshsim import (
 )
 from meshsim import routing
 from meshsim.simnet import RANGE_PRESETS
+from recording import record_arrivals
 from test_golden import grid25
 
 
@@ -75,9 +76,10 @@ def test_moving_hub_breaks_and_restores_links():
                          mobility=[Waypoint(0, 0.0, 0.0), Waypoint(10_000, 50.0, 0.0),
                                    Waypoint(20_000, 50.0, 0.0), Waypoint(30_000, 0.0, 0.0)])
     report = run(config)
-    delivered = World(config)
-    delivered.run_until(config.duration_ms)
-    times = [t for t, _ in delivered.delivered]
+    world = World(config)
+    arrivals = record_arrivals(world)
+    world.run_until(config.duration_ms)
+    times = [t for t, _ in arrivals]
     assert any(t < 1_200 for t in times)
     assert not any(2_000 < t < 28_000 for t in times)
     assert any(t > 29_000 for t in times)
@@ -221,6 +223,7 @@ def test_tx_queue_overflow_drops_newest_and_counts():
 
 def test_queue_wiped_by_a_reboot_still_sends_the_next_frame():
     world = World(pair_config(5.0))
+    arrivals = record_arrivals(world)
     world._heap.clear()
     node = world.nodes[1]
     world.enqueue_tx(node, node.originate(MessageKind.DATA, b"lost"), None)
@@ -230,21 +233,23 @@ def test_queue_wiped_by_a_reboot_still_sends_the_next_frame():
     world.enqueue_tx(node, node.originate(MessageKind.DATA, b"sent"), None)
     world.run_until(world.now + 100)
     assert node.tx_count == 1
-    assert world.delivered == [(10, (1, 1))]
+    assert arrivals == [(10, (1, 1))]
 
 
 def test_per_hop_latency_respected():
     config = pair_config(5.0, latency_ms=25, duration_ms=4_000, data_period_ms=1_000)
     world = World(config)
+    arrivals = record_arrivals(world)
     world.run_until(config.duration_ms)
-    assert [t for t, _ in world.delivered] == [1_025, 2_025, 3_025]
+    assert [t for t, _ in arrivals] == [1_025, 2_025, 3_025]
 
 
 def test_causality_deliveries_after_generation():
     config = pair_config(5.0, duration_ms=10_000)
     world = World(config)
+    arrivals = record_arrivals(world)
     world.run_until(config.duration_ms)
-    for t, key in world.delivered:
+    for t, key in arrivals:
         assert t >= (key.seq + 1) * config.data_period_ms + config.latency_ms
 
 
@@ -255,9 +260,10 @@ def test_runs_are_deterministic():
     a, b = run(config), run(config)
     assert a.to_json() == b.to_json()
     wa, wb = World(config), World(config)
+    arrivals_a, arrivals_b = record_arrivals(wa), record_arrivals(wb)
     wa.run_until(config.duration_ms)
     wb.run_until(config.duration_ms)
-    assert wa.delivered == wb.delivered
+    assert arrivals_a == arrivals_b
 
 
 def test_different_seed_changes_lossy_run():
