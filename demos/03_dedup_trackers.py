@@ -32,5 +32,5 @@ print(f"hash map:  unique={hashmap.unique_count} duplicate={hashmap.duplicate_co
 print(f"intervals: unique={interval.unique_count} duplicate={interval.duplicate_count}")
 print()
 print(f"hash-map entries held: {hashmap.unique_count}")
-print(f"intervals held:        {sum(interval.interval_count(o) for o in interval.origins())}")
+print(f"intervals held:        {sum(len(interval.intervals(o)) for o in interval.origins())}")
 print(f"origin 0 stretches:    {interval.intervals(0)[:4]} ...")

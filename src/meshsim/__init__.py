@@ -14,7 +14,6 @@ from .commander import (
     check_reachability,
     format_stats_table,
     make_server,
-    run_script,
 )
 from .core import (
     RANGE_PRESETS,
@@ -30,7 +29,6 @@ from .core import (
     decode_message,
     encode_message,
     message_hash,
-    message_key,
 )
 from .experiments import (
     ComparisonTable,
@@ -103,11 +101,9 @@ __all__ = [
     "make_server",
     "mam_handle",
     "message_hash",
-    "message_key",
     "parse_scenario",
     "render_series_csv",
     "run",
     "run_plan",
-    "run_script",
     "scale_rule_of_three",
 ]

@@ -13,7 +13,7 @@ import struct
 import threading
 from dataclasses import astuple, dataclass, fields
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import ConfigError, NodeId
 from .metrics import text_table
@@ -158,14 +158,6 @@ class CommanderSession:
         self.transcript.append("> " + text)
         self.transcript.extend(response)
         return response
-
-
-def run_script(world, lines: Iterable[str], settle_ms: int = 1000) -> str:
-    """Drive a scripted session; returns the full transcript text."""
-    session = CommanderSession(world, settle_ms=settle_ms)
-    for line in lines:
-        session.handle_line(line)
-    return "\n".join(session.transcript) + "\n"
 
 
 def make_server(world, host: str = "127.0.0.1", port: int = 0,

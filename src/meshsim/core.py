@@ -6,6 +6,7 @@ scenario configuration consumed by every other module.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -83,10 +84,6 @@ class MessageKey(NamedTuple):
 
     origin: NodeId
     seq: int
-
-
-def message_key(message: Message) -> MessageKey:
-    return MessageKey(message.origin, message.seq)
 
 
 def message_hash(payload: bytes, origin: NodeId, seq: int) -> int:
@@ -202,6 +199,8 @@ def _topology_problem(specs: list[NodeSpec]) -> Optional[str]:
         return "node ids must be sequential from 0 or 1"
     if max(ids) > 0xFFFF:
         return "node id exceeds 16 bits"
+    if not all(math.isfinite(spec.x) and math.isfinite(spec.y) for spec in specs):
+        return "node coordinates must be finite"
     roles = [spec.role for spec in specs]
     if roles.count(Role.MOBILE_HUB) != 1:
         return "must contain exactly one hub"
@@ -216,6 +215,8 @@ def _mobility_problem(waypoints: Optional[list[Waypoint]]) -> Optional[str]:
         return "trace is empty"
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         return "waypoint times must strictly increase"
+    if not all(math.isfinite(w.x) and math.isfinite(w.y) for w in waypoints or ()):
+        return "waypoint coordinates must be finite"
     return None
 
 
@@ -247,8 +248,8 @@ class ScenarioConfig:
     rng_seed: int = setting(int, "must be an integer", default=0)
     # a preset name, or a disc range in metres spelled radio_range_m
     radio_preset: Union[str, float] = setting(
-        str, f"must be one of {', '.join(RANGE_PRESETS)} or a positive range in m",
-        lambda v: v in RANGE_PRESETS if isinstance(v, str) else v > 0,
+        str, f"must be one of {', '.join(RANGE_PRESETS)} or a positive finite range in m",
+        lambda v: v in RANGE_PRESETS if isinstance(v, str) else 0 < v < math.inf,
         alias=("radio_range_m", float), default="ground")
     loss_prob: float = setting(float, "must be a number in [0, 1)",
                                lambda v: 0.0 <= v < 1.0, default=0.0)

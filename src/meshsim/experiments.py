@@ -21,7 +21,7 @@ from typing import Optional, Union
 from .core import Algorithm, ScenarioConfig, check_fields, setting
 from .metrics import RunReport, scale_rule_of_three, text_table
 from .refdata import REFERENCE_MINUTES
-from .scenario import build, content_lines, file_keys, load_scenario, read_setting, read_source
+from .scenario import file_keys, load_scenario, read_settings, read_source
 from .simnet import World, run  # noqa: F401  (bench/tracer.py wraps experiments.run)
 
 
@@ -240,14 +240,10 @@ def parse_plan(text: str, base_dir: Optional[Path] = None, name: str = "") -> Ex
 
     keys = file_keys(ExperimentPlan)
     keys["scenario"] = ("scenario", scenario, keys["scenario"][2])
-    values: dict = {"name": name}
-    where: dict = {}
-    for lineno, line in content_lines(text):
-        try:
-            read_setting(keys, line, lineno, values, where)
-        except ValueError as exc:
-            raise PlanError(f"line {lineno}: {exc}") from None
-    plan = build(ExperimentPlan, values, where, PlanError)
+    plan, where = read_settings(ExperimentPlan, text, PlanError, keys, name=name)
+    if "seeds" in where and "seed_base" in where:
+        first, later = sorted((where["seeds"], where["seed_base"]))
+        raise PlanError(f"line {later[0]}: {later[1]}: {first[1]} already set on line {first[0]}")
     try:
         plan.run_seeds()
     except PlanError as exc:

@@ -88,9 +88,6 @@ class IntervalTracker:
         bounds = self._bounds.get(origin, [])
         return [(lo, end - 1) for lo, end in zip(bounds[::2], bounds[1::2])]
 
-    def interval_count(self, origin: NodeId) -> int:
-        return len(self._bounds.get(origin, [])) // 2
-
     def origins(self) -> list[NodeId]:
         return sorted(self._bounds)
 

@@ -15,18 +15,20 @@ Example::
     # t_ms  x     y
     0       0.0   0.0
 
-The package ships reference scenarios (``line3``, ``indoor10``,
+``read_settings`` reads these files, and plan files, which hold settings
+only. The package ships reference scenarios (``line3``, ``indoor10``,
 ``outdoor10``); ``load_scenario`` accepts either a file path or one of those
 names.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import (
     ConfigError,
@@ -46,14 +48,6 @@ _SECTIONS = {
 BUILTIN_SCENARIOS = ("line3", "indoor10", "outdoor10")
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) for every line left once ``#`` comments are cut."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if line:
-            yield lineno, line
-
-
 def file_keys(cls) -> dict[str, tuple[str, Callable[[str], object], str]]:
     """File key -> (field name, parser, rule) for every setting of ``cls``."""
     keys = {}
@@ -66,73 +60,78 @@ def file_keys(cls) -> dict[str, tuple[str, Callable[[str], object], str]]:
     return keys
 
 
-def read_setting(keys: dict, line: str, lineno: int, values: dict, where: dict) -> None:
-    """Read one ``key = value`` line into ``values``; a ValueError names the key.
-
-    ``where`` keeps the ``(line, key, text)`` that set each field: a field may
-    be set only once, and later checks name that line and quote its text.
-    """
-    key, eq, text = (part.strip() for part in line.partition("="))
-    if not eq:
-        raise ValueError("expected key = value")
-    if key not in keys:
-        raise ValueError(f"unknown key {key}")
-    name, parse, rule = keys[key]
-    if name in where:
-        raise ValueError(f"{key}: already set on line {where[name][0]}")
-    try:
-        values[name] = parse(text)
-    except ConfigError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-    except (KeyError, OSError, ValueError):
-        raise ValueError(f"{key}: {rule}, got {text!r}") from None
-    where[name] = (lineno, key, text)
-
-
-def build(cls, values: dict, where: dict, error: type[Exception]):
-    """``cls(**values)``, once no required field is missing and every check passes."""
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise error(f"{f.name}: missing")
-    obj = cls(**values)
-    check_fields(obj, error, where)
-    return obj
-
-
 def _read_row(header: str, line: str) -> tuple:
     _, layout, row_type, parsers = _SECTIONS[header]
     parts = line.split()
     try:
         if len(parts) == len(parsers):
-            return row_type(*(parse(part) for parse, part in zip(parsers, parts)))
+            row = row_type(*(parse(part) for parse, part in zip(parsers, parts)))
+            if math.isfinite(row.x) and math.isfinite(row.y):
+                return row
     except ValueError:
         pass
-    raise ValueError(f"{header[1:-1]}: rows are `{layout}`, got {line!r}")
+    raise ValueError(f"{header[1:-1]}: rows are `{layout}` with finite x and y, got {line!r}")
+
+
+def read_settings(cls, text: str, error: type[Exception], keys: Optional[dict] = None,
+                  **values) -> tuple:
+    """``(cls(**values), where)`` read from a settings file.
+
+    The file holds ``key = value`` lines, then the ``_SECTIONS`` tables that
+    ``cls`` has fields for; ``#`` starts a comment. ``keys`` maps each file key
+    to ``(field, parser, rule)``, by default ``file_keys(cls)``; ``values`` are
+    fields set up front. ``where`` keeps the ``(line, key, text)`` that set each
+    field: a field may be set only once, and the field checks name that line
+    and quote its text. Every problem raises ``error``.
+    """
+    keys = file_keys(cls) if keys is None else keys
+    names = {f.name for f in fields(cls)}
+    sections = {header: row[0] for header, row in _SECTIONS.items() if row[0] in names}
+    where: dict = {}
+    header = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#")[0].strip()
+        try:
+            if not line:
+                continue
+            if line.startswith("["):
+                if line not in sections:
+                    raise ValueError(f"unknown section {line}")
+                header, table = line, sections[line]
+                if table in where:
+                    raise ValueError(f"{header}: already opened on line {where[table][0]}")
+                where[table] = (lineno, header[1:-1], line)
+            elif header is not None:
+                values.setdefault(table, []).append(_read_row(header, line))
+            else:
+                key, eq, setting = (part.strip() for part in line.partition("="))
+                if not eq:
+                    raise ValueError("expected key = value")
+                if key not in keys:
+                    raise ValueError(f"unknown key {key}")
+                name, parse, rule = keys[key]
+                if name in where:
+                    raise ValueError(f"{key}: already set on line {where[name][0]}")
+                try:
+                    values[name] = parse(setting)
+                except ConfigError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+                except (KeyError, OSError, ValueError):
+                    raise ValueError(f"{key}: {rule}, got {setting!r}") from None
+                where[name] = (lineno, key, setting)
+        except ValueError as exc:
+            raise error(f"line {lineno}: {exc}") from None
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise error(f"{f.name}: missing")
+    obj = cls(**values)
+    check_fields(obj, error, where)
+    return obj, where
 
 
 def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
-    keys = file_keys(ScenarioConfig)
-    values: dict = {"name": name, "topology": []}
-    where: dict = {}
-    header = None
-    for lineno, line in content_lines(text):
-        try:
-            if line.startswith("["):
-                if line not in _SECTIONS:
-                    raise ValueError(f"unknown section {line}")
-                header, field_name = line, _SECTIONS[line][0]
-                if field_name in where:
-                    raise ValueError(f"{header}: already opened on line {where[field_name][0]}")
-                where[field_name] = (lineno, header[1:-1], line)
-                values[field_name] = []
-            elif header is None:
-                read_setting(keys, line, lineno, values, where)
-            else:
-                values[field_name].append(_read_row(header, line))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-    values["mobility"] = values.get("mobility") or None
-    return build(ScenarioConfig, values, where, ConfigError)
+    # rows add to the topology; a [mobility] section without rows leaves mobility unset
+    return read_settings(ScenarioConfig, text, ConfigError, name=name, topology=[])[0]
 
 
 def _text(value) -> str:

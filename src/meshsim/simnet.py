@@ -26,13 +26,13 @@ from .core import (
     Algorithm,
     ConfigError,
     Message,
+    MessageKey,
     MessageKind,
     NodeId,
     Role,
     ScenarioConfig,
     Waypoint,
     _mobility_problem,
-    message_key,
     sensor_reading,
 )
 from .metrics import HashMapTracker, IntervalTracker, RunReport
@@ -203,17 +203,6 @@ class World:
             bisect.insort(links, self.hub_id)
         return links
 
-    def component(self, start: NodeId) -> set[NodeId]:
-        """Nodes connected to ``start`` over radio links as they stand now."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            for v in self.neighbors(frontier.pop()):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
     # --- event handlers ---------------------------------------------------
 
     def _emit_heartbeat(self, hub: SimNode) -> None:
@@ -257,7 +246,7 @@ class World:
             if kind is MessageKind.DATA:
                 node.received += 1
                 if node.id == self.hub_id:
-                    self.tracker.record(message_key(message))
+                    self.tracker.record(MessageKey(message.origin, message.seq))
                     continue
             elif kind is MessageKind.COMMAND:
                 self._apply_command(node, message)

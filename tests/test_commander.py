@@ -23,9 +23,9 @@ from meshsim import (
     check_reachability,
     load_scenario,
     make_server,
-    run_script,
 )
 from meshsim.commander import decode_stats, encode_stats
+from connectivity import component
 from recording import record_arrivals
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -221,9 +221,9 @@ def test_reachability_sound_against_derived_graph():
     for bridge_x in (15.0, 40.0, 100.0):
         world = World(_cluster_config(bridge_x))
         report = check_reachability(world, deadline_ms=2_000)
-        component = world.component(1)
-        assert report.acked <= component - {1}
-        assert (component - {1}) <= report.acked  # generous deadline: complete too
+        reachable = component(world, 1)
+        assert report.acked <= reachable - {1}
+        assert (reachable - {1}) <= report.acked  # generous deadline: complete too
 
 
 def test_reachability_prober_defaults_to_hub_without_commander():
@@ -282,14 +282,11 @@ def test_session_reports_algorithm_switch():
 
 
 def test_scripted_session_matches_golden_transcript():
-    world = line3_world()
-    transcript = run_script(
-        world,
-        ["sim-reset", "set-mam", "sim-stats", "set-btmr", "sim-stats", "bogus"],
-        settle_ms=2_500,
-    )
+    session = CommanderSession(line3_world(), settle_ms=2_500)
+    for line in ["sim-reset", "set-mam", "sim-stats", "set-btmr", "sim-stats", "bogus"]:
+        session.handle_line(line)
     golden = (DATA_DIR / "session_transcript.txt").read_text()
-    assert transcript == golden
+    assert "\n".join(session.transcript) + "\n" == golden
 
 
 SESSION_WORDS = [verb.wire for verb in CommandVerb]  # every session verb, and ping

@@ -15,7 +15,6 @@ from meshsim import (
     decode_message,
     encode_message,
     message_hash,
-    message_key,
 )
 from meshsim.core import sensor_reading
 
@@ -105,7 +104,6 @@ def test_message_key_order_matches_seq_order():
     random.Random(9).shuffle(shuffled)
     assert sorted(shuffled) == keys
     assert MessageKey(1, 99) < MessageKey(2, 0)
-    assert message_key(Message(MessageKind.DATA, 7, 3, 0, 7)) == MessageKey(7, 3)
 
 
 def test_sensor_reading_fixed_size_and_deterministic():
@@ -143,6 +141,11 @@ def test_config_valid():
     (dict(tracker="bloom"), "tracker"),
     (dict(radio_preset=-2.0), "radio_preset"),
     (dict(radio_preset="moon"), "radio_preset"),
+    (dict(radio_preset=float("inf")), "radio_preset: .*finite"),
+    (dict(topology=[NodeSpec(0, float("nan"), 0.0, Role.MOBILE_HUB)]),
+     "topology: node coordinates must be finite"),
+    (dict(mobility=[Waypoint(0, 0.0, 0.0), Waypoint(1000, float("inf"), 0.0)]),
+     "mobility: waypoint coordinates must be finite"),
     (dict(topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB)]
           + [NodeSpec(i, float(i), 0.0, Role.SENSOR) for i in range(1, 0x10001)]),
      "topology: node id exceeds 16 bits"),

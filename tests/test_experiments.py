@@ -322,6 +322,12 @@ PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
     (PLAN_HEAD + "durations_min = 1\nreference_minutes = inf\n", "line 4: reference_minutes"),
     (PLAN_HEAD + "durations_min = 1\nrepetitions = 2\nseeds = 3, 3\n",
      "line 5: seeds: must be .* distinct"),
+    # explicit seeds would silently override seed_base, in either order
+    (PLAN_HEAD + "durations_min = 1\nrepetitions = 2\nseeds = 4, 5\nseed_base = 100\n",
+     "line 6: seed_base: seeds already set on line 5"),
+    (PLAN_HEAD + "seed_base = 100\ndurations_min = 1\nseeds = 4\n",
+     "line 5: seeds: seed_base already set on line 3"),
+    (PLAN_HEAD + "durations_min = 1\n[nodes]\n", r"line 4: unknown section \[nodes\]"),
 ])
 def test_plan_errors_name_the_line(text, complaint):
     with pytest.raises(PlanError, match=complaint):

@@ -85,7 +85,7 @@ def test_trackers_agree_on_random_stream(origins, seqs, records):
     assert interval.origins() == sorted(seen_by_origin)
     for origin, seen in seen_by_origin.items():
         assert interval.intervals(origin) == _maximal_runs(seen)
-        assert interval.interval_count(origin) == len(_maximal_runs(seen))
+        assert len(interval.intervals(origin)) == len(_maximal_runs(seen))
 
 
 def test_interval_memory_tracks_gaps_not_messages():
@@ -93,7 +93,7 @@ def test_interval_memory_tracks_gaps_not_messages():
     for rep in range(50):
         for seq in range(100):
             tracker.record(MessageKey(0, seq))
-    assert tracker.interval_count(0) == 1
+    assert len(tracker.intervals(0)) == 1
     assert tracker.unique_count == 100
     assert tracker.duplicate_count == 4900
 

@@ -1,6 +1,7 @@
 import copy
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,8 @@ def test_relay_cache_bounded_under_random_churn():
     for _ in range(2000):
         cache.insert(rng.randrange(100))
         assert len(cache) <= 8
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        RelayCache(0)
 
 
 def test_relay_cache_keeps_recent_entries():

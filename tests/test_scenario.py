@@ -89,6 +89,12 @@ def test_parse_accepts_comments_and_blank_lines():
      "line 4: mobility: .*increase"),
     ("duration_ms = 1\n[nodes]\n0 0 0 hub\n[nodes]\n1 1 0 sensor\n",
      r"line 4: \[nodes\]: already opened on line 2"),
+    # a coordinate that is not finite leaves its node with no links at all
+    ("duration_ms = 1\n[nodes]\n0 nan 0 hub\n", "line 3: nodes: .*finite x and y"),
+    ("duration_ms = 1\n[nodes]\n0 0 0 hub\n[mobility]\n0 0 0\n1000 inf 0\n",
+     "line 6: mobility: .*finite x and y"),
+    ("duration_ms = 1\nradio_range_m = inf\n[nodes]\n0 0 0 hub\n",
+     "line 2: radio_range_m: .*positive finite range"),
 ])
 def test_parse_errors_name_the_problem(text, complaint):
     with pytest.raises(ConfigError, match=complaint):

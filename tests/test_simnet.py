@@ -22,6 +22,7 @@ from meshsim import (
 )
 from meshsim import routing
 from meshsim.simnet import RANGE_PRESETS
+from connectivity import component
 from recording import record_arrivals
 from test_golden import grid25
 
@@ -354,8 +355,8 @@ def test_topology_connectivity_is_derived():
         duration_ms=1_000, radio_preset=6.0))
     assert world.neighbors(0) == [1]
     assert world.neighbors(1) == [0, 2]
-    assert world.component(0) == {0, 1, 2}
-    assert world.component(3) == {3}
+    assert component(world, 0) == {0, 1, 2}
+    assert component(world, 3) == {3}
     assert world.in_range(1, 2) and not world.in_range(0, 2)
 
 
