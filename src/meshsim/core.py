@@ -47,18 +47,12 @@ class ConfigError(ValueError):
     """A scenario configuration is invalid; the message names the field."""
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One frame exchanged on the mesh.
 
     ``(origin, seq)`` identifies the logical message for the whole run;
     relaying only rewrites ``hops`` (transmissions so far) and ``sender``
     (the immediate previous transmitter).
-
-    ``digest`` carries ``message_hash(payload, origin, seq)`` once a relay has
-    computed it, so that later hops need not hash the frame again; ``None``
-    means not yet computed. It is not part of the frame: equality, ``repr``
-    and the wire encoding ignore it.
     """
 
     kind: MessageKind
@@ -67,16 +61,12 @@ class Message:
     hops: int
     sender: NodeId
     payload: bytes = b""
-    digest: Optional[int] = field(default=None, compare=False, repr=False)
 
 
-def forwarded(message: Message, relay: NodeId, digest: Optional[int] = None) -> Message:
-    """The frame ``relay`` transmits for ``message``: one more hop, sent by ``relay``.
-
-    It carries ``digest`` when given, else the digest ``message`` carries.
-    """
+def forwarded(message: Message, relay: NodeId) -> Message:
+    """The frame ``relay`` transmits for ``message``: one more hop, sent by ``relay``."""
     return Message(message.kind, message.origin, message.seq, message.hops + 1, relay,
-                   message.payload, message.digest if digest is None else digest)
+                   message.payload)
 
 
 class MessageKey(NamedTuple):
@@ -87,10 +77,10 @@ class MessageKey(NamedTuple):
 
 
 def message_hash(payload: bytes, origin: NodeId, seq: int) -> int:
-    """Stable 64-bit FNV-1a digest of (origin, seq, payload).
+    """Stable 64-bit FNV-1a hash of (origin, seq, payload).
 
-    Seed-independent and identical across runs and platforms; used by the
-    relay cache to recognize recently relayed frames.
+    Seed-independent and identical across runs and platforms. A public helper:
+    the engine itself identifies a frame by ``(origin, seq)``.
     """
     h = _FNV_OFFSET
     for b in origin.to_bytes(2, "big") + seq.to_bytes(4, "big") + payload:
@@ -127,6 +117,8 @@ def decode_message(buf: bytes) -> Message:
     kind, origin, seq, hops, sender, plen = _WIRE_HEADER.unpack_from(buf)
     if len(buf) != _WIRE_HEADER.size + plen:
         raise ValueError("frame length mismatch")
+    if hops > MAX_HOPS:
+        raise ValueError(f"hops out of range: {hops}")
     return Message(
         kind=MessageKind(kind),
         origin=origin,

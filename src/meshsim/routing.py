@@ -3,7 +3,8 @@
 Two per-node state machines decide what to do with an incoming frame:
 
 * ``btmr_relay`` -- controlled flooding: rebroadcast unless the frame was
-  relayed recently (LRU hash cache) or its hop budget is exhausted.
+  relayed recently (an LRU cache of ``(origin, seq)`` keys) or its hop
+  budget is exhausted.
 * ``mam_handle`` -- reactive least-hop routing: unicast data toward a cached
   best neighbor learned from the collector's periodic heartbeats, with an
   expiry window so routes follow a moving collector.
@@ -18,7 +19,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import MAX_HOPS, Message, MessageKind, NodeId, forwarded, message_hash
+from .core import MAX_HOPS, Message, MessageKind, NodeId, forwarded
+from .core import message_hash  # noqa: F401  (bench/tracer.py wraps routing.message_hash)
 
 DROP_SEEN = "seen"
 DROP_TTL = "ttl"
@@ -26,24 +28,24 @@ DROP_NO_ROUTE = "no-route"
 
 
 class RelayCache:
-    """Bounded LRU set of recently relayed frame hashes."""
+    """Bounded LRU set of recently relayed frame keys."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: OrderedDict[int, None] = OrderedDict()
+        self._entries: OrderedDict[tuple[NodeId, int], None] = OrderedDict()
 
-    def seen(self, digest: int) -> bool:
+    def seen(self, key: tuple[NodeId, int]) -> bool:
         """Membership query; a hit refreshes the entry's recency."""
-        if digest in self._entries:
-            self._entries.move_to_end(digest)
+        if key in self._entries:
+            self._entries.move_to_end(key)
             return True
         return False
 
-    def insert(self, digest: int) -> None:
-        """Add a digest that ``seen`` has just found absent; a new key is the most recent."""
-        self._entries[digest] = None
+    def insert(self, key: tuple[NodeId, int]) -> None:
+        """Add a key that ``seen`` has just found absent; a new key is the most recent."""
+        self._entries[key] = None
         # one key was added, so at most one has to go
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -51,8 +53,8 @@ class RelayCache:
     def clear(self) -> None:
         self._entries.clear()
 
-    def __contains__(self, digest: int) -> bool:
-        return digest in self._entries
+    def __contains__(self, key: tuple[NodeId, int]) -> bool:
+        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -99,22 +101,18 @@ _SEEN, _TTL, _NO_ROUTE = Drop(DROP_SEEN), Drop(DROP_TTL), Drop(DROP_NO_ROUTE)
 def btmr_relay(cache: RelayCache, message: Message, relay: NodeId) -> RelayAction:
     """Controlled-flooding relay decision for one incoming frame.
 
-    Drops when the frame hash is already cached (recently relayed) or when
-    the frame has used up its hop budget (``MAX_HOPS``, the most the wire
-    format carries); otherwise records the hash and
-    rebroadcasts the frame one hop further with ``relay`` as the sender. The
-    hash is the digest the frame carries, computed only when it carries none,
-    and the rebroadcast frame carries it on.
+    Drops when the frame's ``(origin, seq)`` is already cached (recently
+    relayed) or when the frame has used up its hop budget (``MAX_HOPS``, the
+    most the wire format carries); otherwise records the key and rebroadcasts
+    the frame one hop further with ``relay`` as the sender.
     """
-    digest = message.digest
-    if digest is None:
-        digest = message_hash(message.payload, message.origin, message.seq)
-    if cache.seen(digest):
+    key = (message.origin, message.seq)
+    if cache.seen(key):
         return _SEEN
     if message.hops >= MAX_HOPS:
         return _TTL
-    cache.insert(digest)
-    return Broadcast(forwarded(message, relay, digest))
+    cache.insert(key)
+    return Broadcast(forwarded(message, relay))
 
 
 def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message,

@@ -156,6 +156,22 @@ def test_reboot_all_extension_restarts_everyone():
     assert [world.nodes[n].restarts for n in (0, 1, 2)] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("verb", [CommandVerb.SIM_RESET, CommandVerb.REBOOT_ALL],
+                         ids=lambda verb: verb.name)
+def test_resets_never_rewind_a_sequence_number(verb):
+    # relay caches key on (origin, seq), so a node must never reuse a seq
+    world = line3_world(data_period_ms=500)
+    world.run_until(5_000)
+    world.issue_command(verb)
+    last = {n: node.next_seq for n, node in world.nodes.items()}
+    while world.now < 6_000 and world.step():
+        for n, node in world.nodes.items():
+            assert node.next_seq >= last[n]
+            last[n] = node.next_seq
+    # the sensor's counters restarted from zero, its sequence did not
+    assert 0 < world.nodes[2].generated < world.nodes[2].next_seq
+
+
 def test_stats_payload_round_trip():
     stats = NodeStats(node=9, generated=1, relayed=2, received=3, tx_dropped=4, restarts=5)
     assert decode_stats(encode_stats(stats)) == stats

@@ -1,7 +1,10 @@
 import random
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshsim import (
     ConfigError,
@@ -96,6 +99,29 @@ def test_decode_rejects_malformed():
         decode_message(wire + b"z")
     with pytest.raises(ValueError):
         decode_message(b"\x00")
+    # a hop count the encoder refuses
+    with pytest.raises(ValueError, match="hops out of range: 200"):
+        decode_message(bytes.fromhex("02000100000002c800040000"))
+
+
+def _raw_frame(kind, origin, seq, hops, sender, payload, slack):
+    """A header with every field over its full byte width, then the payload."""
+    return struct.pack(">BHIBHH", kind, origin, seq, hops, sender, len(payload) + slack) + payload
+
+
+raw_frames = st.builds(_raw_frame, st.integers(0, 0xFF), st.integers(0, 0xFFFF),
+                       st.integers(0, 0xFFFFFFFF), st.integers(0, 0xFF), st.integers(0, 0xFFFF),
+                       st.binary(max_size=8), st.sampled_from([0, 1]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(raw_frames | st.binary(max_size=24))
+def test_every_decoded_frame_re_encodes_to_its_bytes(buf):
+    try:
+        message = decode_message(buf)
+    except ValueError:
+        return
+    assert encode_message(message) == buf
 
 
 def test_message_key_order_matches_seq_order():

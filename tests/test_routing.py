@@ -18,7 +18,6 @@ from meshsim import (
     NodeSpec,
     Role,
     ScenarioConfig,
-    message_hash,
 )
 from meshsim.routing import DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
 from meshsim.simnet import SimNode
@@ -82,8 +81,17 @@ def test_btmr_hit_refreshes_recency():
     btmr_relay(cache, m2, RELAY)
     assert btmr_relay(cache, m1, RELAY) == Drop(DROP_SEEN)
     btmr_relay(cache, m3, RELAY)
-    assert message_hash(m1.payload, m1.origin, m1.seq) in cache
-    assert message_hash(m2.payload, m2.origin, m2.seq) not in cache
+    assert (m1.origin, m1.seq) in cache
+    assert (m2.origin, m2.seq) not in cache
+
+
+def test_btmr_keys_on_origin_and_seq_alone():
+    cache = RelayCache(20)
+    assert isinstance(btmr_relay(cache, data_msg(seq=4), RELAY), Broadcast)
+    # another kind and payload under the same (origin, seq) is the same frame
+    other = Message(MessageKind.COMMAND, 2, 4, 0, 2, payload=b"\x01")
+    assert btmr_relay(cache, other, RELAY) == Drop(DROP_SEEN)
+    assert len(cache) == 1 and (2, 4) in cache
 
 
 def test_relay_cache_bounded_under_random_churn():
@@ -114,7 +122,7 @@ def test_btmr_never_emits_hops_above_127():
             assert action.message.hops <= 127
 
 
-# --- frame digest ---------------------------------------------------------------
+# --- forwarded frames -----------------------------------------------------------
 
 node_ids = st.integers(0, 0xFFFF)
 hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
@@ -124,14 +132,9 @@ hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
 relay_steps = st.tuples(st.sampled_from(["btmr", "mam"]), node_ids, st.none() | node_ids)
 
 
-def without_digest(m):
-    return Message(m.kind, m.origin, m.seq, m.hops, m.sender, m.payload)
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(hand_built_frames, st.lists(relay_steps, max_size=8))
-def test_forwarded_frames_carry_the_right_digest(frame, steps):
-    expected = message_hash(frame.payload, frame.origin, frame.seq)
+def test_forwards_change_only_hops_and_sender(frame, steps):
     message = frame
     for decision, relay, best in steps:
         cache = RelayCache(4)
@@ -141,17 +144,18 @@ def test_forwarded_frames_carry_the_right_digest(frame, steps):
             action = mam_handle(MamState(DELTA, best_node=best), 0, cache, message, relay)
         if isinstance(action, Drop):
             break
-        message = action.message
-        assert message.digest in (None, expected)
-        assert message == without_digest(message)
-        assert repr(message) == repr(without_digest(message))
+        out = action.message
+        assert (out.kind, out.origin, out.seq, out.payload) == (
+            message.kind, message.origin, message.seq, message.payload)
+        assert (out.hops, out.sender) == (message.hops + 1, relay)
+        message = out
 
     # the frame as built by hand and its forwarded copy are one cache entry
     cache = RelayCache(4)
     action = btmr_relay(cache, frame, RELAY)
     if isinstance(action, Broadcast):
         assert btmr_relay(cache, action.message, RELAY) == Drop(DROP_SEEN)
-        assert expected in cache and len(cache) == 1
+        assert (frame.origin, frame.seq) in cache and len(cache) == 1
 
 
 # --- reactive least-hop route -----------------------------------------------

@@ -20,11 +20,9 @@ from meshsim import (
     load_scenario,
     run,
 )
-from meshsim import routing
 from meshsim.simnet import RANGE_PRESETS
 from connectivity import component
 from recording import record_arrivals
-from test_golden import grid25
 
 
 def pair_config(distance, preset="ground", **overrides):
@@ -199,16 +197,6 @@ def test_fan_out_that_loses_every_copy_schedules_nothing():
     before = world.pending()
     world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), None)
     assert world.pending() == before
-
-
-def test_relays_hash_each_frame_about_once(monkeypatch):
-    calls = []
-    digest = routing.message_hash
-    monkeypatch.setattr(routing, "message_hash",
-                        lambda *args: calls.append(args) or digest(*args))
-    world = World(grid25())
-    world.run_until(world.config.duration_ms)
-    assert len(calls) <= 2 * sum(node.next_seq for node in world.nodes.values())
 
 
 def test_tx_queue_overflow_drops_newest_and_counts():
