@@ -12,10 +12,11 @@ from meshsim import (
     btmr_relay,
     mam_handle,
 )
+from meshsim.core import forwarded
 
-# Every decision below is made by node 5; a frame it forwards carries its id as
-# the sender and one more hop.
-RELAY = 5
+# A decision only says where a frame goes: to every neighbour, to one, or
+# nowhere. The frame a relay sends is the same whatever the decision: one more
+# hop, with the relay as sender.
 
 # --- controlled flooding ----------------------------------------------------
 
@@ -23,18 +24,19 @@ cache = RelayCache(capacity=3)
 reading = Message(MessageKind.DATA, origin=2, seq=0, hops=0, sender=2, payload=b"\x17")
 
 echo = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=3, payload=b"\x17")
-print("flooding relay, first contact:   ", btmr_relay(cache, reading, RELAY))
-print("same frame from another neighbor:", btmr_relay(cache, echo, RELAY))
+print("flooding relay, first contact:   ", btmr_relay(cache, reading))
+print("node 5 then sends:               ", forwarded(reading, 5))
+print("same frame from another neighbor:", btmr_relay(cache, echo))
 
 stale = Message(MessageKind.DATA, origin=2, seq=1, hops=127, sender=2, payload=b"\x17")
-print("hop budget exhausted:            ", btmr_relay(cache, stale, RELAY))
+print("hop budget exhausted:            ", btmr_relay(cache, stale))
 
 # The cache is a bounded LRU, so old entries age out and a frame can relay
 # again once enough newer traffic displaced it.
 for seq in (10, 11, 12):
-    btmr_relay(cache, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"), RELAY)
+    btmr_relay(cache, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"))
 print("after 3 newer frames, the first relays again:",
-      btmr_relay(cache, reading, RELAY))
+      btmr_relay(cache, reading))
 
 # --- reactive least-hop route --------------------------------------------------
 
@@ -49,22 +51,22 @@ def hb(seq, hops, sender):
 
 print()
 print("before any heartbeat:", state)
-mam_handle(state, 1_000, cache, hb(0, 2, 7), RELAY)
+mam_handle(state, 1_000, cache, hb(0, 2, 7))
 print("heartbeat via node 7:", state)
 
-mam_handle(state, 3_000, cache, hb(1, 5, 9), RELAY)
+mam_handle(state, 3_000, cache, hb(1, 5, 9))
 print("worse offer ignored: ", state)
 
-mam_handle(state, 4_000, cache, hb(2, 1, 4), RELAY)
+mam_handle(state, 4_000, cache, hb(2, 1, 4))
 print("fewer hops accepted: ", state)
 
 # Data rides the cached route as a unicast; with no route it is dropped.
 print("data with a route:   ",
-      mam_handle(state, 5_000, cache, reading, RELAY))
+      mam_handle(state, 5_000, cache, reading))
 print("data without a route:",
-      mam_handle(MamState(delta_ms=100_000), 5_000, cache, reading, RELAY))
+      mam_handle(MamState(delta_ms=100_000), 5_000, cache, reading))
 
 # After the expiry window, whoever forwards the next heartbeat wins -- that is
 # how routes follow a moving collector.
-mam_handle(state, 200_000, cache, hb(3, 6, 9), RELAY)
+mam_handle(state, 200_000, cache, hb(3, 6, 9))
 print("after expiry:        ", state)

@@ -241,6 +241,8 @@ def parse_plan(text: str, base_dir: Optional[Path] = None, name: str = "") -> Ex
     keys = file_keys(ExperimentPlan)
     keys["scenario"] = ("scenario", scenario, keys["scenario"][2])
     plan, where = read_settings(ExperimentPlan, text, PlanError, keys, name=name)
+    if "seeds" in where and "repetitions" not in where:
+        plan.repetitions = len(plan.seeds)  # a list of seeds alone says how many runs
     if "seeds" in where and "seed_base" in where:
         first, later = sorted((where["seeds"], where["seed_base"]))
         raise PlanError(f"line {later[0]}: {later[1]}: {first[1]} already set on line {first[0]}")

@@ -9,8 +9,8 @@ Two per-node state machines decide what to do with an incoming frame:
   best neighbor learned from the collector's periodic heartbeats, with an
   expiry window so routes follow a moving collector.
 
-Both are deterministic functions of their explicit state plus inputs; the
-simulation engine owns the state and executes the returned actions.
+Both are deterministic functions of their explicit state plus inputs and only
+decide where a frame goes; the engine owns the state and builds the frame sent.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import MAX_HOPS, Message, MessageKind, NodeId, forwarded
+from .core import MAX_HOPS, Message, MessageKind, NodeId
 from .core import message_hash  # noqa: F401  (bench/tracer.py wraps routing.message_hash)
 
 DROP_SEEN = "seen"
@@ -77,14 +77,12 @@ class MamState:
 
 @dataclass(frozen=True)
 class Broadcast:
-    message: Message
     dest = None  # a class attribute, not a field: every neighbour receives it
 
 
 @dataclass(frozen=True)
 class Unicast:
     dest: NodeId
-    message: Message
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,17 @@ class Drop:
 
 RelayAction = Union[Broadcast, Unicast, Drop]
 
-# A drop carries only its reason, so each reason has one shared action.
+# A broadcast carries nothing and a drop only its reason, so each has one shared action.
+_BROADCAST = Broadcast()
 _SEEN, _TTL, _NO_ROUTE = Drop(DROP_SEEN), Drop(DROP_TTL), Drop(DROP_NO_ROUTE)
 
 
-def btmr_relay(cache: RelayCache, message: Message, relay: NodeId) -> RelayAction:
+def btmr_relay(cache: RelayCache, message: Message) -> RelayAction:
     """Controlled-flooding relay decision for one incoming frame.
 
     Drops when the frame's ``(origin, seq)`` is already cached (recently
     relayed) or when the frame has used up its hop budget (``MAX_HOPS``, the
-    most the wire format carries); otherwise records the key and rebroadcasts
-    the frame one hop further with ``relay`` as the sender.
+    most the wire format carries); otherwise records the key and rebroadcasts.
     """
     key = (message.origin, message.seq)
     if cache.seen(key):
@@ -112,19 +110,17 @@ def btmr_relay(cache: RelayCache, message: Message, relay: NodeId) -> RelayActio
     if message.hops >= MAX_HOPS:
         return _TTL
     cache.insert(key)
-    return Broadcast(forwarded(message, relay))
+    return _BROADCAST
 
 
-def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message,
-               relay: NodeId) -> RelayAction:
+def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -> RelayAction:
     """Reactive least-hop handling of one incoming frame.
 
     Non-discovery frames are unicast toward the cached best neighbor (or
     dropped when no route is known). Discovery frames (heartbeats) make their
     sender the best neighbor when the previous entry expired or the frame
     arrived over fewer hops, and are then flooded through ``btmr_relay`` so
-    discovery keeps the LRU dedup and TTL cap of the flooding path. A
-    forwarded frame carries one more hop and ``relay`` as its sender.
+    discovery keeps the LRU dedup and TTL cap of the flooding path.
     """
     if message.kind is not MessageKind.HEARTBEAT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
@@ -133,10 +129,10 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message,
             return _TTL
         if state.best_node is None:
             return _NO_ROUTE
-        return Unicast(state.best_node, forwarded(message, relay))
+        return Unicast(state.best_node)
 
     if now > state.expiry or message.hops < state.best_hops:
         state.best_node = message.sender
         state.best_hops = message.hops
         state.expiry = now + state.delta_ms
-    return btmr_relay(cache, message, relay)
+    return btmr_relay(cache, message)

