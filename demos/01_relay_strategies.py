@@ -5,6 +5,7 @@
 # and unicasts data along that chain instead.
 
 from meshsim import (
+    CommandVerb,
     MamState,
     Message,
     MessageKind,
@@ -65,6 +66,12 @@ print("data with a route:   ",
       mam_handle(state, 5_000, cache, reading))
 print("data without a route:",
       mam_handle(MamState(delta_ms=100_000), 5_000, cache, reading))
+
+# Commands flood even under MAM, and leave the route alone: an algorithm switch
+# or a probe must reach nodes before any route exists.
+set_mam = Message(MessageKind.COMMAND, origin=1, seq=0, hops=0, sender=1,
+                  payload=bytes([CommandVerb.SET_MAM]))
+print("set-mam command:     ", mam_handle(state, 5_000, cache, set_mam))
 
 # After the expiry window, whoever forwards the next heartbeat wins -- that is
 # how routes follow a moving collector.

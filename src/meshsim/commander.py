@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass, fields
 from enum import IntEnum
 from typing import Optional
 
-from .core import ConfigError, NodeId
+from .core import ConfigError, NodeId, is_int
 from .metrics import text_table
 
 
@@ -81,7 +81,7 @@ class ReachabilityReport:
 
 def _check_wait(name: str, ms) -> None:
     """Reject a wait that would not run the world forward by at least 1 ms."""
-    if not isinstance(ms, int) or ms < 1:
+    if not is_int(ms) or ms < 1:
         raise ConfigError(f"{name}: must be an integer >= 1, got {ms!r}")
 
 

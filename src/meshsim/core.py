@@ -215,8 +215,14 @@ def _mobility_problem(waypoints: Optional[list[Waypoint]]) -> Optional[str]:
 _BOOLEANS = {"true": True, "false": False}
 
 
+def is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``: what every "integer" rule accepts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(default: int):
-    return setting(int, "must be a positive integer", lambda v: v > 0, default=default)
+    return setting(int, "must be a positive integer", lambda v: is_int(v) and v > 0,
+                   default=default)
 
 
 @dataclass
@@ -229,7 +235,7 @@ class ScenarioConfig:
     """
 
     topology: list[NodeSpec] = field(metadata={"check": _topology_problem})
-    duration_ms: int = setting(int, "must be an integer >= 0", lambda v: v >= 0)
+    duration_ms: int = setting(int, "must be an integer >= 0", lambda v: is_int(v) and v >= 0)
     algorithm: Algorithm = setting(Algorithm, "must be btmr or mam",
                                    lambda v: isinstance(v, Algorithm), default=Algorithm.BTMR)
     delta_ms: int = _positive_int(100_000)
@@ -237,7 +243,7 @@ class ScenarioConfig:
     data_period_ms: int = _positive_int(1_000)
     relay_cache_size: int = _positive_int(20)
     tx_queue_capacity: int = _positive_int(200)
-    rng_seed: int = setting(int, "must be an integer", default=0)
+    rng_seed: int = setting(int, "must be an integer", is_int, default=0)
     # a preset name, or a disc range in metres spelled radio_range_m
     radio_preset: Union[str, float] = setting(
         str, f"must be one of {', '.join(RANGE_PRESETS)} or a positive finite range in m",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import Algorithm, ScenarioConfig, check_fields, setting
+from .core import Algorithm, ScenarioConfig, check_fields, is_int, setting
 from .metrics import RunReport, scale_rule_of_three, text_table
 from .refdata import REFERENCE_MINUTES
 from .scenario import file_keys, load_scenario, read_settings, read_source
@@ -53,11 +53,12 @@ class ExperimentPlan:
         "distinct in whole ms and as printed",
         lambda v: len(v) > 0 and all(0.5 < d * 60_000 < math.inf for d in v)
         and _distinct([round(d * 60_000) for d in v]) and _distinct([f"{d:g}" for d in v]))
-    repetitions: int = setting(int, "must be an integer >= 1", lambda v: v >= 1, default=1)
+    repetitions: int = setting(int, "must be an integer >= 1",
+                               lambda v: is_int(v) and v >= 1, default=1)
     seeds: Optional[list[int]] = setting(
         _list_of(int), "must be a comma-separated list of distinct integers",
-        lambda v: v is None or _distinct(v), default=None)
-    seed_base: int = setting(int, "must be an integer", default=0)
+        lambda v: v is None or (all(map(is_int, v)) and _distinct(v)), default=None)
+    seed_base: int = setting(int, "must be an integer", is_int, default=0)
     reference_minutes: float = setting(float, "must be a positive number",
                                        lambda v: 0 < v < math.inf,
                                        default=REFERENCE_MINUTES)
@@ -184,6 +185,10 @@ def run_plan(plan: ExperimentPlan, out_dir: Optional[Union[str, Path]] = None) -
     """
     plan.validate()
     seeds = plan.run_seeds()
+    if out_dir is not None:
+        # an unusable directory fails here, before any run, not after the campaign
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[TableRow] = []
     reports: dict[tuple[str, float], list[RunReport]] = {}
     for algorithm in plan.algorithms:
@@ -199,7 +204,7 @@ def run_plan(plan: ExperimentPlan, out_dir: Optional[Union[str, Path]] = None) -
     table = ComparisonTable(rows=rows, reference_minutes=plan.reference_minutes,
                             reports=reports)
     if out_dir is not None:
-        write_outputs(table, Path(out_dir))
+        write_outputs(table, out_dir)
     return table
 
 
@@ -213,7 +218,7 @@ def render_series_csv(series: list[tuple[float, float, float]]) -> str:
 
 
 def write_outputs(table: ComparisonTable, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the tables, series and per-run reports into the existing ``out_dir``."""
     (out_dir / "table.txt").write_text(table.render_text())
     (out_dir / "table.csv").write_text(table.render_csv())
     for algorithm in sorted({row.algorithm for row in table.rows}):

@@ -5,9 +5,11 @@ Two per-node state machines decide what to do with an incoming frame:
 * ``btmr_relay`` -- controlled flooding: rebroadcast unless the frame was
   relayed recently (an LRU cache of ``(origin, seq)`` keys) or its hop
   budget is exhausted.
-* ``mam_handle`` -- reactive least-hop routing: unicast data toward a cached
-  best neighbor learned from the collector's periodic heartbeats, with an
-  expiry window so routes follow a moving collector.
+* ``mam_handle`` -- reactive least-hop routing: unicast data and stats
+  reports toward a cached best neighbor learned from the collector's periodic
+  heartbeats, with an expiry window so routes follow a moving collector.
+  Heartbeats, commands and acks flood through ``btmr_relay``: algorithm
+  switches and reachability probes must reach nodes before any route exists.
 
 Both are deterministic functions of their explicit state plus inputs and only
 decide where a frame goes; the engine owns the state and builds the frame sent.
@@ -114,15 +116,18 @@ def btmr_relay(cache: RelayCache, message: Message) -> RelayAction:
 
 
 def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -> RelayAction:
-    """Reactive least-hop handling of one incoming frame.
+    """Reactive least-hop handling of one incoming frame, whatever its kind.
 
-    Non-discovery frames are unicast toward the cached best neighbor (or
-    dropped when no route is known). Discovery frames (heartbeats) make their
-    sender the best neighbor when the previous entry expired or the frame
-    arrived over fewer hops, and are then flooded through ``btmr_relay`` so
-    discovery keeps the LRU dedup and TTL cap of the flooding path.
+    Data and stats reports are unicast toward the cached best neighbor (or
+    dropped when no route is known). Every other frame floods through
+    ``btmr_relay``, keeping the LRU dedup and TTL cap of the flooding path.
+    A heartbeat first makes its sender the best neighbor when the previous
+    entry expired or the frame arrived over fewer hops. Commands and acks
+    leave the route alone; they flood because algorithm switches and probes
+    must reach nodes before any route exists.
     """
-    if message.kind is not MessageKind.HEARTBEAT:
+    kind = message.kind
+    if kind is MessageKind.DATA or kind is MessageKind.STATS_REPORT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
         if message.hops >= MAX_HOPS:
@@ -131,7 +136,7 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -
             return _NO_ROUTE
         return Unicast(state.best_node)
 
-    if now > state.expiry or message.hops < state.best_hops:
+    if kind is MessageKind.HEARTBEAT and (now > state.expiry or message.hops < state.best_hops):
         state.best_node = message.sender
         state.best_hops = message.hops
         state.expiry = now + state.delta_ms

@@ -265,14 +265,8 @@ class World:
             self._relay(node, message)
 
     def _relay(self, node: SimNode, message: Message) -> None:
-        """Route one frame through the node's relay logic and queue its forward.
-
-        Control frames (commands, reachability acks) always flood so that
-        algorithm switches reach every node even before routes exist; data,
-        stats and heartbeats follow the node's active algorithm.
-        """
-        if (node.algorithm is Algorithm.MAM
-                and message.kind not in (MessageKind.COMMAND, MessageKind.ACK)):
+        """Run the node's active relay algorithm on one frame and queue its forward."""
+        if node.algorithm is Algorithm.MAM:
             action = mam_handle(node.mam, self.now, node.cache, message)
         else:
             action = btmr_relay(node.cache, message)

@@ -259,8 +259,10 @@ def test_reachability_prober_defaults_to_hub_without_commander():
     (lambda world: CommanderSession(world, settle_ms=-100), "settle_ms"),
     (lambda world: CommanderSession(world, settle_ms=2.5), "settle_ms"),
     (lambda world: make_server(world, settle_ms=-100), "settle_ms"),
+    (lambda world: check_reachability(world, True), "deadline_ms"),
+    (lambda world: CommanderSession(world, settle_ms=True), "settle_ms"),
 ], ids=["negative-deadline", "zero-deadline", "negative-settle", "fractional-settle",
-        "server-settle"])
+        "server-settle", "bool-deadline", "bool-settle"])
 def test_waits_that_run_no_time_are_config_errors(entry, name):
     world = line3_world()
     pending = world.pending()

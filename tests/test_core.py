@@ -192,6 +192,14 @@ def test_config_valid():
     (dict(topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB)]
           + [NodeSpec(i, float(i), 0.0, Role.SENSOR) for i in range(1, 0x10001)]),
      "topology: node id exceeds 16 bits"),
+    # integer fields take only ints; a bool is an int in Python but not a setting
+    (dict(rng_seed=None), "rng_seed"),
+    (dict(rng_seed=True), "rng_seed"),
+    (dict(latency_ms=2.5), "latency_ms"),
+    (dict(relay_cache_size=2.5), "relay_cache_size"),
+    (dict(tx_queue_capacity=1.5), "tx_queue_capacity"),
+    (dict(duration_ms=1500.5), "duration_ms"),
+    (dict(data_period_ms=True), "data_period_ms"),
 ])
 def test_config_errors_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):

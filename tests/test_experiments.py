@@ -98,6 +98,18 @@ def test_plan_built_in_code_rejects_repeated_entries(overrides, field):
         run_plan(quick_plan(**overrides))
 
 
+@pytest.mark.parametrize("overrides,field", [
+    (dict(repetitions=1.5), "repetitions"),
+    (dict(repetitions=True), "repetitions"),
+    (dict(seed_base=None), "seed_base"),
+    (dict(seed_base=0.5), "seed_base"),
+    (dict(seeds=[1, None, 2]), "seeds"),
+])
+def test_plan_built_in_code_rejects_non_integers(overrides, field):
+    with pytest.raises(PlanError, match=f"^{field}: must be .*integer"):
+        run_plan(quick_plan(**overrides))
+
+
 @pytest.mark.parametrize("durations", [[0.000001], [0.2, 0.000008]])
 def test_plan_built_in_code_rejects_sub_millisecond_durations(durations):
     with pytest.raises(PlanError, match="^durations_min: must be .* at least 1 ms"):
@@ -144,6 +156,16 @@ def test_plan_builds_one_world_per_distinct_run(monkeypatch):
     run_plan(replace(plan, scenario=replace(plan.scenario, loss_prob=0.2)))
     assert built == [(algorithm, seed) for algorithm in (Algorithm.BTMR, Algorithm.MAM)
                      for seed in (5, 6, 7)]
+
+
+def test_unusable_out_dir_fails_before_any_run(monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(experiments, "World", lambda config: built.append(config))
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file")
+    with pytest.raises(OSError):
+        run_plan(quick_plan(), out_dir=taken)
+    assert built == []
 
 
 @st.composite

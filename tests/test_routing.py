@@ -190,24 +190,54 @@ def test_mam_expiry_boundary_is_strict():
     assert state.best_node == 9
 
 
-def test_mam_data_unicasts_to_best_neighbor():
+reports = pytest.mark.parametrize("kind", [MessageKind.DATA, MessageKind.STATS_REPORT],
+                                  ids=["data", "stats"])
+
+
+@reports
+def test_mam_data_unicasts_to_best_neighbor(kind):
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=3))
+    action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=3)._replace(kind=kind))
     assert action == Unicast(7)
     assert [f.name for f in fields(Unicast)] == ["dest"]
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
 
 
-def test_mam_data_without_route_drops():
+@reports
+def test_mam_data_without_route_drops(kind):
     state = MamState(delta_ms=DELTA)
-    action = mam_handle(state, 100, RelayCache(20), message=data_msg())
+    action = mam_handle(state, 100, RelayCache(20), message=data_msg()._replace(kind=kind))
     assert action == Drop(DROP_NO_ROUTE)
 
 
-def test_mam_data_hop_budget_capped():
+@reports
+def test_mam_data_hop_budget_capped(kind):
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=127))
+    action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=127)._replace(kind=kind))
     assert action == Drop(DROP_TTL)
+
+
+small_keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.builds(MamState, st.integers(1, 10**6), st.none() | node_ids, st.integers(0, 127),
+                 st.integers(0, 10**7)),
+       st.integers(0, 10**7), st.integers(1, 6), st.lists(small_keys, unique=True),
+       st.builds(Message, st.sampled_from([MessageKind.COMMAND, MessageKind.ACK]),
+                 st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 5, 126, 127]), node_ids,
+                 st.binary(max_size=6)))
+def test_mam_floods_control_frames_as_btmr_does(state, now, capacity, keys, frame):
+    # algorithm switches and probes must reach nodes before any route exists
+    mam_cache, btmr_cache = RelayCache(capacity), RelayCache(capacity)
+    for key in keys:
+        for cache in (mam_cache, btmr_cache):
+            if not cache.seen(key):
+                cache.insert(key)
+    before = copy.deepcopy(state)
+    assert mam_handle(state, now, mam_cache, frame) == btmr_relay(btmr_cache, frame)
+    assert vars(mam_cache) == vars(btmr_cache)  # same entries in the same LRU order
+    assert state == before
 
 
 def test_mam_discovery_update_even_when_flood_dedups():
