@@ -14,10 +14,20 @@ from meshsim import (
     mam_handle,
 )
 from meshsim.core import forwarded
+from meshsim.routing import BROADCAST
 
-# A decision only says where a frame goes: to every neighbour, to one, or
-# nowhere. The frame a relay sends is the same whatever the decision: one more
-# hop, with the relay as sender.
+# A decision only says where a frame goes: to every neighbour (BROADCAST), to
+# one node (its id), or nowhere (the drop reason, a string). The frame a relay
+# sends is the same whatever the decision: one more hop, with the relay as sender.
+
+
+def said(decision):
+    if decision is BROADCAST:
+        return "broadcast"
+    if isinstance(decision, str):
+        return f"drop: {decision}"
+    return f"unicast to {decision}"
+
 
 # --- controlled flooding ----------------------------------------------------
 
@@ -25,19 +35,19 @@ cache = RelayCache(capacity=3)
 reading = Message(MessageKind.DATA, origin=2, seq=0, hops=0, sender=2, payload=b"\x17")
 
 echo = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=3, payload=b"\x17")
-print("flooding relay, first contact:   ", btmr_relay(cache, reading))
+print("flooding relay, first contact:   ", said(btmr_relay(cache, reading)))
 print("node 5 then sends:               ", forwarded(reading, 5))
-print("same frame from another neighbor:", btmr_relay(cache, echo))
+print("same frame from another neighbor:", said(btmr_relay(cache, echo)))
 
 stale = Message(MessageKind.DATA, origin=2, seq=1, hops=127, sender=2, payload=b"\x17")
-print("hop budget exhausted:            ", btmr_relay(cache, stale))
+print("hop budget exhausted:            ", said(btmr_relay(cache, stale)))
 
 # The cache is a bounded LRU, so old entries age out and a frame can relay
 # again once enough newer traffic displaced it.
 for seq in (10, 11, 12):
     btmr_relay(cache, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"))
 print("after 3 newer frames, the first relays again:",
-      btmr_relay(cache, reading))
+      said(btmr_relay(cache, reading)))
 
 # --- reactive least-hop route --------------------------------------------------
 
@@ -63,15 +73,15 @@ print("fewer hops accepted: ", state)
 
 # Data rides the cached route as a unicast; with no route it is dropped.
 print("data with a route:   ",
-      mam_handle(state, 5_000, cache, reading))
+      said(mam_handle(state, 5_000, cache, reading)))
 print("data without a route:",
-      mam_handle(MamState(delta_ms=100_000), 5_000, cache, reading))
+      said(mam_handle(MamState(delta_ms=100_000), 5_000, cache, reading)))
 
 # Commands flood even under MAM, and leave the route alone: an algorithm switch
 # or a probe must reach nodes before any route exists.
 set_mam = Message(MessageKind.COMMAND, origin=1, seq=0, hops=0, sender=1,
                   payload=bytes([CommandVerb.SET_MAM]))
-print("set-mam command:     ", mam_handle(state, 5_000, cache, set_mam))
+print("set-mam command:     ", said(mam_handle(state, 5_000, cache, set_mam)))
 
 # After the expiry window, whoever forwards the next heartbeat wins -- that is
 # how routes follow a moving collector.

@@ -37,8 +37,8 @@ for algorithm in (Algorithm.BTMR, Algorithm.MAM):
     report = world.report()
     print(f"--- {algorithm.value} ---")
     print("deliveries at the collector:")
-    for t, key in log.arrivals:
-        print(f"  t={t} ms  origin={key.origin} seq={key.seq}")
+    for t, (origin, seq) in log.arrivals:
+        print(f"  t={t} ms  origin={origin} seq={seq}")
     print(f"unique={report.unique_received} duplicate={report.duplicate_received} "
           f"tx_total={report.tx_total} rx_total={report.rx_total} "
           f"data-path tx={report.tx_data}")

@@ -8,7 +8,7 @@
 
 import random
 
-from meshsim import HashMapTracker, IntervalTracker, MessageKey
+from meshsim import HashMapTracker, IntervalTracker
 
 rng = random.Random(7)
 
@@ -23,7 +23,7 @@ for origin in range(10):
     for seq in range(5_000):
         if (origin, seq % 500) in lost:
             continue
-        key = MessageKey(origin, seq % 500)  # wraps: plenty of duplicates
+        key = (origin, seq % 500)  # wraps: plenty of duplicates
         assert hashmap.record(key) is interval.record(key)
         inserted += 1
 

@@ -20,7 +20,6 @@ from .core import (
     Algorithm,
     ConfigError,
     Message,
-    MessageKey,
     MessageKind,
     NodeSpec,
     Role,
@@ -48,10 +47,8 @@ from .metrics import (
 )
 from .routing import (
     Broadcast,
-    Drop,
     MamState,
     RelayCache,
-    Unicast,
     btmr_relay,
     mam_handle,
 )
@@ -67,13 +64,11 @@ __all__ = [
     "CommandVerb",
     "ComparisonTable",
     "ConfigError",
-    "Drop",
     "ExperimentPlan",
     "HashMapTracker",
     "IntervalTracker",
     "MamState",
     "Message",
-    "MessageKey",
     "MessageKind",
     "MobilityTrace",
     "NodeSpec",
@@ -85,7 +80,6 @@ __all__ = [
     "Role",
     "RunReport",
     "ScenarioConfig",
-    "Unicast",
     "Verdict",
     "Waypoint",
     "World",

@@ -69,13 +69,6 @@ def forwarded(message: Message, relay: NodeId) -> Message:
                    message.payload)
 
 
-class MessageKey(NamedTuple):
-    """Logical message identity; ordered lexicographically by (origin, seq)."""
-
-    origin: NodeId
-    seq: int
-
-
 def message_hash(payload: bytes, origin: NodeId, seq: int) -> int:
     """Stable 64-bit FNV-1a hash of (origin, seq, payload).
 
@@ -151,14 +144,13 @@ RANGE_PRESETS = {
 }
 
 
-def setting(parse: Callable[[str], Any], rule: str,
-            ok: Callable[[Any], bool] = lambda value: True,
+def setting(parse: Callable[[str], Any], rule: str, ok: Callable[[Any], bool],
             alias: Optional[tuple[str, Callable[[str], Any]]] = None, **default):
     """A config field that scenario and plan files set as ``key = value``.
 
-    ``parse`` reads the value text, ``ok`` is the field's one check and
-    ``rule`` says in words what both demand. ``alias`` is an optional
-    second ``(key, parse)`` spelling of the same field.
+    ``parse`` reads the value text, ``ok`` is the field's one check (a
+    ``TypeError`` in it fails the check) and ``rule`` says in words what both
+    demand. ``alias`` is an optional second ``(key, parse)`` spelling of the field.
     """
     return field(metadata={"parse": parse, "rule": rule, "ok": ok, "alias": alias}, **default)
 
@@ -173,7 +165,11 @@ def check_fields(obj, error: type[Exception], where: Optional[dict] = None) -> N
         value = getattr(obj, f.name)
         lineno, key, text = (where or {}).get(f.name, (None, f.name, value))
         if "ok" in f.metadata:
-            problem = None if f.metadata["ok"](value) else f"{f.metadata['rule']}, got {text!r}"
+            try:
+                passed = f.metadata["ok"](value)
+            except TypeError:
+                passed = False
+            problem = None if passed else f"{f.metadata['rule']}, got {text!r}"
         else:
             problem = f.metadata["check"](value) if "check" in f.metadata else None
         if problem:
@@ -181,6 +177,8 @@ def check_fields(obj, error: type[Exception], where: Optional[dict] = None) -> N
 
 
 def _topology_problem(specs: list[NodeSpec]) -> Optional[str]:
+    if not isinstance(specs, (list, tuple)) or not all(isinstance(s, NodeSpec) for s in specs):
+        return "must be a list of NodeSpec rows"
     if not specs:
         return "is empty"
     ids = [spec.node for spec in specs]
@@ -202,6 +200,9 @@ def _topology_problem(specs: list[NodeSpec]) -> Optional[str]:
 
 
 def _mobility_problem(waypoints: Optional[list[Waypoint]]) -> Optional[str]:
+    if waypoints is not None and not (isinstance(waypoints, (list, tuple))
+                                      and all(isinstance(w, Waypoint) for w in waypoints)):
+        return "must be a list of Waypoint rows"
     times = [w.t_ms for w in waypoints or ()]
     if waypoints is not None and not times:
         return "trace is empty"
@@ -247,7 +248,8 @@ class ScenarioConfig:
     # a preset name, or a disc range in metres spelled radio_range_m
     radio_preset: Union[str, float] = setting(
         str, f"must be one of {', '.join(RANGE_PRESETS)} or a positive finite range in m",
-        lambda v: v in RANGE_PRESETS if isinstance(v, str) else 0 < v < math.inf,
+        lambda v: v in RANGE_PRESETS if isinstance(v, str) else
+        not isinstance(v, bool) and 0 < v < math.inf,
         alias=("radio_range_m", float), default="ground")
     loss_prob: float = setting(float, "must be a number in [0, 1)",
                                lambda v: 0.0 <= v < 1.0, default=0.0)
@@ -257,7 +259,7 @@ class ScenarioConfig:
     tracker: str = setting(str, "must be hashmap or interval",
                            lambda v: v in ("hashmap", "interval"), default="hashmap")
     fault_duplicate: bool = setting(_BOOLEANS.__getitem__, "must be true or false",
-                                    default=False)
+                                    lambda v: isinstance(v, bool), default=False)
     name: str = ""
 
     def validate(self) -> None:

@@ -41,7 +41,8 @@ def _distinct(values: list) -> bool:
 class ExperimentPlan:
     """A sweep over a scenario; each field but ``name`` is a plan-file setting."""
 
-    scenario: ScenarioConfig = setting(load_scenario, "must name a scenario file or built-in")
+    scenario: ScenarioConfig = setting(load_scenario, "must name a scenario file or built-in",
+                                       lambda v: isinstance(v, ScenarioConfig))
     algorithms: list[Algorithm] = setting(
         _list_of(Algorithm), "must be a comma-separated list of distinct algorithms (btmr, mam)",
         lambda v: len(v) > 0 and _distinct(v))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import MessageKey, NodeId
+from .core import NodeId
 
 
 class Verdict(Enum):
@@ -28,14 +28,14 @@ class HashMapTracker:
     """Hash set of the message keys seen so far; the straightforward tracker."""
 
     def __init__(self):
-        self._seen: set[MessageKey] = set()
+        self._seen: set[tuple[NodeId, int]] = set()
         self.duplicate_count = 0
 
     @property
     def unique_count(self) -> int:
         return len(self._seen)
 
-    def record(self, key: MessageKey) -> Verdict:
+    def record(self, key: tuple[NodeId, int]) -> Verdict:
         if key in self._seen:
             self.duplicate_count += 1
             return Verdict.DUPLICATE
@@ -61,7 +61,7 @@ class IntervalTracker:
         self.unique_count = 0
         self.duplicate_count = 0
 
-    def record(self, key: MessageKey) -> Verdict:
+    def record(self, key: tuple[NodeId, int]) -> Verdict:
         origin, seq = key
         bounds = self._bounds.setdefault(origin, [])
         i = bisect_right(bounds, seq)

@@ -79,24 +79,12 @@ class MamState:
 
 @dataclass(frozen=True)
 class Broadcast:
-    dest = None  # a class attribute, not a field: every neighbour receives it
+    """Send to every neighbour. A type of its own, not ``None``: bench/tracer.py counts it."""
 
 
-@dataclass(frozen=True)
-class Unicast:
-    dest: NodeId
-
-
-@dataclass(frozen=True)
-class Drop:
-    reason: str
-
-
-RelayAction = Union[Broadcast, Unicast, Drop]
-
-# A broadcast carries nothing and a drop only its reason, so each has one shared action.
-_BROADCAST = Broadcast()
-_SEEN, _TTL, _NO_ROUTE = Drop(DROP_SEEN), Drop(DROP_TTL), Drop(DROP_NO_ROUTE)
+# A decision is BROADCAST, the node id to unicast to, or a DROP_* reason.
+BROADCAST = Broadcast()
+RelayAction = Union[Broadcast, NodeId, str]
 
 
 def btmr_relay(cache: RelayCache, message: Message) -> RelayAction:
@@ -108,11 +96,11 @@ def btmr_relay(cache: RelayCache, message: Message) -> RelayAction:
     """
     key = (message.origin, message.seq)
     if cache.seen(key):
-        return _SEEN
+        return DROP_SEEN
     if message.hops >= MAX_HOPS:
-        return _TTL
+        return DROP_TTL
     cache.insert(key)
-    return _BROADCAST
+    return BROADCAST
 
 
 def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -> RelayAction:
@@ -131,10 +119,10 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
         if message.hops >= MAX_HOPS:
-            return _TTL
+            return DROP_TTL
         if state.best_node is None:
-            return _NO_ROUTE
-        return Unicast(state.best_node)
+            return DROP_NO_ROUTE
+        return state.best_node
 
     if kind is MessageKind.HEARTBEAT and (now > state.expiry or message.hops < state.best_hops):
         state.best_node = message.sender

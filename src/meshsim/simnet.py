@@ -26,7 +26,6 @@ from .core import (
     Algorithm,
     ConfigError,
     Message,
-    MessageKey,
     MessageKind,
     NodeId,
     Role,
@@ -37,7 +36,7 @@ from .core import (
     sensor_reading,
 )
 from .metrics import HashMapTracker, IntervalTracker, RunReport
-from .routing import Drop, MamState, RelayCache, btmr_relay, mam_handle
+from .routing import BROADCAST, MamState, RelayCache, btmr_relay, mam_handle
 
 _ACK_PAYLOAD = struct.Struct(">HI")
 _TRACKERS = {"hashmap": HashMapTracker, "interval": IntervalTracker}
@@ -247,7 +246,7 @@ class World:
             if kind is MessageKind.DATA:
                 node.received += 1
                 if node.id == self.hub_id:
-                    self.tracker.record(MessageKey(message.origin, message.seq))
+                    self.tracker.record((message.origin, message.seq))
                     continue
             elif kind is MessageKind.COMMAND:
                 self._apply_command(node, message)
@@ -270,10 +269,11 @@ class World:
             action = mam_handle(node.mam, self.now, node.cache, message)
         else:
             action = btmr_relay(node.cache, message)
-        if isinstance(action, Drop):
-            node.drops[action.reason] += 1
+        if isinstance(action, str):
+            node.drops[action] += 1
             return
-        queued = self.enqueue_tx(node, forwarded(message, node.id), action.dest)
+        queued = self.enqueue_tx(node, forwarded(message, node.id),
+                                 None if action is BROADCAST else action)
         if queued and message.kind is MessageKind.DATA and message.origin != node.id:
             node.relayed += 1
 

@@ -1,17 +1,18 @@
 """Test helper: watch the collector's data arrivals through its tracker."""
 
-from meshsim import MessageKey, World
+from meshsim import World
+from meshsim.core import NodeId
 
 
 class _RecordingTracker:
-    """Logs ``(time, key)`` for each key, then hands it to the wrapped tracker."""
+    """Logs ``(time, (origin, seq))`` for each key, then hands it to the wrapped tracker."""
 
     def __init__(self, world: World):
         self._world = world
         self._tracker = world.tracker
-        self.arrivals: list[tuple[int, MessageKey]] = []
+        self.arrivals: list[tuple[int, tuple[NodeId, int]]] = []
 
-    def record(self, key: MessageKey):
+    def record(self, key: tuple[NodeId, int]):
         self.arrivals.append((self._world.now, key))
         return self._tracker.record(key)
 
@@ -19,7 +20,7 @@ class _RecordingTracker:
         return getattr(self._tracker, name)
 
 
-def record_arrivals(world: World) -> list[tuple[int, MessageKey]]:
+def record_arrivals(world: World) -> list[tuple[int, tuple[NodeId, int]]]:
     """From now on, log every data frame the collector receives, duplicates included.
 
     The log is never cleared, not even when a command resets the tracker.

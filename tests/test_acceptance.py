@@ -13,20 +13,16 @@ import pytest
 
 from meshsim import (
     Algorithm,
-    Broadcast,
     CommanderSession,
-    Drop,
     HashMapTracker,
     IntervalTracker,
     MamState,
     Message,
-    MessageKey,
     MessageKind,
     NodeSpec,
     RelayCache,
     Role,
     ScenarioConfig,
-    Unicast,
     World,
     btmr_relay,
     check_reachability,
@@ -38,7 +34,7 @@ from meshsim import (
     scale_rule_of_three,
 )
 from meshsim import refdata
-from meshsim.routing import DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
+from meshsim.routing import BROADCAST, DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
 from recording import record_arrivals
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -106,10 +102,10 @@ def test_criterion_2_algorithm_branch_coverage():
 
     # flood relay: TTL cap exceeded / at the cap / LRU hit / LRU miss
     cache = RelayCache(20)
-    assert btmr_relay(cache, data(hops=127)) == Drop(DROP_TTL)
-    assert isinstance(btmr_relay(cache, data(hops=126)), Broadcast)
-    assert btmr_relay(cache, data()) == Drop(DROP_SEEN)  # hops=126 cached it
-    assert isinstance(btmr_relay(RelayCache(20), data()), Broadcast)
+    assert btmr_relay(cache, data(hops=127)) == DROP_TTL
+    assert btmr_relay(cache, data(hops=126)) is BROADCAST
+    assert btmr_relay(cache, data()) == DROP_SEEN  # hops=126 cached it
+    assert btmr_relay(RelayCache(20), data()) is BROADCAST
 
     # route cache: expired true / false, fewer hops true / false
     state = MamState(delta_ms=1_000)
@@ -123,9 +119,9 @@ def test_criterion_2_algorithm_branch_coverage():
     assert (state.best_node, state.best_hops) == (4, 8)  # expired: any sender wins
 
     # data path: route present / absent, TTL cap
-    assert mam_handle(state, 5_001, RelayCache(4), data(seq=9, hops=2)) == Unicast(4)
-    assert mam_handle(MamState(delta_ms=1), 0, RelayCache(4), data()) == Drop(DROP_NO_ROUTE)
-    assert mam_handle(state, 5_002, RelayCache(4), data(hops=127)) == Drop(DROP_TTL)
+    assert mam_handle(state, 5_001, RelayCache(4), data(seq=9, hops=2)) == 4
+    assert mam_handle(MamState(delta_ms=1), 0, RelayCache(4), data()) == DROP_NO_ROUTE
+    assert mam_handle(state, 5_002, RelayCache(4), data(hops=127)) == DROP_TTL
     _passed(2, "algorithm branch coverage")
 
 
@@ -148,7 +144,7 @@ def _line3_oracle(config, algorithm):
     sensor = config.sensor_ids[0]
     rx_per_data = 3 if algorithm is Algorithm.BTMR else 2
     return {
-        "delivered": [(a, MessageKey(sensor, i)) for i, a in enumerate(arrivals)],
+        "delivered": [(a, (sensor, i)) for i, a in enumerate(arrivals)],
         "tx_total": rounds * 3 + len(gen_times) * 2,
         "tx_data": len(gen_times) * 2,
         "rx_total": rounds * 4 + len(gen_times) * rx_per_data,
@@ -194,7 +190,7 @@ def test_criterion_4_tracker_equivalence_hundred_thousand_insertions():
             seq = rng.randrange(2_000)
         else:
             seq = 5_000 + rng.randrange(200) * 7
-        key = MessageKey(origin, seq)
+        key = (origin, seq)
         assert hashmap.record(key) is interval.record(key)
         seen.setdefault(origin, set()).add(seq)
     assert len(seen) >= 10

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from meshsim import (
     ConfigError,
     Message,
-    MessageKey,
     MessageKind,
     NodeSpec,
     Role,
@@ -141,14 +140,6 @@ def test_forwards_change_only_hops_and_sender(frame, relays):
         message = out
 
 
-def test_message_key_order_matches_seq_order():
-    keys = [MessageKey(o, s) for o in range(3) for s in range(5)]
-    shuffled = keys[:]
-    random.Random(9).shuffle(shuffled)
-    assert sorted(shuffled) == keys
-    assert MessageKey(1, 99) < MessageKey(2, 0)
-
-
 def test_sensor_reading_fixed_size_and_deterministic():
     assert len(sensor_reading(4, 9)) == 8
     assert sensor_reading(4, 9) == sensor_reading(4, 9)
@@ -200,6 +191,16 @@ def test_config_valid():
     (dict(tx_queue_capacity=1.5), "tx_queue_capacity"),
     (dict(duration_ms=1500.5), "duration_ms"),
     (dict(data_period_ms=True), "data_period_ms"),
+    # any non-bool would switch duplication on, and True would be a 1 m disc
+    (dict(fault_duplicate="false"), "fault_duplicate: must be true or false"),
+    (dict(radio_preset=True), "radio_preset: must be one of"),
+    # a wrongly typed value fails its field's check instead of escaping as a raw error
+    (dict(loss_prob=None), "loss_prob: must be a number"),
+    (dict(loss_prob="0.1"), "loss_prob: must be a number"),
+    (dict(radio_preset=None), "radio_preset: must be one of"),
+    (dict(topology=[(0, 0.0, 0.0, "hub")]), "topology: must be a list of NodeSpec rows"),
+    (dict(mobility=[(0, 1.0, 2.0)]), "mobility: must be a list of Waypoint rows"),
+    (dict(mobility="abc"), "mobility: must be a list of Waypoint rows"),
 ])
 def test_config_errors_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):

@@ -110,6 +110,18 @@ def test_plan_built_in_code_rejects_non_integers(overrides, field):
         run_plan(quick_plan(**overrides))
 
 
+@pytest.mark.parametrize("overrides,field", [
+    (dict(scenario="line3"), "scenario"),
+    (dict(durations_min=[None]), "durations_min"),
+    (dict(reference_minutes=None), "reference_minutes"),
+    (dict(seeds=5), "seeds"),
+    (dict(algorithms=None), "algorithms"),
+])
+def test_plan_built_in_code_rejects_wrongly_typed_values(overrides, field):
+    with pytest.raises(PlanError, match=f"^{field}: must "):
+        run_plan(quick_plan(**overrides))
+
+
 @pytest.mark.parametrize("durations", [[0.000001], [0.2, 0.000008]])
 def test_plan_built_in_code_rejects_sub_millisecond_durations(durations):
     with pytest.raises(PlanError, match="^durations_min: must be .* at least 1 ms"):

@@ -6,7 +6,6 @@ import pytest
 from meshsim import (
     HashMapTracker,
     IntervalTracker,
-    MessageKey,
     RunReport,
     Verdict,
     aggregate,
@@ -17,7 +16,7 @@ from meshsim import (
 def test_sequential_inserts_coalesce_to_one_interval():
     tracker = IntervalTracker()
     for seq in (1, 2, 3):
-        assert tracker.record(MessageKey(0, seq)) is Verdict.UNIQUE
+        assert tracker.record((0, seq)) is Verdict.UNIQUE
     assert tracker.intervals(0) == [(1, 3)]
     assert tracker.unique_count == 3
     assert tracker.duplicate_count == 0
@@ -25,34 +24,34 @@ def test_sequential_inserts_coalesce_to_one_interval():
 
 def test_repeat_is_duplicate():
     tracker = IntervalTracker()
-    assert tracker.record(MessageKey(0, 1)) is Verdict.UNIQUE
-    assert tracker.record(MessageKey(0, 1)) is Verdict.DUPLICATE
+    assert tracker.record((0, 1)) is Verdict.UNIQUE
+    assert tracker.record((0, 1)) is Verdict.DUPLICATE
     assert (tracker.unique_count, tracker.duplicate_count) == (1, 1)
 
 
 def test_gap_fill_bridges_intervals():
     tracker = IntervalTracker()
-    tracker.record(MessageKey(0, 1))
-    tracker.record(MessageKey(0, 3))
+    tracker.record((0, 1))
+    tracker.record((0, 3))
     assert tracker.intervals(0) == [(1, 1), (3, 3)]
-    tracker.record(MessageKey(0, 2))
+    tracker.record((0, 2))
     assert tracker.intervals(0) == [(1, 3)]
 
 
 def test_extend_left_and_right():
     tracker = IntervalTracker()
-    tracker.record(MessageKey(0, 5))
-    tracker.record(MessageKey(0, 6))
+    tracker.record((0, 5))
+    tracker.record((0, 6))
     assert tracker.intervals(0) == [(5, 6)]
-    tracker.record(MessageKey(0, 4))
+    tracker.record((0, 4))
     assert tracker.intervals(0) == [(4, 6)]
 
 
 def test_origins_tracked_independently():
     tracker = IntervalTracker()
-    tracker.record(MessageKey(1, 0))
-    tracker.record(MessageKey(2, 0))
-    assert tracker.record(MessageKey(1, 0)) is Verdict.DUPLICATE
+    tracker.record((1, 0))
+    tracker.record((2, 0))
+    assert tracker.record((1, 0)) is Verdict.DUPLICATE
     assert tracker.origins() == [1, 2]
 
 
@@ -77,9 +76,9 @@ def test_trackers_agree_on_random_stream(origins, seqs, records):
     interval = IntervalTracker()
     seen_by_origin = {}
     for _ in range(records):
-        key = MessageKey(rng.randrange(origins), rng.randrange(seqs))
+        origin, seq = key = (rng.randrange(origins), rng.randrange(seqs))
         assert hashmap.record(key) is interval.record(key)
-        seen_by_origin.setdefault(key.origin, set()).add(key.seq)
+        seen_by_origin.setdefault(origin, set()).add(seq)
     assert (hashmap.unique_count, hashmap.duplicate_count) == \
         (interval.unique_count, interval.duplicate_count)
     assert interval.origins() == sorted(seen_by_origin)
@@ -92,7 +91,7 @@ def test_interval_memory_tracks_gaps_not_messages():
     tracker = IntervalTracker()
     for rep in range(50):
         for seq in range(100):
-            tracker.record(MessageKey(0, seq))
+            tracker.record((0, seq))
     assert len(tracker.intervals(0)) == 1
     assert tracker.unique_count == 100
     assert tracker.duplicate_count == 4900
@@ -100,11 +99,11 @@ def test_interval_memory_tracks_gaps_not_messages():
 
 def test_tracker_reset():
     for tracker in (HashMapTracker(), IntervalTracker()):
-        tracker.record(MessageKey(0, 1))
-        tracker.record(MessageKey(0, 1))
+        tracker.record((0, 1))
+        tracker.record((0, 1))
         tracker.reset()
         assert (tracker.unique_count, tracker.duplicate_count) == (0, 0)
-        assert tracker.record(MessageKey(0, 1)) is Verdict.UNIQUE
+        assert tracker.record((0, 1)) is Verdict.UNIQUE
 
 
 # --- duration scaling ---------------------------------------------------------

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from meshsim import (
     Broadcast,
-    Drop,
     MamState,
     Message,
     MessageKind,
     RelayCache,
-    Unicast,
     btmr_relay,
     mam_handle,
     NodeSpec,
@@ -21,7 +19,7 @@ from meshsim import (
     ScenarioConfig,
 )
 from meshsim.core import forwarded
-from meshsim.routing import DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
+from meshsim.routing import BROADCAST, DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
 from meshsim.simnet import SimNode
 
 DELTA = 100_000
@@ -41,7 +39,7 @@ def heartbeat(origin=0, seq=0, hops=0, sender=0):
 def test_btmr_first_relay_broadcasts():
     cache = RelayCache(20)
     action = btmr_relay(cache, message=data_msg(hops=0))
-    assert action == Broadcast() and action.dest is None
+    assert action is BROADCAST
     assert (2, 0) in cache
     # a broadcast carries nothing, so every one is the same object
     assert btmr_relay(cache, data_msg(seq=1)) is action
@@ -51,31 +49,31 @@ def test_btmr_first_relay_broadcasts():
 def test_btmr_hop_budget_exhausted_drops():
     cache = RelayCache(20)
     action = btmr_relay(cache, message=data_msg(hops=127))
-    assert action == Drop(DROP_TTL)
+    assert action == DROP_TTL
     assert len(cache) == 0
 
 
 def test_btmr_hop_126_still_relays():
     cache = RelayCache(20)
     action = btmr_relay(cache, message=data_msg(hops=126))
-    assert isinstance(action, Broadcast)
+    assert action is BROADCAST
 
 
 def test_btmr_second_relay_of_same_message_drops():
     cache = RelayCache(20)
     m = data_msg()
-    assert isinstance(btmr_relay(cache, m), Broadcast)
+    assert btmr_relay(cache, m) is BROADCAST
     # the same message again, one hop further on, from another neighbor
-    assert btmr_relay(cache, data_msg(hops=1, sender=3)) == Drop(DROP_SEEN)
+    assert btmr_relay(cache, data_msg(hops=1, sender=3)) == DROP_SEEN
 
 
 def test_btmr_lru_eviction_capacity_two():
     cache = RelayCache(2)
     m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
-    assert isinstance(btmr_relay(cache, m1), Broadcast)
-    assert isinstance(btmr_relay(cache, m2), Broadcast)
-    assert isinstance(btmr_relay(cache, m3), Broadcast)
-    assert isinstance(btmr_relay(cache, m1), Broadcast)
+    assert btmr_relay(cache, m1) is BROADCAST
+    assert btmr_relay(cache, m2) is BROADCAST
+    assert btmr_relay(cache, m3) is BROADCAST
+    assert btmr_relay(cache, m1) is BROADCAST
 
 
 def test_btmr_hit_refreshes_recency():
@@ -83,7 +81,7 @@ def test_btmr_hit_refreshes_recency():
     m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
     btmr_relay(cache, m1)
     btmr_relay(cache, m2)
-    assert btmr_relay(cache, m1) == Drop(DROP_SEEN)
+    assert btmr_relay(cache, m1) == DROP_SEEN
     btmr_relay(cache, m3)
     assert (m1.origin, m1.seq) in cache
     assert (m2.origin, m2.seq) not in cache
@@ -91,10 +89,10 @@ def test_btmr_hit_refreshes_recency():
 
 def test_btmr_keys_on_origin_and_seq_alone():
     cache = RelayCache(20)
-    assert isinstance(btmr_relay(cache, data_msg(seq=4)), Broadcast)
+    assert btmr_relay(cache, data_msg(seq=4)) is BROADCAST
     # another kind and payload under the same (origin, seq) is the same frame
     other = Message(MessageKind.COMMAND, 2, 4, 0, 2, payload=b"\x01")
-    assert btmr_relay(cache, other) == Drop(DROP_SEEN)
+    assert btmr_relay(cache, other) == DROP_SEEN
     assert len(cache) == 1 and (2, 4) in cache
 
 
@@ -123,7 +121,7 @@ def test_btmr_broadcasts_only_frames_below_127_hops():
     for i in range(500):
         hops = rng.randrange(0, 140)
         action = btmr_relay(cache, data_msg(seq=i, hops=hops, sender=1))
-        if isinstance(action, Broadcast):
+        if action is BROADCAST:
             assert hops < 127
 
 
@@ -139,8 +137,8 @@ hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
 @given(hand_built_frames)
 def test_a_frame_and_its_forward_are_one_cache_entry(frame):
     cache = RelayCache(4)
-    assert isinstance(btmr_relay(cache, frame), Broadcast)
-    assert btmr_relay(cache, forwarded(frame, RELAY)) == Drop(DROP_SEEN)
+    assert btmr_relay(cache, frame) is BROADCAST
+    assert btmr_relay(cache, forwarded(frame, RELAY)) == DROP_SEEN
     assert (frame.origin, frame.seq) in cache and len(cache) == 1
 
 
@@ -151,7 +149,7 @@ def test_mam_initial_discovery_accepted_by_expiry():
     cache = RelayCache(20)
     action = mam_handle(state, 1, cache, message=heartbeat(hops=2, sender=7))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 1 + DELTA)
-    assert isinstance(action, Broadcast)
+    assert action is BROADCAST
 
 
 def test_mam_not_expired_and_more_hops_ignored():
@@ -159,14 +157,14 @@ def test_mam_not_expired_and_more_hops_ignored():
     cache = RelayCache(20)
     action = mam_handle(state, 1000, cache, message=heartbeat(hops=5, sender=9))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
-    assert isinstance(action, Broadcast)
+    assert action is BROADCAST
 
 
 def test_mam_expired_accepts_any_sender():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
     action = mam_handle(state, 6000, RelayCache(20), message=heartbeat(hops=5, sender=9))
     assert (state.best_node, state.best_hops, state.expiry) == (9, 5, 6000 + DELTA)
-    assert isinstance(action, Broadcast)
+    assert action is BROADCAST
 
 
 def test_mam_fewer_hops_updates_before_expiry():
@@ -198,8 +196,7 @@ reports = pytest.mark.parametrize("kind", [MessageKind.DATA, MessageKind.STATS_R
 def test_mam_data_unicasts_to_best_neighbor(kind):
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
     action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=3)._replace(kind=kind))
-    assert action == Unicast(7)
-    assert [f.name for f in fields(Unicast)] == ["dest"]
+    assert action == 7
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
 
 
@@ -207,23 +204,23 @@ def test_mam_data_unicasts_to_best_neighbor(kind):
 def test_mam_data_without_route_drops(kind):
     state = MamState(delta_ms=DELTA)
     action = mam_handle(state, 100, RelayCache(20), message=data_msg()._replace(kind=kind))
-    assert action == Drop(DROP_NO_ROUTE)
+    assert action == DROP_NO_ROUTE
 
 
 @reports
 def test_mam_data_hop_budget_capped(kind):
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
     action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=127)._replace(kind=kind))
-    assert action == Drop(DROP_TTL)
+    assert action == DROP_TTL
 
 
 small_keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+mam_states = st.builds(MamState, st.integers(1, 10**6), st.none() | node_ids,
+                       st.integers(0, 127), st.integers(0, 10**7))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.builds(MamState, st.integers(1, 10**6), st.none() | node_ids, st.integers(0, 127),
-                 st.integers(0, 10**7)),
-       st.integers(0, 10**7), st.integers(1, 6), st.lists(small_keys, unique=True),
+@given(mam_states, st.integers(0, 10**7), st.integers(1, 6), st.lists(small_keys, unique=True),
        st.builds(Message, st.sampled_from([MessageKind.COMMAND, MessageKind.ACK]),
                  st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 5, 126, 127]), node_ids,
                  st.binary(max_size=6)))
@@ -240,6 +237,26 @@ def test_mam_floods_control_frames_as_btmr_does(state, now, capacity, keys, fram
     assert state == before
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mam_states, st.integers(1, 6),
+       st.lists(st.tuples(st.integers(0, 10**6),
+                          st.builds(Message, st.sampled_from(MessageKind), st.integers(0, 3),
+                                    st.integers(0, 3), st.integers(0, 127), node_ids)),
+                max_size=30))
+def test_decisions_are_broadcast_a_node_id_or_a_drop_reason(state, capacity, arrivals):
+    btmr_cache, mam_cache = RelayCache(capacity), RelayCache(capacity)
+    now = 0
+    for gap, frame in arrivals:
+        now += gap
+        action = btmr_relay(btmr_cache, frame)
+        assert action is BROADCAST or action in (DROP_SEEN, DROP_TTL)
+        action = mam_handle(state, now, mam_cache, frame)
+        if type(action) is int:
+            assert action == state.best_node
+        else:
+            assert action is BROADCAST or action in (DROP_SEEN, DROP_TTL, DROP_NO_ROUTE)
+
+
 def test_mam_discovery_update_even_when_flood_dedups():
     state = MamState(delta_ms=DELTA, best_node=7, best_hops=5, expiry=9000)
     cache = RelayCache(20)
@@ -247,7 +264,7 @@ def test_mam_discovery_update_even_when_flood_dedups():
     # the same heartbeat again, over a shorter path through another neighbor
     action = mam_handle(state, 200, cache, message=heartbeat(seq=3, hops=2, sender=6))
     assert (state.best_node, state.best_hops) == (6, 2)
-    assert action == Drop(DROP_SEEN)
+    assert action == DROP_SEEN
 
 
 def test_mam_expiry_always_now_plus_delta():
@@ -316,16 +333,16 @@ def test_reset_returns_to_init_state():
     assert len(node.cache) == 0
     assert node.relayed == 0
     action = mam_handle(node.mam, 10, node.cache, data_msg())
-    assert action == Drop(DROP_NO_ROUTE)
+    assert action == DROP_NO_ROUTE
 
 
 def test_reset_lets_a_cached_frame_relay_again():
     node = routed_node()
     m = data_msg(seq=9)
     btmr_relay(node.cache, m)
-    assert btmr_relay(node.cache, m) == Drop(DROP_SEEN)
+    assert btmr_relay(node.cache, m) == DROP_SEEN
     node.reset_routing()
-    assert isinstance(btmr_relay(node.cache, m), Broadcast)
+    assert btmr_relay(node.cache, m) is BROADCAST
 
 
 def test_reset_is_idempotent():

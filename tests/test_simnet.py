@@ -20,8 +20,10 @@ from meshsim import (
     load_scenario,
     run,
 )
+from meshsim import simnet
 from meshsim.commander import CommandVerb
 from meshsim.core import forwarded
+from meshsim.routing import BROADCAST
 from meshsim.simnet import RANGE_PRESETS
 from connectivity import component
 from recording import record_arrivals
@@ -240,8 +242,8 @@ def test_causality_deliveries_after_generation():
     world = World(config)
     arrivals = record_arrivals(world)
     world.run_until(config.duration_ms)
-    for t, key in arrivals:
-        assert t >= (key.seq + 1) * config.data_period_ms + config.latency_ms
+    for t, (origin, seq) in arrivals:
+        assert t >= (seq + 1) * config.data_period_ms + config.latency_ms
 
 
 # --- whole-run properties ---------------------------------------------------------
@@ -405,30 +407,48 @@ def test_mam_collects_no_duplicates(config):
 def relayed_frames(config, verb, at_ms):
     """Run ``config``, issuing ``verb`` at ``at_ms``; check and list what ``_relay`` queues.
 
-    Every frame queued while a node relays must be ``forwarded(incoming, node.id)``.
-    Returns the ``(kind, broadcast)`` pairs of those frames.
+    Every frame queued while a node relays must be ``forwarded(incoming, node.id)``,
+    sent to ``None`` for ``BROADCAST`` and to the decided id for a node id; a drop
+    reason queues nothing. Returns the ``(kind, broadcast)`` pairs of those frames.
     """
     world = World(config)
     relay, enqueue_tx = world._relay, world.enqueue_tx
-    relaying = []  # (node, incoming frame) while World._relay runs
+    relaying = []  # [node, incoming frame, decision, dests queued] while World._relay runs
     queued = set()
 
     def spy_relay(node, message):
-        relaying.append((node, message))
+        relaying.append([node, message, None, []])
         relay(node, message)
-        relaying.pop()
+        _, _, decision, dests = relaying.pop()
+        assert decision is not None
+        if isinstance(decision, str):
+            assert dests == []
+        else:
+            assert dests == [None if decision is BROADCAST else decision]
+
+    def spy_decision(decide):
+        def decided(*args):
+            relaying[-1][2] = decision = decide(*args)
+            return decision
+        return decided
 
     def spy_enqueue_tx(node, message, dest):
         if relaying:  # the hub queues its own heartbeats without relaying them
-            relayer, incoming = relaying[-1]
+            relayer, incoming, _, dests = relaying[-1]
             assert node is relayer and message == forwarded(incoming, node.id)
+            dests.append(dest)
             queued.add((message.kind, dest is None))
         return enqueue_tx(node, message, dest)
 
     world._relay, world.enqueue_tx = spy_relay, spy_enqueue_tx
-    world.run_until(at_ms)
-    world.issue_command(verb, issuer=world.node_ids[-1])
-    world.run_until(config.duration_ms)
+    decisions = simnet.btmr_relay, simnet.mam_handle
+    simnet.btmr_relay, simnet.mam_handle = map(spy_decision, decisions)
+    try:
+        world.run_until(at_ms)
+        world.issue_command(verb, issuer=world.node_ids[-1])
+        world.run_until(config.duration_ms)
+    finally:
+        simnet.btmr_relay, simnet.mam_handle = decisions
     return queued
 
 
