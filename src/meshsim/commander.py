@@ -8,10 +8,11 @@ that verifies which nodes can currently be reached from the control plane.
 
 from __future__ import annotations
 
+import operator
 import socketserver
 import struct
 import threading
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import Optional
 
@@ -60,10 +61,11 @@ STATS_COUNTERS = tuple(f.name for f in fields(NodeStats)[1:])
 
 # node id (16 bit), then one 32-bit word per counter
 _STATS_PAYLOAD = struct.Struct(">H" + "I" * len(STATS_COUNTERS))
+_STATS_VALUES = operator.attrgetter("node", *STATS_COUNTERS)
 
 
 def encode_stats(stats: NodeStats) -> bytes:
-    return _STATS_PAYLOAD.pack(*astuple(stats))
+    return _STATS_PAYLOAD.pack(*_STATS_VALUES(stats))
 
 
 def decode_stats(payload: bytes) -> NodeStats:

@@ -21,7 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import MAX_HOPS, Message, MessageKind, NodeId
+from .core import DATA, HEARTBEAT, MAX_HOPS, STATS_REPORT, Message, NodeId
 from .core import message_hash  # noqa: F401  (bench/tracer.py wraps routing.message_hash)
 
 DROP_SEEN = "seen"
@@ -93,13 +93,19 @@ def btmr_relay(cache: RelayCache, message: Message) -> RelayAction:
     Drops when the frame's ``(origin, seq)`` is already cached (recently
     relayed) or when the frame has used up its hop budget (``MAX_HOPS``, the
     most the wire format carries); otherwise records the key and rebroadcasts.
+    Works on the cache's entries in one pass: ``RelayCache.seen`` then
+    ``insert`` would decide the same.
     """
     key = (message.origin, message.seq)
-    if cache.seen(key):
+    entries = cache._entries
+    if key in entries:
+        entries.move_to_end(key)
         return DROP_SEEN
     if message.hops >= MAX_HOPS:
         return DROP_TTL
-    cache.insert(key)
+    entries[key] = None
+    if len(entries) > cache.capacity:
+        entries.popitem(last=False)
     return BROADCAST
 
 
@@ -115,7 +121,7 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -
     must reach nodes before any route exists.
     """
     kind = message.kind
-    if kind is MessageKind.DATA or kind is MessageKind.STATS_REPORT:
+    if kind is DATA or kind is STATS_REPORT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
         if message.hops >= MAX_HOPS:
@@ -124,7 +130,7 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -
             return DROP_NO_ROUTE
         return state.best_node
 
-    if kind is MessageKind.HEARTBEAT and (now > state.expiry or message.hops < state.best_hops):
+    if kind is HEARTBEAT and (now > state.expiry or message.hops < state.best_hops):
         state.best_node = message.sender
         state.best_hops = message.hops
         state.expiry = now + state.delta_ms

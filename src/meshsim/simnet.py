@@ -2,18 +2,18 @@
 
 A ``World`` owns every node's routing state, the disc-radio geometry, the
 collector's mobility trace, per-node transmit queues, and a single seeded
-RNG for link-loss draws. Each event is a heap entry ``(t, tie, handler,
-args)`` and runs as ``handler(world, *args)``. Events pop in (time,
-insertion) order, so identical configurations replay identical runs byte for
-byte. One transmission's fan-out is one entry: it delivers the frame to every
-receiver that the loss draws spared, in id order.
+RNG for link-loss draws. Each event is a ``(handler, args)`` pair that runs
+as ``handler(world, *args)``. The pending events of one millisecond wait in
+one FIFO, and a heap holds each pending millisecond once, so events pop in
+(time, insertion) order and identical configurations replay identical runs
+byte for byte. One transmission's fan-out is one event: it delivers the frame
+to every receiver that the loss draws spared, in id order.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 import math
 import random
 import struct
@@ -22,8 +22,14 @@ from typing import Optional
 
 from .commander import STATS_COUNTERS, CommandVerb, NodeStats, decode_stats, encode_stats
 from .core import (
+    ACK,
+    BTMR,
+    COMMAND,
+    DATA,
+    HEARTBEAT,
+    MAM,
     RANGE_PRESETS,
-    Algorithm,
+    STATS_REPORT,
     ConfigError,
     Message,
     MessageKind,
@@ -129,21 +135,31 @@ class World:
         self.range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else float(preset)
         self.rng = random.Random(config.rng_seed)
         self.now = 0
-        self._heap: list = []
-        self._tie = itertools.count()
+        # pending millisecond -> its events in insertion order; ``_times`` is a
+        # heap of the keys of ``_fifos``, and ``_pending`` counts their events
+        self._fifos: dict[int, deque] = {}
+        self._times: list[int] = []
+        self._pending = 0
         self.nodes = {s.node: SimNode(s, config) for s in config.topology}
         self.node_ids = sorted(self.nodes)
         self.hub_id = config.hub_id
         self.commander_id = config.commander_id
         waypoints = config.mobility or [Waypoint(0, *self.nodes[self.hub_id].pos)]
         self.trace = MobilityTrace(waypoints)
-        # Only the hub moves, so the links between all other nodes are worked out
-        # once, each node's in id order, with the same test as ``in_range``.
-        static = [self.nodes[v] for v in self.node_ids if v != self.hub_id]
+        # Only the hub can move, and only along a trace of two or more waypoints.
+        # The links between nodes that stay put are worked out once, each node's
+        # in id order, with the same test as ``in_range``; a hub that stays put
+        # sits at its one waypoint, not at its ``[nodes]`` row.
+        self.hub_moves = len(waypoints) > 1
+        fixed = {v: self.nodes[v].pos for v in self.node_ids}
+        if self.hub_moves:
+            del fixed[self.hub_id]
+        else:
+            fixed[self.hub_id] = self.trace.position(0)
         self._static_links: dict[NodeId, list[NodeId]] = {
-            u.id: [v.id for v in static if v is not u and math.hypot(
-                u.pos[0] - v.pos[0], u.pos[1] - v.pos[1]) <= self.range_m]
-            for u in static}
+            u: [v for v, (vx, vy) in fixed.items()
+                if v != u and math.hypot(ux - vx, uy - vy) <= self.range_m]
+            for u, (ux, uy) in fixed.items()}
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
@@ -159,25 +175,39 @@ class World:
         """Run ``handler(self, *args)`` at time ``t``, after earlier-scheduled ties.
 
         ``handler`` is a plain function such as ``World._deliver``, not a bound
-        method, so the heap holds no reference back to the world.
+        method, so the queue holds no reference back to the world.
         """
-        heapq.heappush(self._heap, (t, next(self._tie), handler, args))
+        fifo = self._fifos.get(t)
+        if fifo is None:
+            fifo = self._fifos[t] = deque()
+            heapq.heappush(self._times, t)
+        fifo.append((handler, args))
+        self._pending += 1
 
     def pending(self) -> int:
-        return len(self._heap)
+        return self._pending
 
     def step(self) -> bool:
         """Pop and apply exactly one event; False when the queue is empty."""
-        if not self._heap:
+        if not self._times:
             return False
-        t, _, handler, args = heapq.heappop(self._heap)
+        t = self._times[0]
+        fifo = self._fifos[t]
+        handler, args = fifo.popleft()
+        # an emptied millisecond goes before the handler runs; an event it then
+        # schedules at ``t`` opens a new FIFO there, still after every earlier one
+        if not fifo:
+            del self._fifos[t]
+            heapq.heappop(self._times)
+        self._pending -= 1
         self.now = t
         handler(self, *args)
         return True
 
     def run_until(self, limit_ms: int) -> None:
         """Apply every event strictly before ``limit_ms``, then park the clock there."""
-        while self._heap and self._heap[0][0] < limit_ms:
+        times = self._times
+        while times and times[0] < limit_ms:
             self.step()
         if limit_ms > self.now:
             self.now = limit_ms
@@ -195,7 +225,12 @@ class World:
         return math.hypot(ux - vx, uy - vy) <= self.range_m
 
     def neighbors(self, u: NodeId) -> list[NodeId]:
-        """Nodes in range of ``u``, in id order; only links to the hub are re-tested."""
+        """Nodes in range of ``u``, in id order; only links to a moving hub are re-tested.
+
+        The list may be the stored one, so callers must not mutate it.
+        """
+        if not self.hub_moves:
+            return self._static_links[u]
         if u == self.hub_id:
             return [v for v in self.node_ids if v != u and self.in_range(u, v)]
         links = self._static_links[u].copy()
@@ -206,17 +241,17 @@ class World:
     # --- event handlers ---------------------------------------------------
 
     def _emit_heartbeat(self, hub: SimNode) -> None:
-        self.enqueue_tx(hub, hub.originate(MessageKind.HEARTBEAT), dest=None)
+        self.enqueue_tx(hub, hub.originate(HEARTBEAT), dest=None)
         self.schedule(self.now + self.config.heartbeat_period_ms, World._emit_heartbeat, hub)
 
     def _generate_data(self, node: SimNode) -> None:
         node.generated += 1
-        self._relay(node, node.originate(MessageKind.DATA,
+        self._relay(node, node.originate(DATA,
                                          sensor_reading(node.id, node.next_seq)))
         self.schedule(self.now + self.config.data_period_ms, World._generate_data, node)
 
     def _command_arrival(self, verb: CommandVerb, issuer: SimNode) -> None:
-        message = issuer.originate(MessageKind.COMMAND, bytes([verb]))
+        message = issuer.originate(COMMAND, bytes([verb]))
         self._apply_command(issuer, message)
         self._relay(issuer, message)
 
@@ -243,19 +278,19 @@ class World:
             node.rx_count += 1
             if message.origin == node.id:
                 continue
-            if kind is MessageKind.DATA:
+            if kind is DATA:
                 node.received += 1
                 if node.id == self.hub_id:
                     self.tracker.record((message.origin, message.seq))
                     continue
-            elif kind is MessageKind.COMMAND:
+            elif kind is COMMAND:
                 self._apply_command(node, message)
-            elif kind is MessageKind.STATS_REPORT:
+            elif kind is STATS_REPORT:
                 if node.id == self.hub_id:
                     stats = decode_stats(message.payload)
                     self.collected_stats[stats.node] = stats
                     continue
-            elif kind is MessageKind.ACK:
+            elif kind is ACK:
                 probe = _ACK_PAYLOAD.unpack(message.payload)
                 if node.id == probe[0]:
                     if probe == self.probe:
@@ -265,7 +300,7 @@ class World:
 
     def _relay(self, node: SimNode, message: Message) -> None:
         """Run the node's active relay algorithm on one frame and queue its forward."""
-        if node.algorithm is Algorithm.MAM:
+        if node.algorithm is MAM:
             action = mam_handle(node.mam, self.now, node.cache, message)
         else:
             action = btmr_relay(node.cache, message)
@@ -274,7 +309,7 @@ class World:
             return
         queued = self.enqueue_tx(node, forwarded(message, node.id),
                                  None if action is BROADCAST else action)
-        if queued and message.kind is MessageKind.DATA and message.origin != node.id:
+        if queued and message.kind is DATA and message.origin != node.id:
             node.relayed += 1
 
     def _apply_command(self, node: SimNode, message: Message) -> None:
@@ -292,15 +327,15 @@ class World:
                 self.tracker.reset()
                 self.collected_stats.clear()
         elif verb is CommandVerb.SET_MAM:
-            node.algorithm = Algorithm.MAM
+            node.algorithm = MAM
         elif verb is CommandVerb.SET_BTMR:
-            node.algorithm = Algorithm.BTMR
+            node.algorithm = BTMR
         elif verb is CommandVerb.SIM_STATS:
             snapshot = node.stats_snapshot()
             if node.id == self.hub_id:
                 self.collected_stats[node.id] = snapshot
             else:
-                self._relay(node, node.originate(MessageKind.STATS_REPORT,
+                self._relay(node, node.originate(STATS_REPORT,
                                                  encode_stats(snapshot)))
         elif verb is CommandVerb.PING:
             if node.id == message.origin:
@@ -308,7 +343,7 @@ class World:
                 self.acked = set()
             else:
                 self._relay(node, node.originate(
-                    MessageKind.ACK, _ACK_PAYLOAD.pack(message.origin, message.seq)))
+                    ACK, _ACK_PAYLOAD.pack(message.origin, message.seq)))
 
     # --- transmission -----------------------------------------------------
 
@@ -329,13 +364,11 @@ class World:
             node.tx_scheduled = False
             return
         message, dest = node.txq.popleft()
-        copies = 1
-        if (self.config.fault_duplicate and dest is not None
-                and message.kind is MessageKind.DATA):
-            copies = 2
+        is_data = message.kind is DATA
+        copies = 2 if self.config.fault_duplicate and dest is not None and is_data else 1
         for _ in range(copies):
             node.tx_count += 1
-            if message.kind is MessageKind.DATA:
+            if is_data:
                 node.tx_data_count += 1
             self._fan_out(node, message, dest)
         node.radio_free_at = self.now + self.config.latency_ms

@@ -201,6 +201,20 @@ def test_config_valid():
     (dict(topology=[(0, 0.0, 0.0, "hub")]), "topology: must be a list of NodeSpec rows"),
     (dict(mobility=[(0, 1.0, 2.0)]), "mobility: must be a list of Waypoint rows"),
     (dict(mobility="abc"), "mobility: must be a list of Waypoint rows"),
+    # each field of a row has a type: a wrong one fails as that rule, not as a raw error
+    (dict(topology=[_topology()[0]._replace(x="a")] + _topology()[1:]),
+     "topology: node coordinates must be finite numbers"),
+    (dict(topology=[_topology()[0]._replace(node="0")] + _topology()[1:]),
+     "topology: node ids must be integers"),
+    (dict(topology=[_topology()[0]._replace(role="hub")] + _topology()[1:]),
+     "topology: node roles must be Role members"),
+    (dict(mobility=[Waypoint("0", 1.0, 2.0)]), "mobility: waypoint times must be integers"),
+    (dict(mobility=[Waypoint(0, "1", 2.0)]),
+     "mobility: waypoint coordinates must be finite numbers"),
+    # these two used to run: a fractional time and a bool coordinate
+    (dict(mobility=[Waypoint(0.5, 1.0, 2.0)]), "mobility: waypoint times must be integers"),
+    (dict(topology=[_topology()[0]._replace(x=True)] + _topology()[1:]),
+     "topology: node coordinates must be finite numbers"),
 ])
 def test_config_errors_name_the_field(overrides, field):
     with pytest.raises(ConfigError, match=field):

@@ -114,6 +114,25 @@ def test_relay_cache_keeps_recent_entries():
     assert cache.seen(42)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                             st.sampled_from([0, 126, 127])), max_size=40))
+def test_btmr_decides_as_seen_then_insert(capacity, frames):
+    # btmr_relay works on the cache's entries itself; the public pair is the reference
+    cache, reference = RelayCache(capacity), RelayCache(capacity)
+    for origin, seq, hops in frames:
+        key = (origin, seq)
+        if reference.seen(key):
+            expected = DROP_SEEN
+        elif hops >= 127:
+            expected = DROP_TTL
+        else:
+            reference.insert(key)
+            expected = BROADCAST
+        assert btmr_relay(cache, data_msg(origin, seq, hops)) == expected
+        assert list(cache._entries) == list(reference._entries)
+
+
 def test_btmr_broadcasts_only_frames_below_127_hops():
     # a forward adds one hop, so a broadcast frame never leaves with more than 127
     rng = random.Random(7)

@@ -1,9 +1,11 @@
 import gc
+import heapq
+import itertools
 import weakref
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meshsim import (
@@ -142,16 +144,28 @@ def test_zero_duration_is_an_empty_run():
     assert report.tx_total == 0 and report.rx_total == 0
 
 
+def clear_events(world):
+    """Drop every pending event: no millisecond FIFOs, no pending times, count 0."""
+    world._fifos.clear()
+    world._times.clear()
+    world._pending = 0
+
+
+def next_event(world):
+    """The ``(handler, args)`` that ``step`` applies next: the head of the earliest FIFO."""
+    return world._fifos[world._times[0]][0]
+
+
 def test_event_ties_pop_in_insertion_order():
     world = World(pair_config(5.0))
-    world._heap.clear()
+    clear_events(world)
     first = Message(MessageKind.DATA, origin=1, seq=0, hops=0, sender=1)
     second = Message(MessageKind.DATA, origin=1, seq=1, hops=0, sender=1)
     world.schedule(50, World._deliver, first, [world.nodes[0]])
     world.schedule(50, World._deliver, second, [world.nodes[0]])
     seen = []
     while world.pending():
-        _, _, handler, args = world._heap[0]
+        handler, args = next_event(world)
         world.step()
         if handler is World._deliver:
             seen.append(args[0].seq)
@@ -164,9 +178,51 @@ def test_step_pops_exactly_one_event():
     assert world.step()
     assert world.now == 0
     empty = World(pair_config(5.0, duration_ms=1))
-    empty._heap.clear()
+    clear_events(empty)
     assert not empty.step()
     assert before >= 2
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12),
+       st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=40))
+# event 0 schedules event 2 at 5 ms while event 1 still waits there; event 2,
+# the last at 5 ms, schedules event 3 there once that millisecond has emptied
+@example(times=[5, 5], spawns=[[0], [], [0]])
+def test_events_pop_in_the_order_of_a_time_tie_heap(times, spawns):
+    """Event ``i``, when it runs, schedules one event per offset in ``spawns[i]``."""
+
+    def children(event):
+        return spawns[event] if event < len(spawns) else ()
+
+    ids = itertools.count()
+    reference = [(t, next(ids)) for t in times]  # (t, tie); the tie is the event's id
+    heapq.heapify(reference)
+    expected = []
+    while reference:
+        now, event = heapq.heappop(reference)
+        expected.append((now, event))
+        for offset in children(event):
+            heapq.heappush(reference, (now + offset, next(ids)))
+
+    ids = itertools.count()
+    popped = []
+
+    def handler(world, event):
+        popped.append((world.now, event))
+        for offset in children(event):
+            world.schedule(world.now + offset, handler, next(ids))
+
+    world = World(pair_config(5.0))
+    clear_events(world)
+    for t in times:
+        world.schedule(t, handler, next(ids))
+    while world.pending():
+        left = world.pending()
+        assert world.step()
+        assert world.pending() == left - 1 + len(children(popped[-1][1]))
+    assert not world.step()
+    assert popped == expected
 
 
 def line_of_four(**overrides):
@@ -217,7 +273,7 @@ def test_tx_queue_overflow_drops_newest_and_counts():
 def test_queue_wiped_by_a_reboot_still_sends_the_next_frame():
     world = World(pair_config(5.0))
     arrivals = record_arrivals(world)
-    world._heap.clear()
+    clear_events(world)
     node = world.nodes[1]
     world.enqueue_tx(node, node.originate(MessageKind.DATA, b"lost"), None)
     node.reboot()  # wipes the queue before its dequeue fires
@@ -385,6 +441,43 @@ def test_neighbors_match_a_full_range_sweep(config, times):
         for u in world.node_ids:
             assert world.neighbors(u) == [v for v in world.node_ids
                                           if v != u and world.in_range(u, v)]
+
+
+def hub_parked_at(config, x, y, waypoints):
+    """``config`` with its hub's trace at (x, y): one waypoint, or two at the same point."""
+    return replace(config, mobility=[Waypoint(1_000 * i, x, y) for i in range(waypoints)])
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_static_hub_links_match_a_re_tested_hub(algorithm):
+    # the [nodes] row puts the hub at (1, 1); its one waypoint is across the grid
+    config = replace(load_scenario("indoor10"), algorithm=algorithm, duration_ms=30_000)
+    static = World(hub_parked_at(config, 10.0, 7.5, 1))
+    retested = World(hub_parked_at(config, 10.0, 7.5, 2))
+    assert not static.hub_moves and retested.hub_moves
+    assert static.neighbors(static.hub_id) == [6, 7, 9]  # at its row: [1, 4]
+    static.run_until(config.duration_ms)
+    retested.run_until(config.duration_ms)
+    assert static.report() == retested.report()
+    assert static.report().unique_received > 0
+
+
+def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
+    calls = []
+    in_range = World.in_range
+
+    def counting(world, u, v):
+        calls.append((u, v))
+        return in_range(world, u, v)
+
+    monkeypatch.setattr(World, "in_range", counting)
+    config = replace(load_scenario("indoor10"), duration_ms=30_000)
+    assert config.algorithm is Algorithm.BTMR and config.mobility is None
+    assert run(config).unique_received > 0
+    assert calls == []
+    # the same run with the hub on a trace re-tests its links, so the count works
+    run(hub_parked_at(config, 1.0, 1.0, 2))
+    assert calls
 
 
 @st.composite
