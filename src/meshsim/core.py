@@ -78,8 +78,9 @@ class Message(NamedTuple):
 
 def forwarded(message: Message, relay: NodeId) -> Message:
     """The frame ``relay`` transmits for ``message``: one more hop, sent by ``relay``."""
-    return Message(message.kind, message.origin, message.seq, message.hops + 1, relay,
-                   message.payload)
+    kind, origin, seq, hops, _, payload = message
+    # builds the tuple directly: the NamedTuple constructor is an extra Python call
+    return tuple.__new__(Message, (kind, origin, seq, hops + 1, relay, payload))
 
 
 def message_hash(payload: bytes, origin: NodeId, seq: int) -> int:

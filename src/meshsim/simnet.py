@@ -8,15 +8,20 @@ one FIFO, and a heap holds each pending millisecond once, so events pop in
 (time, insertion) order and identical configurations replay identical runs
 byte for byte. One transmission's fan-out is one event: it delivers the frame
 to every receiver that the loss draws spared, in id order.
+
+Links between nodes that stay put are worked out once per world. For a hub
+that walks, each node also keeps a second stored list with the hub in it, so
+``neighbors`` returns a stored list whether or not the hub moves; the hub's
+own position is worked out once per simulated millisecond.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import random
 import struct
+from bisect import bisect_left
 from collections import Counter, deque
 from typing import Optional
 
@@ -56,6 +61,7 @@ class MobilityTrace:
         if problem:
             raise ConfigError(f"mobility {problem}")
         self.waypoints = list(waypoints)
+        self.times = [w.t_ms for w in self.waypoints]
 
     def position(self, t: int) -> tuple[float, float]:
         pts = self.waypoints
@@ -63,10 +69,9 @@ class MobilityTrace:
             return (pts[0].x, pts[0].y)
         if t >= pts[-1].t_ms:
             return (pts[-1].x, pts[-1].y)
-        # strictly between the endpoints, so the loop stops at the segment holding t
-        for a, b in zip(pts, pts[1:]):
-            if t <= b.t_ms:
-                break
+        # strictly between the endpoints: b is the first waypoint at or after t
+        i = bisect_left(self.times, t)
+        a, b = pts[i - 1], pts[i]
         frac = (t - a.t_ms) / (b.t_ms - a.t_ms)
         return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
 
@@ -160,6 +165,15 @@ class World:
             u: [v for v, (vx, vy) in fixed.items()
                 if v != u and math.hypot(ux - vx, uy - vy) <= self.range_m]
             for u, (ux, uy) in fixed.items()}
+        # next to each node's links, the same list with a moving hub in id order:
+        # ``neighbors`` picks one of the two by testing the link to the hub
+        self._hub_links: dict[NodeId, list[NodeId]] = {}
+        if self.hub_moves:
+            self._hub_links = {u: sorted(links + [self.hub_id])
+                               for u, links in self._static_links.items()}
+        # the hub's position, worked out once per simulated millisecond
+        self._hub_at = self.now
+        self._hub_pos = self.trace.position(self.now)
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
@@ -216,7 +230,11 @@ class World:
 
     def position(self, node: NodeId) -> tuple[float, float]:
         if node == self.hub_id:
-            return self.trace.position(self.now)
+            # keyed on ``now`` itself, which callers may also set directly
+            if self._hub_at != self.now:
+                self._hub_at = self.now
+                self._hub_pos = self.trace.position(self.now)
+            return self._hub_pos
         return self.nodes[node].pos
 
     def in_range(self, u: NodeId, v: NodeId) -> bool:
@@ -227,16 +245,16 @@ class World:
     def neighbors(self, u: NodeId) -> list[NodeId]:
         """Nodes in range of ``u``, in id order; only links to a moving hub are re-tested.
 
-        The list may be the stored one, so callers must not mutate it.
+        For any node but a moving hub this is a stored list, with or without
+        the hub, so callers must not mutate it.
         """
         if not self.hub_moves:
             return self._static_links[u]
         if u == self.hub_id:
             return [v for v in self.node_ids if v != u and self.in_range(u, v)]
-        links = self._static_links[u].copy()
         if self.in_range(u, self.hub_id):
-            bisect.insort(links, self.hub_id)
-        return links
+            return self._hub_links[u]
+        return self._static_links[u]
 
     # --- event handlers ---------------------------------------------------
 
@@ -274,16 +292,33 @@ class World:
         consecutive ties would: whatever one schedules gets a later tie.
         """
         kind = message.kind
+        origin = message.origin
+        relay = self._relay
+        # the kind is tested once per transmission; data and heartbeats, the
+        # bulk of the traffic, each take a loop of their own
+        if kind is DATA:
+            hub_id = self.hub_id
+            for node in receivers:
+                node.rx_count += 1
+                if node.id == origin:
+                    continue
+                node.received += 1
+                if node.id == hub_id:
+                    self.tracker.record((origin, message.seq))
+                else:
+                    relay(node, message)
+            return
+        if kind is HEARTBEAT:
+            for node in receivers:
+                node.rx_count += 1
+                if node.id != origin:
+                    relay(node, message)
+            return
         for node in receivers:
             node.rx_count += 1
-            if message.origin == node.id:
+            if node.id == origin:
                 continue
-            if kind is DATA:
-                node.received += 1
-                if node.id == self.hub_id:
-                    self.tracker.record((message.origin, message.seq))
-                    continue
-            elif kind is COMMAND:
+            if kind is COMMAND:
                 self._apply_command(node, message)
             elif kind is STATS_REPORT:
                 if node.id == self.hub_id:
@@ -296,7 +331,7 @@ class World:
                     if probe == self.probe:
                         self.acked.add(message.origin)
                     continue
-            self._relay(node, message)
+            relay(node, message)
 
     def _relay(self, node: SimNode, message: Message) -> None:
         """Run the node's active relay algorithm on one frame and queue its forward."""
@@ -364,12 +399,15 @@ class World:
             node.tx_scheduled = False
             return
         message, dest = node.txq.popleft()
-        is_data = message.kind is DATA
-        copies = 2 if self.config.fault_duplicate and dest is not None and is_data else 1
-        for _ in range(copies):
-            node.tx_count += 1
-            if is_data:
-                node.tx_data_count += 1
+        copies = 1
+        if message.kind is DATA:
+            if self.config.fault_duplicate and dest is not None:
+                copies = 2
+            node.tx_data_count += copies
+        node.tx_count += copies
+        self._fan_out(node, message, dest)
+        if copies == 2:
+            # the duplication fault: the second fan-out draws its loss after the first
             self._fan_out(node, message, dest)
         node.radio_free_at = self.now + self.config.latency_ms
         if node.txq:
@@ -385,8 +423,11 @@ class World:
         else:
             return
         loss_prob = self.config.loss_prob
-        receivers = [self.nodes[v] for v in targets
-                     if loss_prob == 0.0 or self.rng.random() >= loss_prob]
+        if loss_prob == 0.0:
+            receivers = list(map(self.nodes.__getitem__, targets))
+        else:
+            draw = self.rng.random
+            receivers = [self.nodes[v] for v in targets if draw() >= loss_prob]
         if receivers:
             self.schedule(self.now + self.config.latency_ms, World._deliver,
                           message, receivers)

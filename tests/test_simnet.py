@@ -443,6 +443,89 @@ def test_neighbors_match_a_full_range_sweep(config, times):
                                           if v != u and world.in_range(u, v)]
 
 
+def scanned_position(waypoints, t):
+    """A trace's position at ``t`` found by scanning the segments in order."""
+    pts = waypoints
+    if t <= pts[0].t_ms:
+        return (pts[0].x, pts[0].y)
+    if t >= pts[-1].t_ms:
+        return (pts[-1].x, pts[-1].y)
+    for a, b in zip(pts, pts[1:]):
+        if t <= b.t_ms:
+            break
+    frac = (t - a.t_ms) / (b.t_ms - a.t_ms)
+    return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
+
+
+@st.composite
+def traces_and_times(draw):
+    """1-50 waypoints at strictly increasing times, and times before, on, between and after them."""
+    times = sorted(draw(st.lists(st.integers(0, 100_000), min_size=1, max_size=50,
+                                 unique=True)))
+    point = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    waypoints = [Waypoint(t, draw(point), draw(point)) for t in times]
+    probes = [times[0] - 1, *times, times[-1] + 1]
+    for a, b in zip(times, times[1:]):
+        probes += [a + 1, (a + b) // 2, b - 1]
+    probes += draw(st.lists(st.integers(-10, 100_010), max_size=10))
+    return waypoints, probes
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(traces_and_times())
+def test_mobility_position_equals_a_segment_scan(trace_and_times):
+    waypoints, probes = trace_and_times
+    trace = MobilityTrace(waypoints)
+    for t in probes:
+        assert trace.position(t) == scanned_position(waypoints, t)
+
+
+def test_hub_position_follows_the_clock():
+    # MAM keeps the run short enough to sweep every link after every event; by
+    # 25 s the walking collector (0.22 m/s) has come into range of node 6
+    world = World(replace(load_scenario("outdoor10"), algorithm=Algorithm.MAM))
+    assert world.hub_moves
+    links_seen = {u: set() for u in world.node_ids}
+
+    def check():
+        assert world.position(world.hub_id) == world.trace.position(world.now)
+        for u in world.node_ids:
+            links = world.neighbors(u)
+            assert links == [v for v in world.node_ids if v != u and world.in_range(u, v)]
+            links_seen[u].add(tuple(links))
+
+    check()
+    for parked in (5_007, 12_345, 25_001):
+        while world.now < parked - 1_000:
+            world.step()
+            check()
+        # parks the clock between events, then the next event moves it on
+        world.run_until(parked)
+        check()
+        world.step()
+        check()
+    for now in (900_000, 0, 450_000, 450_001, 450_000, 10**7, 3):
+        world.now = now
+        check()
+    # node 6 took both of its stored lists, with the hub and without it
+    assert {world.hub_id in links for links in links_seen[6]} == {True, False}
+
+
+def test_duplicated_lossy_unicasts_match_the_pinned_report():
+    # the two fan-outs of one duplicated unicast draw their loss in turn
+    config = replace(load_scenario("indoor10"), algorithm=Algorithm.MAM, rng_seed=2,
+                     duration_ms=20_000, fault_duplicate=True, loss_prob=0.3)
+    rows = [(0, 0), (0, 235), (19, 32), (19, 0), (19, 26), (19, 103), (19, 8), (19, 0),
+            (19, 0), (19, 28)]
+    assert run(config).to_json_dict() == {
+        "algorithm": "mam", "duration_ms": 20_000, "seed": 2,
+        "unique_received": 133, "duplicate_received": 263, "total_received": 396,
+        "tx_total": 1256, "rx_total": 1033, "tx_data": 1168,
+        "per_node": {str(node): {"generated": generated, "relayed": relayed,
+                                 "tx_dropped": 0, "restarts": 0}
+                     for node, (generated, relayed) in enumerate(rows)}}
+
+
 def hub_parked_at(config, x, y, waypoints):
     """``config`` with its hub's trace at (x, y): one waypoint, or two at the same point."""
     return replace(config, mobility=[Waypoint(1_000 * i, x, y) for i in range(waypoints)])
