@@ -8,13 +8,11 @@ that verifies which nodes can currently be reached from the control plane.
 
 from __future__ import annotations
 
-import operator
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import ConfigError, NodeId, is_int
 from .metrics import text_table
@@ -41,8 +39,7 @@ class CommandVerb(IntEnum):
 SESSION_VERBS = {verb.wire: verb for verb in CommandVerb if verb is not CommandVerb.PING}
 
 
-@dataclass(frozen=True)
-class NodeStats:
+class NodeStats(NamedTuple):
     """One node's counters as reported over the mesh.
 
     The fields after ``node`` name the ``SimNode`` counters; the snapshot, the
@@ -57,23 +54,21 @@ class NodeStats:
     restarts: int = 0
 
 
-STATS_COUNTERS = tuple(f.name for f in fields(NodeStats)[1:])
+STATS_COUNTERS = NodeStats._fields[1:]
 
-# node id (16 bit), then one 32-bit word per counter
+# node id (16 bit), then one 32-bit word per counter, in field order
 _STATS_PAYLOAD = struct.Struct(">H" + "I" * len(STATS_COUNTERS))
-_STATS_VALUES = operator.attrgetter("node", *STATS_COUNTERS)
 
 
 def encode_stats(stats: NodeStats) -> bytes:
-    return _STATS_PAYLOAD.pack(*_STATS_VALUES(stats))
+    return _STATS_PAYLOAD.pack(*stats)
 
 
 def decode_stats(payload: bytes) -> NodeStats:
     return NodeStats(*_STATS_PAYLOAD.unpack(payload))
 
 
-@dataclass
-class ReachabilityReport:
+class ReachabilityReport(NamedTuple):
     """Outcome of one probe: who acknowledged before the deadline, who did not."""
 
     probed_at: int
@@ -113,8 +108,7 @@ def format_stats_table(world) -> list[str]:
     rows = []
     for node_id in sorted(world.collected_stats):
         stats = world.collected_stats[node_id]
-        rows.append((str(node_id), world.nodes[node_id].role.value,
-                     *(str(getattr(stats, name)) for name in STATS_COUNTERS)))
+        rows.append((str(node_id), world.nodes[node_id].role.value, *map(str, stats[1:])))
     return text_table(STATS_COLUMNS, rows)
 
 

@@ -190,8 +190,8 @@ def check_fields(obj, error: type[Exception], where: Optional[dict] = None) -> N
             raise error(f"line {lineno}: {key}: {problem}" if lineno else f"{key}: {problem}")
 
 
-def _is_coordinate(value) -> bool:
-    """A finite real number that is not a ``bool``."""
+def is_number(value) -> bool:
+    """A finite real number that is not a ``bool``: what every "number" rule accepts."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
 
@@ -211,7 +211,7 @@ def _topology_problem(specs: list[NodeSpec]) -> Optional[str]:
         return "node ids must be sequential from 0 or 1"
     if max(ids) > 0xFFFF:
         return "node id exceeds 16 bits"
-    if not all(_is_coordinate(spec.x) and _is_coordinate(spec.y) for spec in specs):
+    if not all(is_number(spec.x) and is_number(spec.y) for spec in specs):
         return "node coordinates must be finite numbers"
     roles = [spec.role for spec in specs]
     if not all(isinstance(role, Role) for role in roles):
@@ -234,7 +234,7 @@ def _mobility_problem(waypoints: Optional[list[Waypoint]]) -> Optional[str]:
         return "waypoint times must be integers"
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         return "waypoint times must strictly increase"
-    if not all(_is_coordinate(w.x) and _is_coordinate(w.y) for w in waypoints or ()):
+    if not all(is_number(w.x) and is_number(w.y) for w in waypoints or ()):
         return "waypoint coordinates must be finite numbers"
     return None
 
@@ -274,11 +274,10 @@ class ScenarioConfig:
     # a preset name, or a disc range in metres spelled radio_range_m
     radio_preset: Union[str, float] = setting(
         str, f"must be one of {', '.join(RANGE_PRESETS)} or a positive finite range in m",
-        lambda v: v in RANGE_PRESETS if isinstance(v, str) else
-        not isinstance(v, bool) and 0 < v < math.inf,
+        lambda v: v in RANGE_PRESETS if isinstance(v, str) else is_number(v) and v > 0,
         alias=("radio_range_m", float), default="ground")
     loss_prob: float = setting(float, "must be a number in [0, 1)",
-                               lambda v: 0.0 <= v < 1.0, default=0.0)
+                               lambda v: is_number(v) and 0.0 <= v < 1.0, default=0.0)
     latency_ms: int = _positive_int(10)
     mobility: Optional[list[Waypoint]] = field(default=None,
                                                metadata={"check": _mobility_problem})

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
-from .core import Algorithm, ScenarioConfig, check_fields, is_int, setting
+from .core import Algorithm, ScenarioConfig, check_fields, is_int, is_number, setting
 from .metrics import RunReport, scale_rule_of_three, text_table
 from .refdata import REFERENCE_MINUTES
 from .scenario import file_keys, load_scenario, read_settings, read_source
@@ -39,20 +39,20 @@ def _distinct(values: list) -> bool:
 
 @dataclass
 class ExperimentPlan:
-    """A sweep over a scenario; each field but ``name`` is a plan-file setting."""
+    """A sweep over a scenario; each field is a plan-file setting."""
 
     scenario: ScenarioConfig = setting(load_scenario, "must name a scenario file or built-in",
                                        lambda v: isinstance(v, ScenarioConfig))
     algorithms: list[Algorithm] = setting(
         _list_of(Algorithm), "must be a comma-separated list of distinct algorithms (btmr, mam)",
-        lambda v: len(v) > 0 and _distinct(v))
+        lambda v: len(v) > 0 and all(isinstance(a, Algorithm) for a in v) and _distinct(v))
     # each duration names its own run length in ms and its own printed label; a
     # run length over 0.5 ms rounds to at least 1 ms
     durations_min: list[float] = setting(
         _list_of(float),
         "must be a comma-separated list of minutes, each at least 1 ms long, "
         "distinct in whole ms and as printed",
-        lambda v: len(v) > 0 and all(0.5 < d * 60_000 < math.inf for d in v)
+        lambda v: len(v) > 0 and all(is_number(d) and 0.5 < d * 60_000 < math.inf for d in v)
         and _distinct([round(d * 60_000) for d in v]) and _distinct([f"{d:g}" for d in v]))
     repetitions: int = setting(int, "must be an integer >= 1",
                                lambda v: is_int(v) and v >= 1, default=1)
@@ -61,9 +61,8 @@ class ExperimentPlan:
         lambda v: v is None or (all(map(is_int, v)) and _distinct(v)), default=None)
     seed_base: int = setting(int, "must be an integer", is_int, default=0)
     reference_minutes: float = setting(float, "must be a positive number",
-                                       lambda v: 0 < v < math.inf,
+                                       lambda v: is_number(v) and v > 0,
                                        default=REFERENCE_MINUTES)
-    name: str = ""
 
     def run_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -237,7 +236,7 @@ def write_outputs(table: ComparisonTable, out_dir: Path) -> None:
 BUILTIN_PLANS = ("line3_quick", "outdoor_comparison")
 
 
-def parse_plan(text: str, base_dir: Optional[Path] = None, name: str = "") -> ExperimentPlan:
+def parse_plan(text: str, base_dir: Optional[Path] = None) -> ExperimentPlan:
     def scenario(value: str) -> ScenarioConfig:
         # a scenario file next to the plan wins over a built-in of that name
         if base_dir is not None and (base_dir / value).is_file():
@@ -246,7 +245,7 @@ def parse_plan(text: str, base_dir: Optional[Path] = None, name: str = "") -> Ex
 
     keys = file_keys(ExperimentPlan)
     keys["scenario"] = ("scenario", scenario, keys["scenario"][2])
-    plan, where = read_settings(ExperimentPlan, text, PlanError, keys, name=name)
+    plan, where = read_settings(ExperimentPlan, text, PlanError, keys)
     if "seeds" in where and "repetitions" not in where:
         plan.repetitions = len(plan.seeds)  # a list of seeds alone says how many runs
     if "seeds" in where and "seed_base" in where:
@@ -261,5 +260,5 @@ def parse_plan(text: str, base_dir: Optional[Path] = None, name: str = "") -> Ex
 
 def load_plan(source: Union[str, Path]) -> ExperimentPlan:
     """Load a plan from a path, or by built-in name (``line3_quick``, ...)."""
-    text, path, name = read_source(source, "plan", BUILTIN_PLANS, "plans/{}.plan", PlanError)
-    return parse_plan(text, base_dir=path.parent if path else None, name=name)
+    text, path, _ = read_source(source, "plan", BUILTIN_PLANS, "plans/{}.plan", PlanError)
+    return parse_plan(text, base_dir=path.parent if path else None)

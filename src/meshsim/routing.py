@@ -30,27 +30,13 @@ DROP_NO_ROUTE = "no-route"
 
 
 class RelayCache:
-    """Bounded LRU set of recently relayed frame keys."""
+    """Bounded LRU set of recently relayed frame keys; only ``btmr_relay`` writes one."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[NodeId, int], None] = OrderedDict()
-
-    def seen(self, key: tuple[NodeId, int]) -> bool:
-        """Membership query; a hit refreshes the entry's recency."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return True
-        return False
-
-    def insert(self, key: tuple[NodeId, int]) -> None:
-        """Add a key that ``seen`` has just found absent; a new key is the most recent."""
-        self._entries[key] = None
-        # one key was added, so at most one has to go
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -82,7 +68,8 @@ class Broadcast:
     """Send to every neighbour. A type of its own, not ``None``: bench/tracer.py counts it."""
 
 
-# A decision is BROADCAST, the node id to unicast to, or a DROP_* reason.
+# A decision is BROADCAST, the node id to unicast to, or a DROP_* reason; the
+# transmit queue carries BROADCAST or the node id as decided.
 BROADCAST = Broadcast()
 RelayAction = Union[Broadcast, NodeId, str]
 
@@ -93,8 +80,8 @@ def btmr_relay(cache: RelayCache, message: Message) -> RelayAction:
     Drops when the frame's ``(origin, seq)`` is already cached (recently
     relayed) or when the frame has used up its hop budget (``MAX_HOPS``, the
     most the wire format carries); otherwise records the key and rebroadcasts.
-    Works on the cache's entries in one pass: ``RelayCache.seen`` then
-    ``insert`` would decide the same.
+    A hit refreshes the key's recency; a new key is the most recent, and the
+    least recent goes when the cache is over capacity.
     """
     key = (message.origin, message.seq)
     entries = cache._entries

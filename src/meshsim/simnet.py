@@ -47,7 +47,7 @@ from .core import (
     sensor_reading,
 )
 from .metrics import HashMapTracker, IntervalTracker, RunReport
-from .routing import BROADCAST, MamState, RelayCache, btmr_relay, mam_handle
+from .routing import BROADCAST, MamState, RelayAction, RelayCache, btmr_relay, mam_handle
 
 _ACK_PAYLOAD = struct.Struct(">HI")
 _TRACKERS = {"hashmap": HashMapTracker, "interval": IntervalTracker}
@@ -141,10 +141,9 @@ class World:
         self.rng = random.Random(config.rng_seed)
         self.now = 0
         # pending millisecond -> its events in insertion order; ``_times`` is a
-        # heap of the keys of ``_fifos``, and ``_pending`` counts their events
+        # heap of the keys of ``_fifos``
         self._fifos: dict[int, deque] = {}
         self._times: list[int] = []
-        self._pending = 0
         self.nodes = {s.node: SimNode(s, config) for s in config.topology}
         self.node_ids = sorted(self.nodes)
         self.hub_id = config.hub_id
@@ -196,10 +195,9 @@ class World:
             fifo = self._fifos[t] = deque()
             heapq.heappush(self._times, t)
         fifo.append((handler, args))
-        self._pending += 1
 
     def pending(self) -> int:
-        return self._pending
+        return sum(map(len, self._fifos.values()))
 
     def step(self) -> bool:
         """Pop and apply exactly one event; False when the queue is empty."""
@@ -213,7 +211,6 @@ class World:
         if not fifo:
             del self._fifos[t]
             heapq.heappop(self._times)
-        self._pending -= 1
         self.now = t
         handler(self, *args)
         return True
@@ -259,7 +256,7 @@ class World:
     # --- event handlers ---------------------------------------------------
 
     def _emit_heartbeat(self, hub: SimNode) -> None:
-        self.enqueue_tx(hub, hub.originate(HEARTBEAT), dest=None)
+        self.enqueue_tx(hub, hub.originate(HEARTBEAT), BROADCAST)
         self.schedule(self.now + self.config.heartbeat_period_ms, World._emit_heartbeat, hub)
 
     def _generate_data(self, node: SimNode) -> None:
@@ -342,8 +339,7 @@ class World:
         if isinstance(action, str):
             node.drops[action] += 1
             return
-        queued = self.enqueue_tx(node, forwarded(message, node.id),
-                                 None if action is BROADCAST else action)
+        queued = self.enqueue_tx(node, forwarded(message, node.id), action)
         if queued and message.kind is DATA and message.origin != node.id:
             node.relayed += 1
 
@@ -382,8 +378,8 @@ class World:
 
     # --- transmission -----------------------------------------------------
 
-    def enqueue_tx(self, node: SimNode, message: Message, dest: Optional[NodeId]) -> bool:
-        """Queue one transmission; overflow drops the newest entry and counts it."""
+    def enqueue_tx(self, node: SimNode, message: Message, dest: RelayAction) -> bool:
+        """Queue one transmission as decided; overflow drops the newest entry and counts it."""
         if len(node.txq) >= self.config.tx_queue_capacity:
             node.tx_dropped += 1
             return False
@@ -401,7 +397,7 @@ class World:
         message, dest = node.txq.popleft()
         copies = 1
         if message.kind is DATA:
-            if self.config.fault_duplicate and dest is not None:
+            if self.config.fault_duplicate and dest is not BROADCAST:
                 copies = 2
             node.tx_data_count += copies
         node.tx_count += copies
@@ -415,8 +411,8 @@ class World:
         else:
             node.tx_scheduled = False
 
-    def _fan_out(self, node: SimNode, message: Message, dest: Optional[NodeId]) -> None:
-        if dest is None:
+    def _fan_out(self, node: SimNode, message: Message, dest: RelayAction) -> None:
+        if dest is BROADCAST:
             targets = self.neighbors(node.id)
         elif self.in_range(node.id, dest):
             targets = [dest]

@@ -24,7 +24,7 @@ from meshsim import (
     load_scenario,
     make_server,
 )
-from meshsim.commander import decode_stats, encode_stats
+from meshsim.commander import STATS_COUNTERS, decode_stats, encode_stats
 from connectivity import component
 from recording import record_arrivals
 
@@ -172,9 +172,22 @@ def test_resets_never_rewind_a_sequence_number(verb):
     assert 0 < world.nodes[2].generated < world.nodes[2].next_seq
 
 
-def test_stats_payload_round_trip():
-    stats = NodeStats(node=9, generated=1, relayed=2, received=3, tx_dropped=4, restarts=5)
-    assert decode_stats(encode_stats(stats)) == stats
+counters = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.builds(NodeStats, st.integers(0, 0xFFFF), counters, counters, counters, counters,
+                 counters))
+def test_stats_payload_round_trip(stats):
+    # the wire carries the node id, then one 32-bit word per counter in field order
+    assert NodeStats._fields[1:] == STATS_COUNTERS
+    assert STATS_COUNTERS == ("generated", "relayed", "received", "tx_dropped", "restarts")
+    payload = encode_stats(stats)
+    assert payload == b"".join([stats.node.to_bytes(2, "big")]
+                               + [getattr(stats, name).to_bytes(4, "big")
+                                  for name in STATS_COUNTERS])
+    decoded = decode_stats(payload)
+    assert type(decoded) is NodeStats and decoded == stats
 
 
 # --- reachability ---------------------------------------------------------------

@@ -197,6 +197,8 @@ def test_config_valid():
     # a wrongly typed value fails its field's check instead of escaping as a raw error
     (dict(loss_prob=None), "loss_prob: must be a number"),
     (dict(loss_prob="0.1"), "loss_prob: must be a number"),
+    # a number is a finite real that is not a bool, for every rule that asks for one
+    (dict(loss_prob=False), "loss_prob: must be a number"),
     (dict(radio_preset=None), "radio_preset: must be one of"),
     (dict(topology=[(0, 0.0, 0.0, "hub")]), "topology: must be a list of NodeSpec rows"),
     (dict(mobility=[(0, 1.0, 2.0)]), "mobility: must be a list of Waypoint rows"),

@@ -116,6 +116,12 @@ def test_plan_built_in_code_rejects_non_integers(overrides, field):
     (dict(reference_minutes=None), "reference_minutes"),
     (dict(seeds=5), "seeds"),
     (dict(algorithms=None), "algorithms"),
+    # a bool is not a number, and an algorithm is an Algorithm member, not its name
+    (dict(reference_minutes=True), "reference_minutes"),
+    (dict(durations_min=[True, 2]), "durations_min"),
+    (dict(algorithms=["btmr"]), "algorithms"),
+    (dict(algorithms=[True]), "algorithms"),
+    (dict(algorithms="mb"), "algorithms"),
 ])
 def test_plan_built_in_code_rejects_wrongly_typed_values(overrides, field):
     with pytest.raises(PlanError, match=f"^{field}: must "):

@@ -100,7 +100,7 @@ def test_relay_cache_bounded_under_random_churn():
     rng = random.Random(31)
     cache = RelayCache(8)
     for _ in range(2000):
-        cache.insert(rng.randrange(100))
+        btmr_relay(cache, data_msg(seq=rng.randrange(100)))
         assert len(cache) <= 8
     with pytest.raises(ValueError, match="capacity must be >= 1"):
         RelayCache(0)
@@ -108,29 +108,31 @@ def test_relay_cache_bounded_under_random_churn():
 
 def test_relay_cache_keeps_recent_entries():
     cache = RelayCache(5)
-    cache.insert(42)
-    for h in range(4):
-        cache.insert(h)
-    assert cache.seen(42)
+    btmr_relay(cache, data_msg(seq=42))
+    for seq in range(4):
+        btmr_relay(cache, data_msg(seq=seq))
+    assert (2, 42) in cache
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.integers(1, 5), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                              st.sampled_from([0, 126, 127])), max_size=40))
-def test_btmr_decides_as_seen_then_insert(capacity, frames):
-    # btmr_relay works on the cache's entries itself; the public pair is the reference
-    cache, reference = RelayCache(capacity), RelayCache(capacity)
+def test_btmr_decides_as_a_list_lru(capacity, frames):
+    # the reference keeps the keys in a plain list, least recently relayed first
+    cache, reference = RelayCache(capacity), []
     for origin, seq, hops in frames:
         key = (origin, seq)
-        if reference.seen(key):
+        if key in reference:
+            reference.remove(key)
+            reference.append(key)
             expected = DROP_SEEN
         elif hops >= 127:
             expected = DROP_TTL
         else:
-            reference.insert(key)
+            reference = (reference + [key])[-capacity:]
             expected = BROADCAST
         assert btmr_relay(cache, data_msg(origin, seq, hops)) == expected
-        assert list(cache._entries) == list(reference._entries)
+        assert list(cache._entries) == reference
 
 
 def test_btmr_broadcasts_only_frames_below_127_hops():
@@ -248,11 +250,11 @@ def test_mam_floods_control_frames_as_btmr_does(state, now, capacity, keys, fram
     mam_cache, btmr_cache = RelayCache(capacity), RelayCache(capacity)
     for key in keys:
         for cache in (mam_cache, btmr_cache):
-            if not cache.seen(key):
-                cache.insert(key)
+            btmr_relay(cache, data_msg(*key))
     before = copy.deepcopy(state)
     assert mam_handle(state, now, mam_cache, frame) == btmr_relay(btmr_cache, frame)
-    assert vars(mam_cache) == vars(btmr_cache)  # same entries in the same LRU order
+    # the same entries in the same LRU order
+    assert list(mam_cache._entries) == list(btmr_cache._entries)
     assert state == before
 
 
@@ -321,7 +323,7 @@ def test_mam_best_hops_non_increasing_within_window():
 def test_handlers_are_deterministic_given_state():
     state = MamState(delta_ms=DELTA, best_node=4, best_hops=3, expiry=2_000)
     cache = RelayCache(4)
-    cache.insert(123)
+    btmr_relay(cache, data_msg(seq=123))
     for message in (heartbeat(seq=1, hops=2, sender=5), data_msg(seq=2, hops=1)):
         s1, c1 = copy.deepcopy(state), copy.deepcopy(cache)
         s2, c2 = copy.deepcopy(state), copy.deepcopy(cache)
@@ -346,7 +348,7 @@ def routed_node():
 
 def test_reset_returns_to_init_state():
     node = routed_node()
-    node.cache.insert(55)
+    btmr_relay(node.cache, data_msg(seq=55))
     node.reset_routing()
     assert (node.mam.best_node, node.mam.best_hops, node.mam.expiry) == (None, 0, 0)
     assert len(node.cache) == 0

@@ -145,10 +145,9 @@ def test_zero_duration_is_an_empty_run():
 
 
 def clear_events(world):
-    """Drop every pending event: no millisecond FIFOs, no pending times, count 0."""
+    """Drop every pending event: no millisecond FIFOs and no pending times."""
     world._fifos.clear()
     world._times.clear()
-    world._pending = 0
 
 
 def next_event(world):
@@ -245,7 +244,7 @@ def test_broadcast_fan_out_is_one_heap_entry(monkeypatch):
     world = World(line_of_four())
     world.run_until(1)  # the hub's first heartbeat reaches nobody
     before = world.pending()
-    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), None)
+    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), BROADCAST)
     assert world.pending() == before + 1
     assert world.step()
     assert received == [1, 3, 4]
@@ -255,7 +254,7 @@ def test_fan_out_that_loses_every_copy_schedules_nothing():
     world = World(line_of_four(loss_prob=0.999, rng_seed=5))
     world.run_until(1)
     before = world.pending()
-    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), None)
+    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), BROADCAST)
     assert world.pending() == before
 
 
@@ -264,7 +263,7 @@ def test_tx_queue_overflow_drops_newest_and_counts():
     node = world.nodes[0]
     msg = Message(MessageKind.DATA, origin=0, seq=0, hops=1, sender=0)
     attempts = 7
-    accepted = sum(world.enqueue_tx(node, msg, None) for _ in range(attempts))
+    accepted = sum(world.enqueue_tx(node, msg, BROADCAST) for _ in range(attempts))
     assert accepted == 2
     assert node.tx_dropped == attempts - accepted
     assert len(node.txq) == 2
@@ -275,11 +274,11 @@ def test_queue_wiped_by_a_reboot_still_sends_the_next_frame():
     arrivals = record_arrivals(world)
     clear_events(world)
     node = world.nodes[1]
-    world.enqueue_tx(node, node.originate(MessageKind.DATA, b"lost"), None)
+    world.enqueue_tx(node, node.originate(MessageKind.DATA, b"lost"), BROADCAST)
     node.reboot()  # wipes the queue before its dequeue fires
     assert world.step()
     assert node.tx_count == 0
-    world.enqueue_tx(node, node.originate(MessageKind.DATA, b"sent"), None)
+    world.enqueue_tx(node, node.originate(MessageKind.DATA, b"sent"), BROADCAST)
     world.run_until(world.now + 100)
     assert node.tx_count == 1
     assert arrivals == [(10, (1, 1))]
@@ -584,8 +583,8 @@ def relayed_frames(config, verb, at_ms):
     """Run ``config``, issuing ``verb`` at ``at_ms``; check and list what ``_relay`` queues.
 
     Every frame queued while a node relays must be ``forwarded(incoming, node.id)``,
-    sent to ``None`` for ``BROADCAST`` and to the decided id for a node id; a drop
-    reason queues nothing. Returns the ``(kind, broadcast)`` pairs of those frames.
+    sent to the decision itself, ``BROADCAST`` or a node id; a drop reason queues
+    nothing. Returns the ``(kind, broadcast)`` pairs of those frames.
     """
     world = World(config)
     relay, enqueue_tx = world._relay, world.enqueue_tx
@@ -600,7 +599,7 @@ def relayed_frames(config, verb, at_ms):
         if isinstance(decision, str):
             assert dests == []
         else:
-            assert dests == [None if decision is BROADCAST else decision]
+            assert dests == [decision]
 
     def spy_decision(decide):
         def decided(*args):
@@ -613,7 +612,7 @@ def relayed_frames(config, verb, at_ms):
             relayer, incoming, _, dests = relaying[-1]
             assert node is relayer and message == forwarded(incoming, node.id)
             dests.append(dest)
-            queued.add((message.kind, dest is None))
+            queued.add((message.kind, dest is BROADCAST))
         return enqueue_tx(node, message, dest)
 
     world._relay, world.enqueue_tx = spy_relay, spy_enqueue_tx
