@@ -24,8 +24,9 @@ class ArrivalLog(HashMapTracker):
         return super().record(key)
 
 
-config = load_scenario("line3")
-print(f"scenario: {config.name}, duration {config.duration_ms} ms, "
+name = "line3"
+config = load_scenario(name)
+print(f"scenario: {name}, duration {config.duration_ms} ms, "
       f"heartbeat every {config.heartbeat_period_ms} ms, "
       f"data every {config.data_period_ms} ms")
 print()

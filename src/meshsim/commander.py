@@ -12,7 +12,7 @@ import socketserver
 import struct
 import threading
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .core import ConfigError, NodeId, is_int
 from .metrics import text_table
@@ -82,16 +82,14 @@ def _check_wait(name: str, ms) -> None:
         raise ConfigError(f"{name}: must be an integer >= 1, got {ms!r}")
 
 
-def check_reachability(world, deadline_ms: int,
-                       prober: Optional[NodeId] = None) -> ReachabilityReport:
+def check_reachability(world, deadline_ms: int) -> ReachabilityReport:
     """Flood a probe, wait out the deadline, and partition nodes by response.
 
-    The probe and its acknowledgments always travel by flooding, so the check
-    works before any reactive routes exist.
+    The probe starts at the commander, or at the hub without one. It and its
+    acknowledgments travel by flooding, so the check works before any route exists.
     """
     _check_wait("deadline_ms", deadline_ms)
-    if prober is None:
-        prober = world.commander_id if world.commander_id is not None else world.hub_id
+    prober = world.commander_id if world.commander_id is not None else world.hub_id
     probed_at = world.now
     world.issue_command(CommandVerb.PING, issuer=prober)
     world.run_until(world.now + deadline_ms)

@@ -256,7 +256,7 @@ def _positive_int(default: int):
 class ScenarioConfig:
     """Everything one simulation run needs; identical configs replay identically.
 
-    Each field but ``topology``, ``mobility`` and ``name`` is a scenario-file
+    Each field but ``topology`` and ``mobility`` is a scenario-file
     setting: ``validate``, ``parse_scenario`` and ``dump_scenario`` all read its
     parser and its check from the field metadata.
     """
@@ -285,7 +285,6 @@ class ScenarioConfig:
                            lambda v: v in ("hashmap", "interval"), default="hashmap")
     fault_duplicate: bool = setting(_BOOLEANS.__getitem__, "must be true or false",
                                     lambda v: isinstance(v, bool), default=False)
-    name: str = ""
 
     def validate(self) -> None:
         check_fields(self, ConfigError)

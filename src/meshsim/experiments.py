@@ -260,5 +260,5 @@ def parse_plan(text: str, base_dir: Optional[Path] = None) -> ExperimentPlan:
 
 def load_plan(source: Union[str, Path]) -> ExperimentPlan:
     """Load a plan from a path, or by built-in name (``line3_quick``, ...)."""
-    text, path, _ = read_source(source, "plan", BUILTIN_PLANS, "plans/{}.plan", PlanError)
+    text, path = read_source(source, "plan", BUILTIN_PLANS, "plans/{}.plan", PlanError)
     return parse_plan(text, base_dir=path.parent if path else None)

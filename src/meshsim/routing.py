@@ -38,9 +38,6 @@ class RelayCache:
         self.capacity = capacity
         self._entries: OrderedDict[tuple[NodeId, int], None] = OrderedDict()
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def __contains__(self, key: tuple[NodeId, int]) -> bool:
         return key in self._entries
 
@@ -56,11 +53,6 @@ class MamState:
     best_node: Optional[NodeId] = None
     best_hops: int = 0
     expiry: int = 0
-
-    def reset(self) -> None:
-        self.best_node = None
-        self.best_hops = 0
-        self.expiry = 0
 
 
 @dataclass(frozen=True)

@@ -129,9 +129,9 @@ def read_settings(cls, text: str, error: type[Exception], keys: Optional[dict] =
     return obj, where
 
 
-def parse_scenario(text: str, name: str = "") -> ScenarioConfig:
+def parse_scenario(text: str) -> ScenarioConfig:
     # rows add to the topology; a [mobility] section without rows leaves mobility unset
-    return read_settings(ScenarioConfig, text, ConfigError, name=name, topology=[])[0]
+    return read_settings(ScenarioConfig, text, ConfigError, topology=[])[0]
 
 
 def _text(value) -> str:
@@ -144,7 +144,7 @@ def _text(value) -> str:
 
 
 def dump_scenario(config: ScenarioConfig) -> str:
-    """Scenario text that ``parse_scenario`` reads back to an equal config, given its name."""
+    """Scenario text that ``parse_scenario`` reads back to an equal config."""
     lines = []
     for f in fields(config):
         if "parse" not in f.metadata:
@@ -162,24 +162,21 @@ def dump_scenario(config: ScenarioConfig) -> str:
 
 
 def read_source(source: Union[str, Path], what: str, builtins: tuple[str, ...],
-                resource: str, error: type[Exception]) -> tuple[str, Optional[Path], str]:
-    """``(text, path, name)`` of a file path, or of a built-in name (path None).
+                resource: str, error: type[Exception]) -> tuple[str, Optional[Path]]:
+    """``(text, path)`` of a file path, or of a built-in name (path None).
 
     ``resource`` is the packaged file of a built-in, with ``{}`` for its name;
     anything else raises ``error("<what> not found: <source>")``.
     """
     path = Path(source)
     if path.is_file():
-        return path.read_text(), path, path.stem
-    name = str(source)
-    if name in builtins:
-        text = resources.files("meshsim").joinpath(resource.format(name)).read_text()
-        return text, None, name
+        return path.read_text(), path
+    if str(source) in builtins:
+        return resources.files("meshsim").joinpath(resource.format(source)).read_text(), None
     raise error(f"{what} not found: {source}")
 
 
 def load_scenario(source: Union[str, Path]) -> ScenarioConfig:
     """Load a scenario from a path, or by built-in name (``line3``, ...)."""
-    text, _, name = read_source(source, "scenario", BUILTIN_SCENARIOS, "scenarios/{}.scn",
-                                ConfigError)
-    return parse_scenario(text, name=name)
+    text, _ = read_source(source, "scenario", BUILTIN_SCENARIOS, "scenarios/{}.scn", ConfigError)
+    return parse_scenario(text)

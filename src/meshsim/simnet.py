@@ -12,7 +12,7 @@ to every receiver that the loss draws spared, in id order.
 Links between nodes that stay put are worked out once per world. For a hub
 that walks, each node also keeps a second stored list with the hub in it, so
 ``neighbors`` returns a stored list whether or not the hub moves; the hub's
-own position is worked out once per simulated millisecond.
+``SimNode.pos`` is worked out again once per simulated millisecond.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .core import (
     Waypoint,
     _mobility_problem,
     forwarded,
+    is_int,
     sensor_reading,
 )
 from .metrics import HashMapTracker, IntervalTracker, RunReport
@@ -77,11 +78,12 @@ class MobilityTrace:
 
 
 class SimNode:
-    """Per-node state owned by the engine: routing caches, queue, counters."""
+    """Per-node state owned by the engine: position, routing caches, queue, counters."""
 
     def __init__(self, spec, config: ScenarioConfig):
         self.id: NodeId = spec.node
         self.role: Role = spec.role
+        # a walking hub's ``pos`` is where it was at the last ``World.position`` call
         self.pos = (spec.x, spec.y)
         self.algorithm = config.algorithm
         self.mam = MamState(delta_ms=config.delta_ms)
@@ -109,8 +111,8 @@ class SimNode:
 
     def reset_routing(self) -> None:
         """Return routing state and statistics to power-on values."""
-        self.mam.reset()
-        self.cache.clear()
+        self.mam = MamState(delta_ms=self.mam.delta_ms)
+        self.cache = RelayCache(self.cache.capacity)
         self.reset_stats()
 
     def reboot(self) -> None:
@@ -148,18 +150,18 @@ class World:
         self.node_ids = sorted(self.nodes)
         self.hub_id = config.hub_id
         self.commander_id = config.commander_id
-        waypoints = config.mobility or [Waypoint(0, *self.nodes[self.hub_id].pos)]
+        hub = self.nodes[self.hub_id]
+        waypoints = config.mobility or [Waypoint(0, *hub.pos)]
         self.trace = MobilityTrace(waypoints)
-        # Only the hub can move, and only along a trace of two or more waypoints.
-        # The links between nodes that stay put are worked out once, each node's
-        # in id order, with the same test as ``in_range``; a hub that stays put
-        # sits at its one waypoint, not at its ``[nodes]`` row.
+        # Only the hub can move, and only along a trace of two or more waypoints;
+        # it starts at its first waypoint, not at its ``[nodes]`` row. Links between
+        # nodes that stay put are worked out once, in id order, as ``in_range`` does.
         self.hub_moves = len(waypoints) > 1
+        hub.pos = self.trace.position(0)
+        self._hub_at = 0  # the ``now`` that ``hub.pos`` was worked out for
         fixed = {v: self.nodes[v].pos for v in self.node_ids}
         if self.hub_moves:
             del fixed[self.hub_id]
-        else:
-            fixed[self.hub_id] = self.trace.position(0)
         self._static_links: dict[NodeId, list[NodeId]] = {
             u: [v for v, (vx, vy) in fixed.items()
                 if v != u and math.hypot(ux - vx, uy - vy) <= self.range_m]
@@ -170,15 +172,12 @@ class World:
         if self.hub_moves:
             self._hub_links = {u: sorted(links + [self.hub_id])
                                for u, links in self._static_links.items()}
-        # the hub's position, worked out once per simulated millisecond
-        self._hub_at = self.now
-        self._hub_pos = self.trace.position(self.now)
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
         self.probe: Optional[tuple[NodeId, int]] = None
         self.acked: set[NodeId] = set()
-        self.schedule(0, World._emit_heartbeat, self.nodes[self.hub_id])
+        self.schedule(0, World._emit_heartbeat, hub)
         for sensor in config.sensor_ids:
             self.schedule(config.data_period_ms, World._generate_data, self.nodes[sensor])
 
@@ -226,12 +225,10 @@ class World:
     # --- geometry: disc radio, evaluated at ``now`` -----------------------
 
     def position(self, node: NodeId) -> tuple[float, float]:
-        if node == self.hub_id:
-            # keyed on ``now`` itself, which callers may also set directly
-            if self._hub_at != self.now:
-                self._hub_at = self.now
-                self._hub_pos = self.trace.position(self.now)
-            return self._hub_pos
+        # keyed on ``now`` itself, which callers may also set directly
+        if node == self.hub_id and self._hub_at != self.now:
+            self._hub_at = self.now
+            self.nodes[node].pos = self.trace.position(self.now)
         return self.nodes[node].pos
 
     def in_range(self, u: NodeId, v: NodeId) -> bool:
@@ -272,12 +269,14 @@ class World:
 
     def issue_command(self, verb: CommandVerb, issuer: Optional[NodeId] = None) -> None:
         """Inject a control command at the commander (or an explicit issuer)."""
+        if not isinstance(verb, CommandVerb):
+            raise ConfigError(f"verb: must be a CommandVerb, got {verb!r}")
         if issuer is None:
             issuer = self.commander_id
         if issuer is None:
             raise ConfigError("topology has no commander node")
-        if issuer not in self.nodes:
-            raise ConfigError(f"node {issuer} is not in the topology")
+        if not is_int(issuer) or issuer not in self.nodes:
+            raise ConfigError(f"issuer: node {issuer!r} is not in the topology")
         self.schedule(self.now, World._command_arrival, verb, self.nodes[issuer])
 
     # --- frame handling ---------------------------------------------------

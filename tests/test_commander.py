@@ -55,15 +55,26 @@ def test_command_without_commander_is_an_error():
         world.issue_command(CommandVerb.SIM_RESET)
 
 
-@pytest.mark.parametrize("entry", [
-    lambda world: world.issue_command(CommandVerb.SIM_STATS, issuer=9),
-    lambda world: check_reachability(world, 1_000, prober=9),
-], ids=["issue_command", "check_reachability"])
-def test_unknown_node_id_is_a_config_error(entry):
+def test_unknown_node_id_is_a_config_error():
     world = line3_world()
     pending = world.pending()
     with pytest.raises(ConfigError, match="node 9 is not in the topology"):
-        entry(world)
+        world.issue_command(CommandVerb.SIM_STATS, issuer=9)
+    assert world.pending() == pending
+
+
+@pytest.mark.parametrize("verb, issuer, name", [
+    (CommandVerb.SIM_STATS, True, "issuer"),
+    (CommandVerb.SIM_STATS, 1.0, "issuer"),
+    (256, None, "verb"),
+    ("sim-reset", None, "verb"),
+], ids=["issuer-bool", "issuer-float", "verb-int", "verb-str"])
+def test_malformed_command_is_a_config_error_before_scheduling(verb, issuer, name):
+    # a bool or float issuer would pass as node 1; a bad verb would escape from run_until
+    world = line3_world()
+    pending = world.pending()
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        world.issue_command(verb, issuer=issuer)
     assert world.pending() == pending
 
 

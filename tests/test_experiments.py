@@ -280,7 +280,7 @@ def test_simulated_series_is_monotone_in_duration(tmp_path):
 
 def test_builtin_plans_load():
     quick = load_plan("line3_quick")
-    assert quick.scenario.name == "line3"
+    assert quick.scenario == load_scenario("line3")
     assert quick.repetitions == 2
     outdoor = load_plan("outdoor_comparison")
     assert outdoor.durations_min == [5, 10, 15]
@@ -329,7 +329,7 @@ def test_plan_prefers_a_scenario_file_next_to_it(tmp_path, file_name):
     path = tmp_path / "mini.plan"
     path.write_text(f"scenario = {file_name}\nalgorithms = btmr\ndurations_min = 0.2\n")
     scenario = load_plan(path).scenario  # the file is read from the plan's directory
-    assert (scenario.name, scenario.latency_ms) == ("line3", 25)
+    assert scenario.latency_ms == 25
     assert load_scenario("line3").latency_ms == 10
 
 

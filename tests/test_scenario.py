@@ -26,7 +26,6 @@ def test_builtin_scenarios_load_and_validate():
     for name in BUILTIN_SCENARIOS:
         config = load_scenario(name)
         config.validate()
-        assert config.name == name
 
 
 def test_line3_shape():
@@ -48,7 +47,7 @@ def test_outdoor_has_mobility_and_twelve_nodes():
 def test_round_trip_through_text():
     for name in BUILTIN_SCENARIOS:
         config = load_scenario(name)
-        clone = parse_scenario(dump_scenario(config), name=config.name)
+        clone = parse_scenario(dump_scenario(config))
         assert clone == config
 
 
@@ -141,7 +140,6 @@ def scenario_configs(draw):
         mobility=mobility,
         tracker=draw(st.sampled_from(["hashmap", "interval"])),
         fault_duplicate=draw(st.booleans()),
-        name=draw(st.text(max_size=8)),
     )
 
 
@@ -149,8 +147,7 @@ def scenario_configs(draw):
 @given(scenario_configs())
 def test_generated_configs_round_trip_through_text(config):
     config.validate()
-    # the name is not a setting: it comes from the file's stem or built-in name
-    assert parse_scenario(dump_scenario(config), name=config.name) == config
+    assert parse_scenario(dump_scenario(config)) == config
 
 
 # Lines that reach every branch of the readers, mixed with arbitrary text.

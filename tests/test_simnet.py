@@ -488,6 +488,7 @@ def test_hub_position_follows_the_clock():
 
     def check():
         assert world.position(world.hub_id) == world.trace.position(world.now)
+        assert world.nodes[world.hub_id].pos == world.position(world.hub_id)
         for u in world.node_ids:
             links = world.neighbors(u)
             assert links == [v for v in world.node_ids if v != u and world.in_range(u, v)]
@@ -538,6 +539,7 @@ def test_static_hub_links_match_a_re_tested_hub(algorithm):
     retested = World(hub_parked_at(config, 10.0, 7.5, 2))
     assert not static.hub_moves and retested.hub_moves
     assert static.neighbors(static.hub_id) == [6, 7, 9]  # at its row: [1, 4]
+    assert static.nodes[static.hub_id].pos == (10.0, 7.5)
     static.run_until(config.duration_ms)
     retested.run_until(config.duration_ms)
     assert static.report() == retested.report()
