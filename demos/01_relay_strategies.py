@@ -6,10 +6,9 @@
 
 from meshsim import (
     CommandVerb,
-    MamState,
     Message,
     MessageKind,
-    RelayCache,
+    RelayState,
     btmr_relay,
     mam_handle,
 )
@@ -29,61 +28,67 @@ def said(decision):
     return f"unicast to {decision}"
 
 
+def route(state):
+    return f"best_node={state.best_node} best_hops={state.best_hops} expiry={state.expiry}"
+
+
 # --- controlled flooding ----------------------------------------------------
 
-cache = RelayCache(capacity=3)
+# Each node keeps one RelayState for both strategies: the LRU of recently
+# relayed (origin, seq) keys that flooding reads, and the route that the
+# reactive strategy learns.
+state = RelayState(cache_size=3, delta_ms=100_000)
 reading = Message(MessageKind.DATA, origin=2, seq=0, hops=0, sender=2, payload=b"\x17")
 
 echo = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=3, payload=b"\x17")
-print("flooding relay, first contact:   ", said(btmr_relay(cache, reading)))
+print("flooding relay, first contact:   ", said(btmr_relay(state, reading)))
 print("node 5 then sends:               ", forwarded(reading, 5))
-print("same frame from another neighbor:", said(btmr_relay(cache, echo)))
+print("same frame from another neighbor:", said(btmr_relay(state, echo)))
 
 stale = Message(MessageKind.DATA, origin=2, seq=1, hops=127, sender=2, payload=b"\x17")
-print("hop budget exhausted:            ", said(btmr_relay(cache, stale)))
+print("hop budget exhausted:            ", said(btmr_relay(state, stale)))
 
-# The cache is a bounded LRU, so old entries age out and a frame can relay
+# The seen-key cache is a bounded LRU, so old entries age out and a frame can relay
 # again once enough newer traffic displaced it.
 for seq in (10, 11, 12):
-    btmr_relay(cache, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"))
+    btmr_relay(state, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"))
 print("after 3 newer frames, the first relays again:",
-      said(btmr_relay(cache, reading)))
+      said(btmr_relay(state, reading)))
 
 # --- reactive least-hop route --------------------------------------------------
 
 # Nodes start with no route at all. The first heartbeat is always accepted
 # (the empty route counts as expired); afterwards only strictly fewer hops,
 # or an expired entry, change the cached neighbor.
-state = MamState(delta_ms=100_000)
-cache = RelayCache(capacity=20)
+state = RelayState(cache_size=20, delta_ms=100_000)
 
 def hb(seq, hops, sender):
     return Message(MessageKind.HEARTBEAT, origin=0, seq=seq, hops=hops, sender=sender)
 
 print()
-print("before any heartbeat:", state)
-mam_handle(state, 1_000, cache, hb(0, 2, 7))
-print("heartbeat via node 7:", state)
+print("before any heartbeat:", route(state))
+mam_handle(state, 1_000, hb(0, 2, 7))
+print("heartbeat via node 7:", route(state))
 
-mam_handle(state, 3_000, cache, hb(1, 5, 9))
-print("worse offer ignored: ", state)
+mam_handle(state, 3_000, hb(1, 5, 9))
+print("worse offer ignored: ", route(state))
 
-mam_handle(state, 4_000, cache, hb(2, 1, 4))
-print("fewer hops accepted: ", state)
+mam_handle(state, 4_000, hb(2, 1, 4))
+print("fewer hops accepted: ", route(state))
 
 # Data rides the cached route as a unicast; with no route it is dropped.
 print("data with a route:   ",
-      said(mam_handle(state, 5_000, cache, reading)))
+      said(mam_handle(state, 5_000, reading)))
 print("data without a route:",
-      said(mam_handle(MamState(delta_ms=100_000), 5_000, cache, reading)))
+      said(mam_handle(RelayState(cache_size=20, delta_ms=100_000), 5_000, reading)))
 
 # Commands flood even under MAM, and leave the route alone: an algorithm switch
 # or a probe must reach nodes before any route exists.
 set_mam = Message(MessageKind.COMMAND, origin=1, seq=0, hops=0, sender=1,
                   payload=bytes([CommandVerb.SET_MAM]))
-print("set-mam command:     ", said(mam_handle(state, 5_000, cache, set_mam)))
+print("set-mam command:     ", said(mam_handle(state, 5_000, set_mam)))
 
 # After the expiry window, whoever forwards the next heartbeat wins -- that is
 # how routes follow a moving collector.
-mam_handle(state, 200_000, cache, hb(3, 6, 9))
-print("after expiry:        ", state)
+mam_handle(state, 200_000, hb(3, 6, 9))
+print("after expiry:        ", route(state))

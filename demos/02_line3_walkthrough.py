@@ -50,4 +50,6 @@ for algorithm in (Algorithm.BTMR, Algorithm.MAM):
 world = World(replace(config, algorithm=Algorithm.MAM))
 world.run_until(config.duration_ms)
 for node_id in (1, 2):
-    print(f"node {node_id} route cache: {world.nodes[node_id].mam}")
+    relay = world.nodes[node_id].relay
+    print(f"node {node_id} route: best_node={relay.best_node} "
+          f"best_hops={relay.best_hops} expiry={relay.expiry}")

@@ -47,8 +47,7 @@ from .metrics import (
 )
 from .routing import (
     Broadcast,
-    MamState,
-    RelayCache,
+    RelayState,
     btmr_relay,
     mam_handle,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ExperimentPlan",
     "HashMapTracker",
     "IntervalTracker",
-    "MamState",
     "Message",
     "MessageKind",
     "MobilityTrace",
@@ -76,7 +74,7 @@ __all__ = [
     "PlanError",
     "RANGE_PRESETS",
     "ReachabilityReport",
-    "RelayCache",
+    "RelayState",
     "Role",
     "RunReport",
     "ScenarioConfig",

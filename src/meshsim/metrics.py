@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import NodeId
+from .core import NodeId, is_number
 
 
 class Verdict(Enum):
@@ -128,8 +128,8 @@ class RunReport:
 
 def scale_rule_of_three(count: float, from_minutes: float, to_minutes: float) -> float:
     """Linearly rescale a count observed over ``from_minutes`` to ``to_minutes``."""
-    if from_minutes <= 0:
-        raise ValueError("from_minutes must be positive")
+    if not is_number(from_minutes) or from_minutes <= 0:
+        raise ValueError(f"from_minutes must be a finite positive number, got {from_minutes!r}")
     return count * to_minutes / from_minutes
 
 

@@ -11,17 +11,17 @@ Two per-node state machines decide what to do with an incoming frame:
   Heartbeats, commands and acks flood through ``btmr_relay``: algorithm
   switches and reachability probes must reach nodes before any route exists.
 
-Both are deterministic functions of their explicit state plus inputs and only
-decide where a frame goes; the engine owns the state and builds the frame sent.
+Both decide only where a frame goes, deterministically from one node's
+``RelayState`` and the frame; the engine owns that state and builds the frame sent.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .core import DATA, HEARTBEAT, MAX_HOPS, STATS_REPORT, Message, NodeId
+from .core import DATA, HEARTBEAT, MAX_HOPS, STATS_REPORT, Message, NodeId, is_int
 from .core import message_hash  # noqa: F401  (bench/tracer.py wraps routing.message_hash)
 
 DROP_SEEN = "seen"
@@ -29,30 +29,28 @@ DROP_TTL = "ttl"
 DROP_NO_ROUTE = "no-route"
 
 
-class RelayCache:
-    """Bounded LRU set of recently relayed frame keys; only ``btmr_relay`` writes one."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple[NodeId, int], None] = OrderedDict()
-
-    def __contains__(self, key: tuple[NodeId, int]) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 @dataclass
-class MamState:
-    """Per-node route cache: best neighbor toward the collector and its expiry."""
+class RelayState:
+    """One node's relay memory, shared by both algorithms.
 
+    ``seen`` is a bounded LRU of recently relayed ``(origin, seq)`` keys, least
+    recent first; only ``btmr_relay`` writes it. ``best_node``, ``best_hops``
+    and ``expiry`` are the route toward the collector that ``mam_handle``
+    learns from heartbeats.
+    """
+
+    cache_size: int
     delta_ms: int
+    seen: OrderedDict[tuple[NodeId, int], None] = field(default_factory=OrderedDict)
     best_node: Optional[NodeId] = None
     best_hops: int = 0
     expiry: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("cache_size", "delta_ms"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,29 +64,29 @@ BROADCAST = Broadcast()
 RelayAction = Union[Broadcast, NodeId, str]
 
 
-def btmr_relay(cache: RelayCache, message: Message) -> RelayAction:
+def btmr_relay(state: RelayState, message: Message) -> RelayAction:
     """Controlled-flooding relay decision for one incoming frame.
 
-    Drops when the frame's ``(origin, seq)`` is already cached (recently
+    Drops when the frame's ``(origin, seq)`` is in ``state.seen`` (recently
     relayed) or when the frame has used up its hop budget (``MAX_HOPS``, the
     most the wire format carries); otherwise records the key and rebroadcasts.
     A hit refreshes the key's recency; a new key is the most recent, and the
-    least recent goes when the cache is over capacity.
+    least recent goes when ``seen`` holds more than ``cache_size`` keys.
     """
     key = (message.origin, message.seq)
-    entries = cache._entries
-    if key in entries:
-        entries.move_to_end(key)
+    seen = state.seen
+    if key in seen:
+        seen.move_to_end(key)
         return DROP_SEEN
     if message.hops >= MAX_HOPS:
         return DROP_TTL
-    entries[key] = None
-    if len(entries) > cache.capacity:
-        entries.popitem(last=False)
+    seen[key] = None
+    if len(seen) > state.cache_size:
+        seen.popitem(last=False)
     return BROADCAST
 
 
-def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -> RelayAction:
+def mam_handle(state: RelayState, now: int, message: Message) -> RelayAction:
     """Reactive least-hop handling of one incoming frame, whatever its kind.
 
     Data and stats reports are unicast toward the cached best neighbor (or
@@ -113,4 +111,4 @@ def mam_handle(state: MamState, now: int, cache: RelayCache, message: Message) -
         state.best_node = message.sender
         state.best_hops = message.hops
         state.expiry = now + state.delta_ms
-    return btmr_relay(cache, message)
+    return btmr_relay(state, message)

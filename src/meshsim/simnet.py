@@ -48,7 +48,7 @@ from .core import (
     sensor_reading,
 )
 from .metrics import HashMapTracker, IntervalTracker, RunReport
-from .routing import BROADCAST, MamState, RelayAction, RelayCache, btmr_relay, mam_handle
+from .routing import BROADCAST, RelayAction, RelayState, btmr_relay, mam_handle
 
 _ACK_PAYLOAD = struct.Struct(">HI")
 _TRACKERS = {"hashmap": HashMapTracker, "interval": IntervalTracker}
@@ -78,7 +78,7 @@ class MobilityTrace:
 
 
 class SimNode:
-    """Per-node state owned by the engine: position, routing caches, queue, counters."""
+    """Per-node state owned by the engine: position, relay state, queue, counters."""
 
     def __init__(self, spec, config: ScenarioConfig):
         self.id: NodeId = spec.node
@@ -86,8 +86,7 @@ class SimNode:
         # a walking hub's ``pos`` is where it was at the last ``World.position`` call
         self.pos = (spec.x, spec.y)
         self.algorithm = config.algorithm
-        self.mam = MamState(delta_ms=config.delta_ms)
-        self.cache = RelayCache(config.relay_cache_size)
+        self.relay = RelayState(config.relay_cache_size, config.delta_ms)
         self.next_seq = 0
         self.txq: deque = deque()
         self.tx_scheduled = False
@@ -111,8 +110,7 @@ class SimNode:
 
     def reset_routing(self) -> None:
         """Return routing state and statistics to power-on values."""
-        self.mam = MamState(delta_ms=self.mam.delta_ms)
-        self.cache = RelayCache(self.cache.capacity)
+        self.relay = RelayState(self.relay.cache_size, self.relay.delta_ms)
         self.reset_stats()
 
     def reboot(self) -> None:
@@ -136,6 +134,8 @@ class World:
     """One simulation run: event queue, nodes, radio geometry, collector-side metrics."""
 
     def __init__(self, config: ScenarioConfig):
+        if not isinstance(config, ScenarioConfig):
+            raise ConfigError(f"config: must be a ScenarioConfig, got {type(config).__name__}")
         config.validate()
         self.config = config
         preset = config.radio_preset
@@ -216,6 +216,8 @@ class World:
 
     def run_until(self, limit_ms: int) -> None:
         """Apply every event strictly before ``limit_ms``, then park the clock there."""
+        if not is_int(limit_ms):
+            raise ConfigError(f"limit_ms: must be an integer, got {limit_ms!r}")
         times = self._times
         while times and times[0] < limit_ms:
             self.step()
@@ -332,9 +334,9 @@ class World:
     def _relay(self, node: SimNode, message: Message) -> None:
         """Run the node's active relay algorithm on one frame and queue its forward."""
         if node.algorithm is MAM:
-            action = mam_handle(node.mam, self.now, node.cache, message)
+            action = mam_handle(node.relay, self.now, message)
         else:
-            action = btmr_relay(node.cache, message)
+            action = btmr_relay(node.relay, message)
         if isinstance(action, str):
             node.drops[action] += 1
             return

@@ -16,11 +16,10 @@ from meshsim import (
     CommanderSession,
     HashMapTracker,
     IntervalTracker,
-    MamState,
     Message,
     MessageKind,
     NodeSpec,
-    RelayCache,
+    RelayState,
     Role,
     ScenarioConfig,
     World,
@@ -101,27 +100,27 @@ def test_criterion_2_algorithm_branch_coverage():
         return Message(MessageKind.HEARTBEAT, 0, seq, hops, sender)
 
     # flood relay: TTL cap exceeded / at the cap / LRU hit / LRU miss
-    cache = RelayCache(20)
-    assert btmr_relay(cache, data(hops=127)) == DROP_TTL
-    assert btmr_relay(cache, data(hops=126)) is BROADCAST
-    assert btmr_relay(cache, data()) == DROP_SEEN  # hops=126 cached it
-    assert btmr_relay(RelayCache(20), data()) is BROADCAST
+    flooding = RelayState(20, 1_000)
+    assert btmr_relay(flooding, data(hops=127)) == DROP_TTL
+    assert btmr_relay(flooding, data(hops=126)) is BROADCAST
+    assert btmr_relay(flooding, data()) == DROP_SEEN  # hops=126 cached it
+    assert btmr_relay(RelayState(20, 1_000), data()) is BROADCAST
 
     # route cache: expired true / false, fewer hops true / false
-    state = MamState(delta_ms=1_000)
-    mam_handle(state, 5, RelayCache(4), heartbeat(hops=3, sender=7))
+    state = RelayState(4, 1_000)
+    mam_handle(state, 5, heartbeat(hops=3, sender=7))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 3, 1_005)
-    mam_handle(state, 10, RelayCache(4), heartbeat(seq=1, hops=9, sender=9))
+    mam_handle(state, 10, heartbeat(seq=1, hops=9, sender=9))
     assert state.best_node == 7  # fresh entry, more hops: ignored
-    mam_handle(state, 20, RelayCache(4), heartbeat(seq=2, hops=1, sender=9))
+    mam_handle(state, 20, heartbeat(seq=2, hops=1, sender=9))
     assert (state.best_node, state.best_hops) == (9, 1)  # fresh entry, fewer hops
-    mam_handle(state, 5_000, RelayCache(4), heartbeat(seq=3, hops=8, sender=4))
+    mam_handle(state, 5_000, heartbeat(seq=3, hops=8, sender=4))
     assert (state.best_node, state.best_hops) == (4, 8)  # expired: any sender wins
 
     # data path: route present / absent, TTL cap
-    assert mam_handle(state, 5_001, RelayCache(4), data(seq=9, hops=2)) == 4
-    assert mam_handle(MamState(delta_ms=1), 0, RelayCache(4), data()) == DROP_NO_ROUTE
-    assert mam_handle(state, 5_002, RelayCache(4), data(hops=127)) == DROP_TTL
+    assert mam_handle(state, 5_001, data(seq=9, hops=2)) == 4
+    assert mam_handle(RelayState(4, 1), 0, data()) == DROP_NO_ROUTE
+    assert mam_handle(state, 5_002, data(hops=127)) == DROP_TTL
     _passed(2, "algorithm branch coverage")
 
 

@@ -93,11 +93,11 @@ def test_reset_then_stats_on_idle_network_reports_zeros():
 def test_reset_restores_routing_init_values():
     world = line3_world(algorithm=Algorithm.MAM)
     world.run_until(9_500)
-    assert world.nodes[2].mam.best_node is not None
+    assert world.nodes[2].relay.best_node is not None
     world.issue_command(CommandVerb.SIM_RESET)
     quiet(world)
     for node in world.nodes.values():
-        assert (node.mam.best_node, node.mam.best_hops, node.mam.expiry) == (None, 0, 0)
+        assert (node.relay.best_node, node.relay.best_hops, node.relay.expiry) == (None, 0, 0)
         assert node.generated == node.relayed == node.received == 0
         assert node.restarts == 0
     assert world.tracker.unique_count == 0
@@ -113,7 +113,7 @@ def test_set_mam_switches_the_data_path():
     assert all(node.algorithm is Algorithm.MAM for node in world.nodes.values())
     world.run_until(4_000)
     # heartbeat at 2000 built routes; the 3000 ms data frame went over them
-    assert world.nodes[2].mam.best_node == 1
+    assert world.nodes[2].relay.best_node == 1
     assert Counter(key for _, key in arrivals)[(2, 0)] == 1
 
 
@@ -133,7 +133,7 @@ def test_set_mam_twice_equals_once():
             world.issue_command(CommandVerb.SET_MAM)
             quiet(world, 500)
         world.run_until(8_000)
-        return [(n.algorithm, n.mam.best_node, n.mam.best_hops, n.generated,
+        return [(n.algorithm, n.relay.best_node, n.relay.best_hops, n.generated,
                  n.relayed, n.received) for n in world.nodes.values()]
 
     assert configure(1) == configure(2)
@@ -155,8 +155,8 @@ def test_reboot_restarts_only_the_commander():
     world.issue_command(CommandVerb.REBOOT)
     quiet(world)
     assert [world.nodes[n].restarts for n in (0, 1, 2)] == [0, 1, 0]
-    assert world.nodes[1].mam.best_node is None
-    assert world.nodes[2].mam.best_node is not None
+    assert world.nodes[1].relay.best_node is None
+    assert world.nodes[2].relay.best_node is not None
 
 
 def test_reboot_all_extension_restarts_everyone():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -129,10 +130,10 @@ def test_scaling_is_linear():
 
 
 def test_scaling_rejects_nonpositive_source():
-    with pytest.raises(ValueError):
-        scale_rule_of_three(100, 0, 5)
-    with pytest.raises(ValueError):
-        scale_rule_of_three(100, -1, 5)
+    # a non-finite or bool duration is no duration either
+    for from_minutes in (0, -1, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="from_minutes"):
+            scale_rule_of_three(100, from_minutes, 5)
 
 
 # --- aggregation ---------------------------------------------------------------

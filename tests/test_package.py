@@ -5,7 +5,8 @@ from pathlib import Path
 
 import meshsim
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,15 @@ def test_all_lists_every_public_name():
     public = [name for name, value in vars(meshsim).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(meshsim.__all__) == sorted(public)
+
+
+def test_readme_library_tour_runs():
+    # the tour reads attributes such as ``world.nodes[2].relay``, so a rename fails here
+    tour = (ROOT / "README.md").read_text().split("## Library tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["world"].now == 5_000
 
 
 def test_a_failing_property_fails_without_aborting_the_run(tmp_path):

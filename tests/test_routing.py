@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from meshsim import (
     Broadcast,
-    MamState,
     Message,
     MessageKind,
-    RelayCache,
+    RelayState,
     btmr_relay,
     mam_handle,
     NodeSpec,
@@ -37,81 +36,87 @@ def heartbeat(origin=0, seq=0, hops=0, sender=0):
 # --- flood relay ------------------------------------------------------------
 
 def test_btmr_first_relay_broadcasts():
-    cache = RelayCache(20)
-    action = btmr_relay(cache, message=data_msg(hops=0))
+    state = RelayState(20, DELTA)
+    action = btmr_relay(state, message=data_msg(hops=0))
     assert action is BROADCAST
-    assert (2, 0) in cache
+    assert (2, 0) in state.seen
     # a broadcast carries nothing, so every one is the same object
-    assert btmr_relay(cache, data_msg(seq=1)) is action
+    assert btmr_relay(state, data_msg(seq=1)) is action
     assert fields(Broadcast) == ()
 
 
 def test_btmr_hop_budget_exhausted_drops():
-    cache = RelayCache(20)
-    action = btmr_relay(cache, message=data_msg(hops=127))
+    state = RelayState(20, DELTA)
+    action = btmr_relay(state, message=data_msg(hops=127))
     assert action == DROP_TTL
-    assert len(cache) == 0
+    assert len(state.seen) == 0
 
 
 def test_btmr_hop_126_still_relays():
-    cache = RelayCache(20)
-    action = btmr_relay(cache, message=data_msg(hops=126))
+    state = RelayState(20, DELTA)
+    action = btmr_relay(state, message=data_msg(hops=126))
     assert action is BROADCAST
 
 
 def test_btmr_second_relay_of_same_message_drops():
-    cache = RelayCache(20)
+    state = RelayState(20, DELTA)
     m = data_msg()
-    assert btmr_relay(cache, m) is BROADCAST
+    assert btmr_relay(state, m) is BROADCAST
     # the same message again, one hop further on, from another neighbor
-    assert btmr_relay(cache, data_msg(hops=1, sender=3)) == DROP_SEEN
+    assert btmr_relay(state, data_msg(hops=1, sender=3)) == DROP_SEEN
 
 
 def test_btmr_lru_eviction_capacity_two():
-    cache = RelayCache(2)
+    state = RelayState(2, DELTA)
     m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
-    assert btmr_relay(cache, m1) is BROADCAST
-    assert btmr_relay(cache, m2) is BROADCAST
-    assert btmr_relay(cache, m3) is BROADCAST
-    assert btmr_relay(cache, m1) is BROADCAST
+    assert btmr_relay(state, m1) is BROADCAST
+    assert btmr_relay(state, m2) is BROADCAST
+    assert btmr_relay(state, m3) is BROADCAST
+    assert btmr_relay(state, m1) is BROADCAST
 
 
 def test_btmr_hit_refreshes_recency():
-    cache = RelayCache(2)
+    state = RelayState(2, DELTA)
     m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
-    btmr_relay(cache, m1)
-    btmr_relay(cache, m2)
-    assert btmr_relay(cache, m1) == DROP_SEEN
-    btmr_relay(cache, m3)
-    assert (m1.origin, m1.seq) in cache
-    assert (m2.origin, m2.seq) not in cache
+    btmr_relay(state, m1)
+    btmr_relay(state, m2)
+    assert btmr_relay(state, m1) == DROP_SEEN
+    btmr_relay(state, m3)
+    assert (m1.origin, m1.seq) in state.seen
+    assert (m2.origin, m2.seq) not in state.seen
 
 
 def test_btmr_keys_on_origin_and_seq_alone():
-    cache = RelayCache(20)
-    assert btmr_relay(cache, data_msg(seq=4)) is BROADCAST
+    state = RelayState(20, DELTA)
+    assert btmr_relay(state, data_msg(seq=4)) is BROADCAST
     # another kind and payload under the same (origin, seq) is the same frame
     other = Message(MessageKind.COMMAND, 2, 4, 0, 2, payload=b"\x01")
-    assert btmr_relay(cache, other) == DROP_SEEN
-    assert len(cache) == 1 and (2, 4) in cache
+    assert btmr_relay(state, other) == DROP_SEEN
+    assert len(state.seen) == 1 and (2, 4) in state.seen
 
 
 def test_relay_cache_bounded_under_random_churn():
     rng = random.Random(31)
-    cache = RelayCache(8)
+    state = RelayState(8, DELTA)
     for _ in range(2000):
-        btmr_relay(cache, data_msg(seq=rng.randrange(100)))
-        assert len(cache) <= 8
-    with pytest.raises(ValueError, match="capacity must be >= 1"):
-        RelayCache(0)
+        btmr_relay(state, data_msg(seq=rng.randrange(100)))
+        assert len(state.seen) <= 8
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 1.5, None])
+@pytest.mark.parametrize("name", ["cache_size", "delta_ms"])
+def test_relay_state_rejects_a_size_that_is_not_an_int_of_at_least_one(name, value):
+    sizes = {"cache_size": 8, "delta_ms": DELTA, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 1"):
+        RelayState(**sizes)
 
 
 def test_relay_cache_keeps_recent_entries():
-    cache = RelayCache(5)
-    btmr_relay(cache, data_msg(seq=42))
+    state = RelayState(5, DELTA)
+    btmr_relay(state, data_msg(seq=42))
     for seq in range(4):
-        btmr_relay(cache, data_msg(seq=seq))
-    assert (2, 42) in cache
+        btmr_relay(state, data_msg(seq=seq))
+    assert (2, 42) in state.seen
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -119,7 +124,7 @@ def test_relay_cache_keeps_recent_entries():
                                              st.sampled_from([0, 126, 127])), max_size=40))
 def test_btmr_decides_as_a_list_lru(capacity, frames):
     # the reference keeps the keys in a plain list, least recently relayed first
-    cache, reference = RelayCache(capacity), []
+    state, reference = RelayState(capacity, DELTA), []
     for origin, seq, hops in frames:
         key = (origin, seq)
         if key in reference:
@@ -131,17 +136,17 @@ def test_btmr_decides_as_a_list_lru(capacity, frames):
         else:
             reference = (reference + [key])[-capacity:]
             expected = BROADCAST
-        assert btmr_relay(cache, data_msg(origin, seq, hops)) == expected
-        assert list(cache._entries) == reference
+        assert btmr_relay(state, data_msg(origin, seq, hops)) == expected
+        assert list(state.seen) == reference
 
 
 def test_btmr_broadcasts_only_frames_below_127_hops():
     # a forward adds one hop, so a broadcast frame never leaves with more than 127
     rng = random.Random(7)
-    cache = RelayCache(4)
+    state = RelayState(4, DELTA)
     for i in range(500):
         hops = rng.randrange(0, 140)
-        action = btmr_relay(cache, data_msg(seq=i, hops=hops, sender=1))
+        action = btmr_relay(state, data_msg(seq=i, hops=hops, sender=1))
         if action is BROADCAST:
             assert hops < 127
 
@@ -157,55 +162,53 @@ hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(hand_built_frames)
 def test_a_frame_and_its_forward_are_one_cache_entry(frame):
-    cache = RelayCache(4)
-    assert btmr_relay(cache, frame) is BROADCAST
-    assert btmr_relay(cache, forwarded(frame, RELAY)) == DROP_SEEN
-    assert (frame.origin, frame.seq) in cache and len(cache) == 1
+    state = RelayState(4, DELTA)
+    assert btmr_relay(state, frame) is BROADCAST
+    assert btmr_relay(state, forwarded(frame, RELAY)) == DROP_SEEN
+    assert (frame.origin, frame.seq) in state.seen and len(state.seen) == 1
 
 
 # --- reactive least-hop route -----------------------------------------------
 
 def test_mam_initial_discovery_accepted_by_expiry():
-    state = MamState(delta_ms=DELTA)
-    cache = RelayCache(20)
-    action = mam_handle(state, 1, cache, message=heartbeat(hops=2, sender=7))
+    state = RelayState(20, DELTA)
+    action = mam_handle(state, 1, message=heartbeat(hops=2, sender=7))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 1 + DELTA)
     assert action is BROADCAST
 
 
 def test_mam_not_expired_and_more_hops_ignored():
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    cache = RelayCache(20)
-    action = mam_handle(state, 1000, cache, message=heartbeat(hops=5, sender=9))
+    state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
+    action = mam_handle(state, 1000, message=heartbeat(hops=5, sender=9))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
     assert action is BROADCAST
 
 
 def test_mam_expired_accepts_any_sender():
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 6000, RelayCache(20), message=heartbeat(hops=5, sender=9))
+    state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
+    action = mam_handle(state, 6000, message=heartbeat(hops=5, sender=9))
     assert (state.best_node, state.best_hops, state.expiry) == (9, 5, 6000 + DELTA)
     assert action is BROADCAST
 
 
 def test_mam_fewer_hops_updates_before_expiry():
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=4, expiry=9000)
-    mam_handle(state, 100, RelayCache(20), message=heartbeat(hops=1, sender=3))
+    state = RelayState(20, DELTA, best_node=7, best_hops=4, expiry=9000)
+    mam_handle(state, 100, message=heartbeat(hops=1, sender=3))
     assert (state.best_node, state.best_hops, state.expiry) == (3, 1, 100 + DELTA)
 
 
 def test_mam_equal_hops_is_not_an_update():
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    mam_handle(state, 100, RelayCache(20), message=heartbeat(hops=2, sender=9))
+    state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
+    mam_handle(state, 100, message=heartbeat(hops=2, sender=9))
     assert state.best_node == 7
 
 
 def test_mam_expiry_boundary_is_strict():
     # NOW() > expiry: at exactly the expiry tick the entry is still fresh
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    mam_handle(state, 5000, RelayCache(20), message=heartbeat(hops=5, sender=9))
+    state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
+    mam_handle(state, 5000, message=heartbeat(hops=5, sender=9))
     assert state.best_node == 7
-    mam_handle(state, 5001, RelayCache(20), message=heartbeat(hops=5, sender=9))
+    mam_handle(state, 5001, message=heartbeat(hops=5, sender=9))
     assert state.best_node == 9
 
 
@@ -215,63 +218,68 @@ reports = pytest.mark.parametrize("kind", [MessageKind.DATA, MessageKind.STATS_R
 
 @reports
 def test_mam_data_unicasts_to_best_neighbor(kind):
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=3)._replace(kind=kind))
+    state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
+    action = mam_handle(state, 100, message=data_msg(hops=3)._replace(kind=kind))
     assert action == 7
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
 
 
 @reports
 def test_mam_data_without_route_drops(kind):
-    state = MamState(delta_ms=DELTA)
-    action = mam_handle(state, 100, RelayCache(20), message=data_msg()._replace(kind=kind))
+    state = RelayState(20, DELTA)
+    action = mam_handle(state, 100, message=data_msg()._replace(kind=kind))
     assert action == DROP_NO_ROUTE
 
 
 @reports
 def test_mam_data_hop_budget_capped(kind):
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 100, RelayCache(20), message=data_msg(hops=127)._replace(kind=kind))
+    state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
+    action = mam_handle(state, 100, message=data_msg(hops=127)._replace(kind=kind))
     assert action == DROP_TTL
 
 
 small_keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
-mam_states = st.builds(MamState, st.integers(1, 10**6), st.none() | node_ids,
-                       st.integers(0, 127), st.integers(0, 10**7))
+relay_states = st.builds(RelayState, cache_size=st.integers(1, 6),
+                         delta_ms=st.integers(1, 10**6), best_node=st.none() | node_ids,
+                         best_hops=st.integers(0, 127), expiry=st.integers(0, 10**7))
+
+
+def route(state):
+    return (state.best_node, state.best_hops, state.expiry)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(mam_states, st.integers(0, 10**7), st.integers(1, 6), st.lists(small_keys, unique=True),
+@given(relay_states, st.integers(0, 10**7), st.lists(small_keys, unique=True),
        st.builds(Message, st.sampled_from([MessageKind.COMMAND, MessageKind.ACK]),
                  st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 5, 126, 127]), node_ids,
                  st.binary(max_size=6)))
-def test_mam_floods_control_frames_as_btmr_does(state, now, capacity, keys, frame):
+def test_mam_floods_control_frames_as_btmr_does(state, now, keys, frame):
     # algorithm switches and probes must reach nodes before any route exists
-    mam_cache, btmr_cache = RelayCache(capacity), RelayCache(capacity)
+    flooding = RelayState(state.cache_size, state.delta_ms)
     for key in keys:
-        for cache in (mam_cache, btmr_cache):
-            btmr_relay(cache, data_msg(*key))
-    before = copy.deepcopy(state)
-    assert mam_handle(state, now, mam_cache, frame) == btmr_relay(btmr_cache, frame)
+        for relay in (state, flooding):
+            btmr_relay(relay, data_msg(*key))
+    before = route(state)
+    assert mam_handle(state, now, frame) == btmr_relay(flooding, frame)
     # the same entries in the same LRU order
-    assert list(mam_cache._entries) == list(btmr_cache._entries)
-    assert state == before
+    assert list(state.seen) == list(flooding.seen)
+    assert route(state) == before
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(mam_states, st.integers(1, 6),
+@given(relay_states,
        st.lists(st.tuples(st.integers(0, 10**6),
                           st.builds(Message, st.sampled_from(MessageKind), st.integers(0, 3),
                                     st.integers(0, 3), st.integers(0, 127), node_ids)),
                 max_size=30))
-def test_decisions_are_broadcast_a_node_id_or_a_drop_reason(state, capacity, arrivals):
-    btmr_cache, mam_cache = RelayCache(capacity), RelayCache(capacity)
+def test_decisions_are_broadcast_a_node_id_or_a_drop_reason(state, arrivals):
+    flooding = RelayState(state.cache_size, state.delta_ms)
     now = 0
     for gap, frame in arrivals:
         now += gap
-        action = btmr_relay(btmr_cache, frame)
+        action = btmr_relay(flooding, frame)
         assert action is BROADCAST or action in (DROP_SEEN, DROP_TTL)
-        action = mam_handle(state, now, mam_cache, frame)
+        action = mam_handle(state, now, frame)
         if type(action) is int:
             assert action == state.best_node
         else:
@@ -279,26 +287,24 @@ def test_decisions_are_broadcast_a_node_id_or_a_drop_reason(state, capacity, arr
 
 
 def test_mam_discovery_update_even_when_flood_dedups():
-    state = MamState(delta_ms=DELTA, best_node=7, best_hops=5, expiry=9000)
-    cache = RelayCache(20)
-    mam_handle(state, 100, cache, message=heartbeat(seq=3, hops=4, sender=8))
+    state = RelayState(20, DELTA, best_node=7, best_hops=5, expiry=9000)
+    mam_handle(state, 100, message=heartbeat(seq=3, hops=4, sender=8))
     # the same heartbeat again, over a shorter path through another neighbor
-    action = mam_handle(state, 200, cache, message=heartbeat(seq=3, hops=2, sender=6))
+    action = mam_handle(state, 200, message=heartbeat(seq=3, hops=2, sender=6))
     assert (state.best_node, state.best_hops) == (6, 2)
     assert action == DROP_SEEN
 
 
 def test_mam_expiry_always_now_plus_delta():
     rng = random.Random(13)
-    state = MamState(delta_ms=777)
-    cache = RelayCache(50)
+    state = RelayState(50, 777)
     now = 0
     for i in range(500):
         now += rng.randrange(1, 400)
         before = (state.best_node, state.best_hops, state.expiry)
         hops = rng.randrange(0, 10)
         sender = rng.randrange(1, 6)
-        mam_handle(state, now, cache, heartbeat(seq=i, hops=hops, sender=sender))
+        mam_handle(state, now, heartbeat(seq=i, hops=hops, sender=sender))
         updated = (state.best_node, state.best_hops) != before[:2] or state.expiry != before[2]
         if updated:
             assert state.expiry == now + 777
@@ -308,29 +314,27 @@ def test_mam_expiry_always_now_plus_delta():
 
 def test_mam_best_hops_non_increasing_within_window():
     rng = random.Random(17)
-    state = MamState(delta_ms=10_000_000)
-    cache = RelayCache(50)
-    mam_handle(state, 1, cache, message=heartbeat(seq=0, hops=9, sender=1))
+    state = RelayState(50, 10_000_000)
+    mam_handle(state, 1, message=heartbeat(seq=0, hops=9, sender=1))
     last = state.best_hops
     for i in range(1, 300):
         hops = rng.randrange(0, 12)
-        mam_handle(state, 1 + i, cache,
+        mam_handle(state, 1 + i,
                    message=heartbeat(seq=i, hops=hops, sender=rng.randrange(1, 6)))
         assert state.best_hops <= last
         last = state.best_hops
 
 
 def test_handlers_are_deterministic_given_state():
-    state = MamState(delta_ms=DELTA, best_node=4, best_hops=3, expiry=2_000)
-    cache = RelayCache(4)
-    btmr_relay(cache, data_msg(seq=123))
+    state = RelayState(4, DELTA, best_node=4, best_hops=3, expiry=2_000)
+    btmr_relay(state, data_msg(seq=123))
     for message in (heartbeat(seq=1, hops=2, sender=5), data_msg(seq=2, hops=1)):
-        s1, c1 = copy.deepcopy(state), copy.deepcopy(cache)
-        s2, c2 = copy.deepcopy(state), copy.deepcopy(cache)
-        a1 = mam_handle(s1, 900, c1, message)
-        a2 = mam_handle(s2, 900, c2, message)
+        s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
+        a1 = mam_handle(s1, 900, message)
+        a2 = mam_handle(s2, 900, message)
         assert a1 == a2
-        assert (s1.best_node, s1.best_hops, s1.expiry) == (s2.best_node, s2.best_hops, s2.expiry)
+        assert route(s1) == route(s2)
+        assert list(s1.seen) == list(s2.seen)
 
 
 # --- reset -------------------------------------------------------------------
@@ -341,36 +345,35 @@ def routed_node():
     config = ScenarioConfig(topology=[NodeSpec(0, 5.0, 0.0, Role.MOBILE_HUB), spec],
                             duration_ms=1_000, delta_ms=DELTA, relay_cache_size=8)
     node = SimNode(spec, config)
-    node.mam = MamState(delta_ms=DELTA, best_node=3, best_hops=1, expiry=999)
+    node.relay.best_node, node.relay.best_hops, node.relay.expiry = 3, 1, 999
     node.relayed = 7
     return node
 
 
 def test_reset_returns_to_init_state():
     node = routed_node()
-    btmr_relay(node.cache, data_msg(seq=55))
+    btmr_relay(node.relay, data_msg(seq=55))
     node.reset_routing()
-    assert (node.mam.best_node, node.mam.best_hops, node.mam.expiry) == (None, 0, 0)
-    assert len(node.cache) == 0
+    assert route(node.relay) == (None, 0, 0)
+    assert len(node.relay.seen) == 0
+    assert (node.relay.cache_size, node.relay.delta_ms) == (8, DELTA)
     assert node.relayed == 0
-    action = mam_handle(node.mam, 10, node.cache, data_msg())
+    action = mam_handle(node.relay, 10, data_msg())
     assert action == DROP_NO_ROUTE
 
 
 def test_reset_lets_a_cached_frame_relay_again():
     node = routed_node()
     m = data_msg(seq=9)
-    btmr_relay(node.cache, m)
-    assert btmr_relay(node.cache, m) == DROP_SEEN
+    btmr_relay(node.relay, m)
+    assert btmr_relay(node.relay, m) == DROP_SEEN
     node.reset_routing()
-    assert btmr_relay(node.cache, m) is BROADCAST
+    assert btmr_relay(node.relay, m) is BROADCAST
 
 
 def test_reset_is_idempotent():
     node = routed_node()
     node.reset_routing()
-    snapshot = (node.mam.best_node, node.mam.best_hops, node.mam.expiry, len(node.cache),
-                node.relayed)
+    snapshot = (route(node.relay), len(node.relay.seen), node.relayed)
     node.reset_routing()
-    assert snapshot == (node.mam.best_node, node.mam.best_hops, node.mam.expiry,
-                        len(node.cache), node.relayed)
+    assert snapshot == (route(node.relay), len(node.relay.seen), node.relayed)

@@ -350,10 +350,10 @@ def test_mam_routes_form_after_first_heartbeat_round():
     config = replace(load_scenario("line3"), algorithm=Algorithm.MAM)
     world = World(config)
     world.run_until(100)
-    assert world.nodes[1].mam.best_node == 0
-    assert world.nodes[1].mam.best_hops == 0
-    assert world.nodes[2].mam.best_node == 1
-    assert world.nodes[2].mam.best_hops == 1
+    assert world.nodes[1].relay.best_node == 0
+    assert world.nodes[1].relay.best_hops == 0
+    assert world.nodes[2].relay.best_node == 1
+    assert world.nodes[2].relay.best_hops == 1
 
 
 def test_report_totals_are_consistent():
@@ -389,6 +389,23 @@ def test_world_rejects_invalid_config_naming_field():
     config.loss_prob = 2.0
     with pytest.raises(ConfigError, match="loss_prob"):
         World(config)
+
+
+@pytest.mark.parametrize("config", [{}, None, "line3"])
+def test_world_rejects_a_config_that_is_not_a_scenario_config(config):
+    with pytest.raises(ConfigError, match="config: must be a ScenarioConfig"):
+        World(config)
+
+
+@pytest.mark.parametrize("limit_ms", [2500.5, True, "5", None])
+def test_run_until_rejects_a_limit_that_is_not_an_integer(limit_ms):
+    # events land on whole milliseconds, so the clock may not park between them
+    world = World(pair_config(5.0))
+    world.run_until(1_000)
+    before = (world.pending(), world.now)
+    with pytest.raises(ConfigError, match="limit_ms"):
+        world.run_until(limit_ms)
+    assert (world.pending(), world.now) == before
 
 
 # --- derived connectivity -----------------------------------------------------------
