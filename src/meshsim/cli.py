@@ -39,6 +39,12 @@ def main(argv=None) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.out is not None:
+        # an unusable report path fails here, before the run, not after it
+        if args.out.is_dir():
+            raise IsADirectoryError(f"--out: {args.out} is a directory")
+        if not args.out.parent.is_dir():
+            raise FileNotFoundError(f"--out: directory {args.out.parent} does not exist")
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)

@@ -9,10 +9,14 @@ one FIFO, and a heap holds each pending millisecond once, so events pop in
 byte for byte. One transmission's fan-out is one event: it delivers the frame
 to every receiver that the loss draws spared, in id order.
 
-Links between nodes that stay put are worked out once per world. For a hub
-that walks, each node also keeps a second stored list with the hub in it, so
-``neighbors`` returns a stored list whether or not the hub moves; the hub's
-``SimNode.pos`` is worked out again once per simulated millisecond.
+Links between nodes that stay put are worked out once per world, as lists of
+``SimNode``s in id order. For a hub that walks, each node also keeps a second
+stored list with the hub in it, so ``links`` returns a stored list whether or
+not the hub moves, and ``neighbors`` is its id view; the hub's ``SimNode.pos``
+is worked out again once per simulated millisecond. A loss-free broadcast
+hands the stored list itself to ``_deliver``, which only reads it. Data and
+heartbeat receptions run the relay decision inside ``_deliver``, and
+``enqueue_tx`` builds a relay's forward only once the queue admits it.
 """
 
 from __future__ import annotations
@@ -159,18 +163,19 @@ class World:
         self.hub_moves = len(waypoints) > 1
         hub.pos = self.trace.position(0)
         self._hub_at = 0  # the ``now`` that ``hub.pos`` was worked out for
-        fixed = {v: self.nodes[v].pos for v in self.node_ids}
+        fixed = [self.nodes[v] for v in self.node_ids]
         if self.hub_moves:
-            del fixed[self.hub_id]
-        self._static_links: dict[NodeId, list[NodeId]] = {
-            u: [v for v, (vx, vy) in fixed.items()
-                if v != u and math.hypot(ux - vx, uy - vy) <= self.range_m]
-            for u, (ux, uy) in fixed.items()}
+            fixed.remove(hub)
+        self._static_links: dict[NodeId, list[SimNode]] = {
+            u.id: [v for v in fixed
+                   if v is not u and math.hypot(u.pos[0] - v.pos[0],
+                                                u.pos[1] - v.pos[1]) <= self.range_m]
+            for u in fixed}
         # next to each node's links, the same list with a moving hub in id order:
-        # ``neighbors`` picks one of the two by testing the link to the hub
-        self._hub_links: dict[NodeId, list[NodeId]] = {}
+        # ``links`` picks one of the two by testing the link to the hub
+        self._hub_links: dict[NodeId, list[SimNode]] = {}
         if self.hub_moves:
-            self._hub_links = {u: sorted(links + [self.hub_id])
+            self._hub_links = {u: sorted(links + [hub], key=lambda n: n.id)
                                for u, links in self._static_links.items()}
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
@@ -238,19 +243,23 @@ class World:
         (vx, vy) = self.position(v)
         return math.hypot(ux - vx, uy - vy) <= self.range_m
 
-    def neighbors(self, u: NodeId) -> list[NodeId]:
-        """Nodes in range of ``u``, in id order; only links to a moving hub are re-tested.
+    def links(self, u: NodeId) -> list[SimNode]:
+        """The nodes in range of ``u``, in id order; only links to a moving hub are re-tested.
 
         For any node but a moving hub this is a stored list, with or without
-        the hub, so callers must not mutate it.
+        the hub, that deliveries share, so callers must not mutate it.
         """
         if not self.hub_moves:
             return self._static_links[u]
         if u == self.hub_id:
-            return [v for v in self.node_ids if v != u and self.in_range(u, v)]
+            return [self.nodes[v] for v in self.node_ids if v != u and self.in_range(u, v)]
         if self.in_range(u, self.hub_id):
             return self._hub_links[u]
         return self._static_links[u]
+
+    def neighbors(self, u: NodeId) -> list[NodeId]:
+        """The ids of ``links(u)``."""
+        return [n.id for n in self.links(u)]
 
     # --- event handlers ---------------------------------------------------
 
@@ -288,14 +297,15 @@ class World:
 
         Receivers take the frame in id order, as one event per receiver at
         consecutive ties would: whatever one schedules gets a later tie.
+        ``receivers`` may be a stored link list, so it is only read.
         """
         kind = message.kind
         origin = message.origin
-        relay = self._relay
         # the kind is tested once per transmission; data and heartbeats, the
-        # bulk of the traffic, each take a loop of their own
+        # bulk of the traffic, each take a loop of their own that runs the
+        # node's relay decision in place, as ``_relay`` does
         if kind is DATA:
-            hub_id = self.hub_id
+            now, enqueue_tx, hub_id = self.now, self.enqueue_tx, self.hub_id
             for node in receivers:
                 node.rx_count += 1
                 if node.id == origin:
@@ -303,15 +313,32 @@ class World:
                 node.received += 1
                 if node.id == hub_id:
                     self.tracker.record((origin, message.seq))
+                    continue
+                if node.algorithm is MAM:
+                    action = mam_handle(node.relay, now, message)
                 else:
-                    relay(node, message)
+                    action = btmr_relay(node.relay, message)
+                if isinstance(action, str):
+                    node.drops[action] += 1
+                elif enqueue_tx(node, message, action, True):
+                    node.relayed += 1
             return
         if kind is HEARTBEAT:
+            now, enqueue_tx = self.now, self.enqueue_tx
             for node in receivers:
                 node.rx_count += 1
-                if node.id != origin:
-                    relay(node, message)
+                if node.id == origin:
+                    continue
+                if node.algorithm is MAM:
+                    action = mam_handle(node.relay, now, message)
+                else:
+                    action = btmr_relay(node.relay, message)
+                if isinstance(action, str):
+                    node.drops[action] += 1
+                else:
+                    enqueue_tx(node, message, action, True)
             return
+        relay = self._relay
         for node in receivers:
             node.rx_count += 1
             if node.id == origin:
@@ -340,7 +367,7 @@ class World:
         if isinstance(action, str):
             node.drops[action] += 1
             return
-        queued = self.enqueue_tx(node, forwarded(message, node.id), action)
+        queued = self.enqueue_tx(node, message, action, True)
         if queued and message.kind is DATA and message.origin != node.id:
             node.relayed += 1
 
@@ -379,11 +406,18 @@ class World:
 
     # --- transmission -----------------------------------------------------
 
-    def enqueue_tx(self, node: SimNode, message: Message, dest: RelayAction) -> bool:
-        """Queue one transmission as decided; overflow drops the newest entry and counts it."""
+    def enqueue_tx(self, node: SimNode, message: Message, dest: RelayAction,
+                   forward: bool = False) -> bool:
+        """Queue one transmission as decided; overflow drops the newest entry and counts it.
+
+        With ``forward`` the frame queued is ``forwarded(message, node.id)``,
+        built only once the queue has admitted it.
+        """
         if len(node.txq) >= self.config.tx_queue_capacity:
             node.tx_dropped += 1
             return False
+        if forward:
+            message = forwarded(message, node.id)
         node.txq.append((message, dest))
         if not node.tx_scheduled:
             node.tx_scheduled = True
@@ -414,17 +448,15 @@ class World:
 
     def _fan_out(self, node: SimNode, message: Message, dest: RelayAction) -> None:
         if dest is BROADCAST:
-            targets = self.neighbors(node.id)
+            receivers = self.links(node.id)
         elif self.in_range(node.id, dest):
-            targets = [dest]
+            receivers = [self.nodes[dest]]
         else:
             return
         loss_prob = self.config.loss_prob
-        if loss_prob == 0.0:
-            receivers = list(map(self.nodes.__getitem__, targets))
-        else:
+        if loss_prob != 0.0:
             draw = self.rng.random
-            receivers = [self.nodes[v] for v in targets if draw() >= loss_prob]
+            receivers = [n for n in receivers if draw() >= loss_prob]
         if receivers:
             self.schedule(self.now + self.config.latency_ms, World._deliver,
                           message, receivers)

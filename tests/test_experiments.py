@@ -418,6 +418,23 @@ def test_cli_run_writes_report(tmp_path, capsys):
     assert payload["seed"] == 9 and payload["algorithm"] == "mam"
 
 
+@pytest.mark.parametrize("out,problem", [
+    ("missing/report.json", "does not exist"),
+    (".", "is a directory"),
+])
+def test_cli_run_checks_its_out_path_before_running(tmp_path, capsys, monkeypatch,
+                                                    out, problem):
+    def no_run(config):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(meshsim.cli, "run", no_run)
+    assert cli_main(["run", "line3", "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ") and problem in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_run_takes_a_duration(capsys):
     assert cli_main(["run", "line3", "--duration-ms", "5000"]) == 0
     assert "duration_ms=5000" in capsys.readouterr().out

@@ -29,6 +29,7 @@ from meshsim.routing import BROADCAST
 from meshsim.simnet import RANGE_PRESETS
 from connectivity import component
 from recording import record_arrivals
+from test_golden import grid25
 
 
 def pair_config(distance, preset="ground", **overrides):
@@ -581,6 +582,27 @@ def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("config", [
+    grid25(),
+    replace(load_scenario("outdoor10"), duration_ms=60_000),
+], ids=["static-hub-grid", "outdoor10"])
+def test_a_run_leaves_the_stored_links_as_built(config):
+    # a loss-free broadcast hands the stored list itself to every receiver
+    assert config.loss_prob == 0.0
+    world = World(config)
+    world.run_until(config.duration_ms)
+    assert world.report().rx_total > 0
+    fresh = World(config)
+    # a walking hub's links differ over time, and each time picks stored lists
+    for now in range(0, config.duration_ms + 1, 2_000):
+        world.now = fresh.now = now
+        for u in world.node_ids:
+            links = world.links(u)
+            assert all(n is world.nodes[n.id] for n in links)
+            assert [n.id for n in links] == [n.id for n in fresh.links(u)]
+            assert world.neighbors(u) == [n.id for n in links]
+
+
 @st.composite
 def lossy_mam_runs(draw):
     """3-25 nodes on a ground or numeric range, up to 30% link loss, any seed, under MAM."""
@@ -599,42 +621,49 @@ def test_mam_collects_no_duplicates(config):
 
 
 def relayed_frames(config, verb, at_ms):
-    """Run ``config``, issuing ``verb`` at ``at_ms``; check and list what ``_relay`` queues.
+    """Run ``config``, issuing ``verb`` at ``at_ms``; check and list the relays queued.
 
-    Every frame queued while a node relays must be ``forwarded(incoming, node.id)``,
-    sent to the decision itself, ``BROADCAST`` or a node id; a drop reason queues
-    nothing. Returns the ``(kind, broadcast)`` pairs of those frames.
+    Every relay decision that is not a drop reason must be followed by one
+    ``enqueue_tx`` call of the deciding node, sent to the decision itself,
+    ``BROADCAST`` or a node id; a frame the queue admits there must be
+    ``forwarded(incoming, node.id)``. A drop reason queues nothing: the only
+    frames queued without a decision are the hub's own heartbeats. Returns
+    the ``(kind, broadcast)`` pairs of the relays admitted.
     """
     world = World(config)
-    relay, enqueue_tx = world._relay, world.enqueue_tx
-    relaying = []  # [node, incoming frame, decision, dests queued] while World._relay runs
+    enqueue_tx = world.enqueue_tx
+    undone = []  # the (node, incoming frame, decision) whose frame is not queued yet
     queued = set()
 
-    def spy_relay(node, message):
-        relaying.append([node, message, None, []])
-        relay(node, message)
-        _, _, decision, dests = relaying.pop()
-        assert decision is not None
-        if isinstance(decision, str):
-            assert dests == []
-        else:
-            assert dests == [decision]
-
     def spy_decision(decide):
-        def decided(*args):
-            relaying[-1][2] = decision = decide(*args)
+        def decided(state, *args):
+            assert not undone, f"decision {undone} queued nothing"
+            decision = decide(state, *args)
+            if not isinstance(decision, str):
+                node = next(n for n in world.nodes.values() if n.relay is state)
+                undone.append((node, args[-1], decision))
             return decision
         return decided
 
-    def spy_enqueue_tx(node, message, dest):
-        if relaying:  # the hub queues its own heartbeats without relaying them
-            relayer, incoming, _, dests = relaying[-1]
-            assert node is relayer and message == forwarded(incoming, node.id)
-            dests.append(dest)
-            queued.add((message.kind, dest is BROADCAST))
-        return enqueue_tx(node, message, dest)
+    def spy_enqueue_tx(node, message, dest, *forward):
+        txq = node.txq
+        before = len(txq)
+        admitted = enqueue_tx(node, message, dest, *forward)
+        assert len(txq) == before + admitted
+        if undone:
+            relayer, incoming, decision = undone.pop()
+            assert node is relayer and dest == decision
+            if admitted:
+                assert txq[-1] == (forwarded(incoming, node.id), decision)
+                queued.add((incoming.kind, decision is BROADCAST))
+        elif admitted:
+            message, dest = txq[-1]
+            assert node.id == world.hub_id and dest is BROADCAST
+            assert message.kind is MessageKind.HEARTBEAT
+            assert message.origin == node.id and message.hops == 0
+        return admitted
 
-    world._relay, world.enqueue_tx = spy_relay, spy_enqueue_tx
+    world.enqueue_tx = spy_enqueue_tx
     decisions = simnet.btmr_relay, simnet.mam_handle
     simnet.btmr_relay, simnet.mam_handle = map(spy_decision, decisions)
     try:
@@ -643,6 +672,7 @@ def relayed_frames(config, verb, at_ms):
         world.run_until(config.duration_ms)
     finally:
         simnet.btmr_relay, simnet.mam_handle = decisions
+    assert not undone
     return queued
 
 
