@@ -6,8 +6,10 @@ RNG for link-loss draws. Each event is a ``(handler, args)`` pair that runs
 as ``handler(world, *args)``. The pending events of one millisecond wait in
 one FIFO, and a heap holds each pending millisecond once, so events pop in
 (time, insertion) order and identical configurations replay identical runs
-byte for byte. One transmission's fan-out is one event: it delivers the frame
-to every receiver that the loss draws spared, in id order.
+byte for byte. One transmission is one event: it delivers the frame to every
+receiver that the loss draws spared, in id order, and then the sender's radio
+sends its next queued frame. Only a queue that takes a frame while idle, or a
+transmission that reaches nobody while frames wait, schedules a ``_tx_dequeue``.
 
 Links between nodes that stay put are worked out once per world, as lists of
 ``SimNode``s in id order. For a hub that walks, each node also keeps a second
@@ -223,9 +225,9 @@ class World:
         """Apply every event strictly before ``limit_ms``, then park the clock there."""
         if not is_int(limit_ms):
             raise ConfigError(f"limit_ms: must be an integer, got {limit_ms!r}")
-        times = self._times
+        times, step = self._times, self.step
         while times and times[0] < limit_ms:
-            self.step()
+            step()
         if limit_ms > self.now:
             self.now = limit_ms
 
@@ -292,12 +294,14 @@ class World:
 
     # --- frame handling ---------------------------------------------------
 
-    def _deliver(self, message: Message, receivers: list[SimNode]) -> None:
+    def _deliver(self, message: Message, receivers: list[SimNode],
+                 sender: Optional[SimNode] = None) -> None:
         """Hand one transmission to each receiver: consume it there, or act on it and relay it.
 
         Receivers take the frame in id order, as one event per receiver at
         consecutive ties would: whatever one schedules gets a later tie.
-        ``receivers`` may be a stored link list, so it is only read.
+        ``receivers`` may be a stored link list, so it is only read. A
+        ``sender`` with frames still queued then sends its next one.
         """
         kind = message.kind
         origin = message.origin
@@ -322,8 +326,7 @@ class World:
                     node.drops[action] += 1
                 elif enqueue_tx(node, message, action, True):
                     node.relayed += 1
-            return
-        if kind is HEARTBEAT:
+        elif kind is HEARTBEAT:
             now, enqueue_tx = self.now, self.enqueue_tx
             for node in receivers:
                 node.rx_count += 1
@@ -337,26 +340,28 @@ class World:
                     node.drops[action] += 1
                 else:
                     enqueue_tx(node, message, action, True)
-            return
-        relay = self._relay
-        for node in receivers:
-            node.rx_count += 1
-            if node.id == origin:
-                continue
-            if kind is COMMAND:
-                self._apply_command(node, message)
-            elif kind is STATS_REPORT:
-                if node.id == self.hub_id:
-                    stats = decode_stats(message.payload)
-                    self.collected_stats[stats.node] = stats
+        else:
+            relay = self._relay
+            for node in receivers:
+                node.rx_count += 1
+                if node.id == origin:
                     continue
-            elif kind is ACK:
-                probe = _ACK_PAYLOAD.unpack(message.payload)
-                if node.id == probe[0]:
-                    if probe == self.probe:
-                        self.acked.add(message.origin)
-                    continue
-            relay(node, message)
+                if kind is COMMAND:
+                    self._apply_command(node, message)
+                elif kind is STATS_REPORT:
+                    if node.id == self.hub_id:
+                        stats = decode_stats(message.payload)
+                        self.collected_stats[stats.node] = stats
+                        continue
+                elif kind is ACK:
+                    probe = _ACK_PAYLOAD.unpack(message.payload)
+                    if node.id == probe[0]:
+                        if probe == self.probe:
+                            self.acked.add(message.origin)
+                        continue
+                relay(node, message)
+        if sender is not None:
+            self._tx_dequeue(sender)
 
     def _relay(self, node: SimNode, message: Message) -> None:
         """Run the node's active relay algorithm on one frame and queue its forward."""
@@ -436,30 +441,35 @@ class World:
                 copies = 2
             node.tx_data_count += copies
         node.tx_count += copies
-        self._fan_out(node, message, dest)
+        t = node.radio_free_at = self.now + self.config.latency_ms
+        receivers = self._fan_out(node, dest)
         if copies == 2:
-            # the duplication fault: the second fan-out draws its loss after the first
-            self._fan_out(node, message, dest)
-        node.radio_free_at = self.now + self.config.latency_ms
-        if node.txq:
-            self.schedule(node.radio_free_at, World._tx_dequeue, node)
-        else:
-            node.tx_scheduled = False
+            # the duplication fault: the second copy draws its loss after the first
+            second = self._fan_out(node, dest)
+            if receivers and second:
+                self.schedule(t, World._deliver, message, receivers)
+            receivers = second or receivers
+        # the last delivery starts the next frame; with none, an event of its own does
+        node.tx_scheduled = bool(node.txq)
+        sender = node if node.tx_scheduled else None
+        if receivers:
+            self.schedule(t, World._deliver, message, receivers, sender)
+        elif sender is not None:
+            self.schedule(t, World._tx_dequeue, node)
 
-    def _fan_out(self, node: SimNode, message: Message, dest: RelayAction) -> None:
+    def _fan_out(self, node: SimNode, dest: RelayAction) -> list[SimNode]:
+        """One copy's receivers: the nodes in range that the loss draws spare, in id order."""
         if dest is BROADCAST:
             receivers = self.links(node.id)
         elif self.in_range(node.id, dest):
             receivers = [self.nodes[dest]]
         else:
-            return
+            return []
         loss_prob = self.config.loss_prob
         if loss_prob != 0.0:
             draw = self.rng.random
             receivers = [n for n in receivers if draw() >= loss_prob]
-        if receivers:
-            self.schedule(self.now + self.config.latency_ms, World._deliver,
-                          message, receivers)
+        return receivers
 
     # --- reporting ----------------------------------------------------------
 

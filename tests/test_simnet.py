@@ -233,30 +233,204 @@ def line_of_four(**overrides):
                           **overrides)
 
 
-def test_broadcast_fan_out_is_one_heap_entry(monkeypatch):
-    received = []
-    deliver = World._deliver
-
-    def recording(world, message, receivers):
-        received.extend(node.id for node in receivers)
-        deliver(world, message, receivers)
-
-    monkeypatch.setattr(World, "_deliver", recording)
+def test_broadcast_fan_out_is_one_heap_entry():
     world = World(line_of_four())
     world.run_until(1)  # the hub's first heartbeat reaches nobody
+    node = world.nodes[2]
     before = world.pending()
-    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), BROADCAST)
-    assert world.pending() == before + 1
+    # the fan-out only names one copy's receivers; the transmit step schedules
+    receivers = [world.nodes[i] for i in (1, 3, 4)]
+    assert world._fan_out(node, BROADCAST) == receivers
+    assert world.pending() == before
+    message = node.originate(MessageKind.DATA, b"x")
+    world.enqueue_tx(node, message, BROADCAST)
     assert world.step()
-    assert received == [1, 3, 4]
+    assert world.pending() == before + 1
+    assert next_event(world) == (World._deliver, (message, receivers, None))
+    assert world.step()
+    assert [world.nodes[i].rx_count for i in (1, 2, 3, 4)] == [1, 0, 1, 1]
 
 
 def test_fan_out_that_loses_every_copy_schedules_nothing():
     world = World(line_of_four(loss_prob=0.999, rng_seed=5))
     world.run_until(1)
+    node = world.nodes[2]
     before = world.pending()
-    world._fan_out(world.nodes[2], world.nodes[2].originate(MessageKind.DATA, b"x"), BROADCAST)
+    assert world._fan_out(node, BROADCAST) == []
+    world.enqueue_tx(node, node.originate(MessageKind.DATA, b"x"), BROADCAST)
+    assert world.step()
     assert world.pending() == before
+    assert node.tx_count == 1 and not node.tx_scheduled
+
+
+def queue_frames(world, node, dest, count):
+    """Queue ``count`` new data frames at ``node`` for ``dest``; returns them."""
+    frames = [node.originate(MessageKind.DATA, bytes([i])) for i in range(count)]
+    for frame in frames:
+        assert world.enqueue_tx(node, frame, dest)
+    return frames
+
+
+def test_a_transmission_that_reaches_nobody_schedules_its_next_frame_alone():
+    world = World(line_of_four(loss_prob=0.999, rng_seed=5, latency_ms=7))
+    world.run_until(1)
+    node = world.nodes[2]
+    before = world.pending()
+    queue_frames(world, node, BROADCAST, 2)
+    assert world.step()  # every copy of the first frame is lost; the second waits
+    assert world.pending() == before + 1
+    assert list(world._fifos[1 + 7]) == [(World._tx_dequeue, (node,))]
+    assert node.tx_scheduled and node.radio_free_at == 8
+
+
+def test_a_delivery_after_the_queue_emptied_carries_no_sender():
+    world = World(line_of_four(latency_ms=7))
+    world.run_until(1)
+    node = world.nodes[2]
+    first, = queue_frames(world, node, BROADCAST, 1)
+    assert world.step()
+    delivery = (World._deliver, (first, world.links(2), None))
+    assert list(world._fifos[8]) == [delivery]
+    assert not node.tx_scheduled
+    # a frame queued before that delivery lands waits for the radio on an event of its own
+    queue_frames(world, node, BROADCAST, 1)
+    assert list(world._fifos[8]) == [delivery, (World._tx_dequeue, (node,))]
+    world.run_until(9)
+    assert node.tx_count == 2
+    assert [world.nodes[i].rx_count for i in (1, 3, 4)] == [1, 1, 1]
+
+
+def test_a_sender_rebooted_before_its_delivery_finds_its_queue_wiped():
+    world = World(line_of_four())
+    world.run_until(1)
+    node = world.nodes[2]
+    first, _ = queue_frames(world, node, BROADCAST, 2)
+    assert world.step()
+    assert next_event(world) == (World._deliver, (first, world.links(2), node))
+    node.reboot()  # wipes the second frame before the first one lands
+    assert world.step()
+    assert [world.nodes[i].rx_count for i in (1, 3, 4)] == [1, 1, 1]
+    assert node.tx_count == 0 and not node.tx_scheduled
+    queue_frames(world, node, BROADCAST, 1)
+    world.run_until(world.now + 1)
+    assert node.tx_count == 1
+
+
+def test_a_duplicated_unicast_carries_its_sender_on_the_second_copy():
+    world = World(line_of_four(fault_duplicate=True))
+    world.run_until(1)
+    node = world.nodes[2]
+    first, _ = queue_frames(world, node, 3, 2)
+    assert world.step()
+    copy = (first, [world.nodes[3]])
+    assert list(world._fifos[11]) == [(World._deliver, copy),
+                                      (World._deliver, copy + (node,))]
+    assert node.tx_count == node.tx_data_count == 2
+
+
+class LoggedWorld(World):
+    """Logs each delivery as ``(now, receiver ids, frame)`` and each transmit step as ``(now, node id)``."""
+
+    def __init__(self, config):
+        self.log = []
+        super().__init__(config)
+
+    def schedule(self, t, handler, *args):
+        # the engine schedules ``World``'s own handlers; run this class's instead
+        if handler is World._deliver or handler is World._tx_dequeue:
+            handler = getattr(type(self), handler.__name__)
+        super().schedule(t, handler, *args)
+
+    def _deliver(self, message, receivers, sender=None):
+        self.log.append((self.now, [n.id for n in receivers], message))
+        super()._deliver(message, receivers, sender)
+        if sender is not None:
+            assert self.log[-1] == (self.now, sender.id)
+
+    def _tx_dequeue(self, node):
+        self.log.append((self.now, node.id))
+        super()._tx_dequeue(node)
+
+
+class TwoEventWorld(LoggedWorld):
+    """The engine as it was: a frame's deliveries, then its sender's next transmit step, are events."""
+
+    def _tx_dequeue(self, node):
+        self.log.append((self.now, node.id))
+        if not node.txq:
+            node.tx_scheduled = False
+            return
+        message, dest = node.txq.popleft()
+        copies = 1
+        if message.kind is MessageKind.DATA:
+            if self.config.fault_duplicate and dest is not BROADCAST:
+                copies = 2
+            node.tx_data_count += copies
+        node.tx_count += copies
+        for _ in range(copies):
+            receivers = self._fan_out(node, dest)
+            if receivers:
+                self.schedule(self.now + self.config.latency_ms, World._deliver,
+                              message, receivers)
+        node.radio_free_at = self.now + self.config.latency_ms
+        if node.txq:
+            self.schedule(node.radio_free_at, World._tx_dequeue, node)
+        else:
+            node.tx_scheduled = False
+
+
+@st.composite
+def busy_runs(draw):
+    """2-12 nodes packed for a ground radio, 0-3 hub waypoints, short queues, any
+    loss, latency and algorithm, maybe duplicated frames and reboot-all or
+    sim-reset commands; returns the config and the ``(at_ms, verb, issuer)`` list.
+
+    An issuer of ``None`` stands for the first node with frames waiting at
+    ``at_ms`` or at the first millisecond after it that has one, so that a
+    reboot often wipes the queue of a node whose frame is in flight.
+    """
+    n = draw(st.integers(2, 12))
+    hub = draw(st.integers(0, n - 1))
+    place = st.floats(0.0, 12.0)
+    topology = [NodeSpec(i, draw(place), draw(place),
+                         Role.MOBILE_HUB if i == hub else Role.SENSOR) for i in range(n)]
+    times = sorted(draw(st.lists(st.integers(0, 3_000), max_size=3, unique=True)))
+    config = ScenarioConfig(
+        topology=topology, duration_ms=3_000,
+        mobility=[Waypoint(t, draw(place), draw(place)) for t in times] or None,
+        algorithm=draw(st.sampled_from(list(Algorithm))),
+        loss_prob=draw(st.floats(0.0, 0.5)), fault_duplicate=draw(st.booleans()),
+        tx_queue_capacity=draw(st.integers(1, 5)), latency_ms=draw(st.integers(1, 20)),
+        data_period_ms=draw(st.integers(50, 1_000)),
+        heartbeat_period_ms=draw(st.integers(200, 2_000)), rng_seed=draw(st.integers(0, 2**32)))
+    commands = draw(st.lists(st.tuples(
+        st.integers(0, 3_000), st.sampled_from([CommandVerb.REBOOT_ALL, CommandVerb.SIM_RESET]),
+        st.one_of(st.none(), st.integers(0, n - 1))), max_size=3))
+    return config, sorted(commands, key=lambda command: command[0])
+
+
+def logged_run(world_class, config, commands):
+    world = world_class(config)
+    nodes = world.nodes.values()
+    for at_ms, verb, issuer in commands:
+        world.run_until(at_ms)
+        # both engines agree at every whole millisecond, so a wait stops at the same one
+        while issuer is None and world.now < config.duration_ms:
+            issuer = next((n.id for n in nodes if n.txq), None)
+            if issuer is None:
+                world.run_until(world.now + 1)
+        if issuer is not None:
+            world.issue_command(verb, issuer)
+    world.run_until(config.duration_ms)
+    return world.report(), world.log
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(busy_runs())
+def test_a_delivery_that_starts_the_next_frame_replays_the_two_event_engine(run_case):
+    config, commands = run_case
+    report, log = logged_run(LoggedWorld, config, commands)
+    assert (report, log) == logged_run(TwoEventWorld, config, commands)
 
 
 def test_tx_queue_overflow_drops_newest_and_counts():
