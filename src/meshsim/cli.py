@@ -33,7 +33,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_plan(args)
-    except (ConfigError, PlanError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, PlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

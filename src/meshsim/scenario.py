@@ -166,11 +166,17 @@ def read_source(source: Union[str, Path], what: str, builtins: tuple[str, ...],
     """``(text, path)`` of a file path, or of a built-in name (path None).
 
     ``resource`` is the packaged file of a built-in, with ``{}`` for its name;
-    anything else raises ``error("<what> not found: <source>")``.
+    anything else raises ``error("<what> not found: <source>")``. A file that
+    is not UTF-8 text raises ``error`` naming the line of its first bad byte.
     """
     path = Path(source)
     if path.is_file():
-        return path.read_text(), path
+        data = path.read_bytes()
+        try:
+            return data.decode(), path
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
     if str(source) in builtins:
         return resources.files("meshsim").joinpath(resource.format(source)).read_text(), None
     raise error(f"{what} not found: {source}")

@@ -16,9 +16,12 @@ Links between nodes that stay put are worked out once per world, as lists of
 stored list with the hub in it, so ``links`` returns a stored list whether or
 not the hub moves, and ``neighbors`` is its id view; the hub's ``SimNode.pos``
 is worked out again once per simulated millisecond. A loss-free broadcast
-hands the stored list itself to ``_deliver``, which only reads it. Data and
-heartbeat receptions run the relay decision inside ``_deliver``, and
-``enqueue_tx`` builds a relay's forward only once the queue admits it.
+hands the stored list itself to ``_deliver``, which only reads it.
+
+Every reception ends in ``_deliver``'s one loop: a step per frame kind either
+consumes the frame there or leaves it to the relay step, written once for all
+kinds, and ``enqueue_tx`` builds a relay's forward only once the queue admits
+it. ``_relay`` sends only the frames a node originates.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ class MobilityTrace:
     """Piecewise-linear waypoint schedule, clamped before/after the endpoints."""
 
     def __init__(self, waypoints: list[Waypoint]):
-        problem = _mobility_problem(waypoints)
+        # a config may leave mobility unset (None); a trace may not
+        problem = (_mobility_problem(waypoints) if waypoints is not None
+                   else "must be a list of Waypoint rows")
         if problem:
             raise ConfigError(f"mobility {problem}")
         self.waypoints = list(waypoints)
@@ -296,85 +301,65 @@ class World:
 
     def _deliver(self, message: Message, receivers: list[SimNode],
                  sender: Optional[SimNode] = None) -> None:
-        """Hand one transmission to each receiver: consume it there, or act on it and relay it.
+        """Hand one transmission to each receiver: consume it there, or relay it.
 
+        Each frame kind first has its own consume step: a data frame counts as
+        received and ends at the hub, a command is applied, a stats report ends
+        at the hub and an ack at the node that sent the probe. Whatever is not
+        consumed then takes the node's relay step, written once for every kind.
         Receivers take the frame in id order, as one event per receiver at
         consecutive ties would: whatever one schedules gets a later tie.
         ``receivers`` may be a stored link list, so it is only read. A
         ``sender`` with frames still queued then sends its next one.
         """
-        kind = message.kind
-        origin = message.origin
-        # the kind is tested once per transmission; data and heartbeats, the
-        # bulk of the traffic, each take a loop of their own that runs the
-        # node's relay decision in place, as ``_relay`` does
-        if kind is DATA:
-            now, enqueue_tx, hub_id = self.now, self.enqueue_tx, self.hub_id
-            for node in receivers:
-                node.rx_count += 1
-                if node.id == origin:
-                    continue
+        kind, origin = message.kind, message.origin
+        now, hub_id, enqueue_tx = self.now, self.hub_id, self.enqueue_tx
+        for node in receivers:
+            node.rx_count += 1
+            if node.id == origin:
+                continue
+            if kind is DATA:
                 node.received += 1
                 if node.id == hub_id:
                     self.tracker.record((origin, message.seq))
                     continue
-                if node.algorithm is MAM:
-                    action = mam_handle(node.relay, now, message)
-                else:
-                    action = btmr_relay(node.relay, message)
-                if isinstance(action, str):
-                    node.drops[action] += 1
-                elif enqueue_tx(node, message, action, True):
-                    node.relayed += 1
-        elif kind is HEARTBEAT:
-            now, enqueue_tx = self.now, self.enqueue_tx
-            for node in receivers:
-                node.rx_count += 1
-                if node.id == origin:
+            elif kind is HEARTBEAT:
+                pass  # no consume step: a heartbeat goes straight to the relay step
+            elif kind is COMMAND:
+                self._apply_command(node, message)
+            elif kind is STATS_REPORT:
+                if node.id == hub_id:
+                    stats = decode_stats(message.payload)
+                    self.collected_stats[stats.node] = stats
                     continue
-                if node.algorithm is MAM:
-                    action = mam_handle(node.relay, now, message)
-                else:
-                    action = btmr_relay(node.relay, message)
-                if isinstance(action, str):
-                    node.drops[action] += 1
-                else:
-                    enqueue_tx(node, message, action, True)
-        else:
-            relay = self._relay
-            for node in receivers:
-                node.rx_count += 1
-                if node.id == origin:
+            elif kind is ACK:
+                probe = _ACK_PAYLOAD.unpack(message.payload)
+                if node.id == probe[0]:
+                    if probe == self.probe:
+                        self.acked.add(origin)
                     continue
-                if kind is COMMAND:
-                    self._apply_command(node, message)
-                elif kind is STATS_REPORT:
-                    if node.id == self.hub_id:
-                        stats = decode_stats(message.payload)
-                        self.collected_stats[stats.node] = stats
-                        continue
-                elif kind is ACK:
-                    probe = _ACK_PAYLOAD.unpack(message.payload)
-                    if node.id == probe[0]:
-                        if probe == self.probe:
-                            self.acked.add(message.origin)
-                        continue
-                relay(node, message)
+            # the relay step
+            if node.algorithm is MAM:
+                action = mam_handle(node.relay, now, message)
+            else:
+                action = btmr_relay(node.relay, message)
+            if isinstance(action, str):
+                node.drops[action] += 1
+            elif enqueue_tx(node, message, action, True) and kind is DATA:
+                node.relayed += 1
         if sender is not None:
             self._tx_dequeue(sender)
 
     def _relay(self, node: SimNode, message: Message) -> None:
-        """Run the node's active relay algorithm on one frame and queue its forward."""
+        """Send a frame that ``node`` originated, as its relay algorithm decides."""
         if node.algorithm is MAM:
             action = mam_handle(node.relay, self.now, message)
         else:
             action = btmr_relay(node.relay, message)
         if isinstance(action, str):
             node.drops[action] += 1
-            return
-        queued = self.enqueue_tx(node, message, action, True)
-        if queued and message.kind is DATA and message.origin != node.id:
-            node.relayed += 1
+        else:
+            self.enqueue_tx(node, message, action, True)
 
     def _apply_command(self, node: SimNode, message: Message) -> None:
         if message.seq <= node.last_cmd_seq.get(message.origin, -1):

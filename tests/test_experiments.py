@@ -340,6 +340,22 @@ def test_plan_file_unknown_key_rejected(tmp_path):
         load_plan(path)
 
 
+def test_a_plan_file_that_is_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "latin1.plan"
+    path.write_bytes(b"scenario = line3\nalgorithms = btmr\ndurations_min = 1 \xb1 0.5\n")
+    with pytest.raises(PlanError, match="^line 3: byte 0xb1 is not UTF-8 text$"):
+        load_plan(path)
+
+
+def test_a_plan_naming_a_scenario_that_is_not_utf8_fails_on_that_line(tmp_path):
+    (tmp_path / "latin1.scn").write_bytes(b"duration_ms = 1\xff\n")
+    path = tmp_path / "mini.plan"
+    path.write_text("algorithms = btmr\ndurations_min = 0.2\nscenario = latin1.scn\n")
+    with pytest.raises(PlanError,
+                       match="^line 3: scenario: line 1: byte 0xff is not UTF-8 text$"):
+        load_plan(path)
+
+
 PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
 
 
@@ -458,3 +474,10 @@ def test_cli_plan_runs_to_out_dir(tmp_path, capsys):
 def test_cli_unknown_scenario_fails_cleanly(capsys):
     assert cli_main(["run", "no-such-scenario"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_scenario_that_is_not_utf8_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(b"duration_ms = 1\xff\n")
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1: byte 0xff is not UTF-8 text\n"

@@ -106,6 +106,17 @@ def test_missing_scenario_is_an_error():
         load_scenario("atlantis")
 
 
+@pytest.mark.parametrize("data,complaint", [
+    (b"duration_ms = 1\xff\n", "^line 1: byte 0xff is not UTF-8 text$"),
+    (b"duration_ms = 1\r\n[nodes]\r\n0 0 0 hub \xe9\n", "^line 3: byte 0xe9 "),
+])
+def test_a_scenario_file_that_is_not_utf8_names_the_line(tmp_path, data, complaint):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=complaint):
+        load_scenario(path)
+
+
 # --- properties ----------------------------------------------------------------
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

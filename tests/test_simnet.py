@@ -23,7 +23,7 @@ from meshsim import (
     run,
 )
 from meshsim import simnet
-from meshsim.commander import CommandVerb
+from meshsim.commander import CommandVerb, encode_stats
 from meshsim.core import forwarded
 from meshsim.routing import BROADCAST
 from meshsim.simnet import RANGE_PRESETS
@@ -69,6 +69,7 @@ def test_mobility_trace_multi_segment():
      "mobility waypoint times must strictly increase"),
     ([Waypoint(200, 0.0, 0.0), Waypoint(100, 1.0, 0.0)],
      "mobility waypoint times must strictly increase"),
+    (None, "mobility must be a list of Waypoint rows"),
 ])
 def test_mobility_trace_rejects_bad_waypoints(waypoints, problem):
     with pytest.raises(ConfigError, match=problem):
@@ -442,6 +443,81 @@ def test_tx_queue_overflow_drops_newest_and_counts():
     assert accepted == 2
     assert node.tx_dropped == attempts - accepted
     assert len(node.txq) == 2
+
+
+def reception_counters(world):
+    """Each node's reception counters, drop reasons and queue length, keyed ``(id, name)``."""
+    counters = {}
+    for nid, n in world.nodes.items():
+        for name in ("rx_count", "received", "relayed", "tx_dropped"):
+            counters[nid, name] = getattr(n, name)
+        for reason, count in n.drops.items():
+            counters[nid, "drops." + reason] = count
+        counters[nid, "txq"] = len(n.txq)
+    return counters
+
+
+def deliver_to(world, message, ids):
+    """Hand ``message`` to the nodes ``ids``; the counters that changed, by how much."""
+    before = reception_counters(world)
+    world._deliver(message, [world.nodes[i] for i in ids])
+    after = reception_counters(world)
+    return {key: after[key] - before.get(key, 0)
+            for key in after if after[key] != before.get(key, 0)}
+
+
+def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
+    # hub 0, commander 1, sensors 2-5, all in range; a queue holds one frame
+    topology = [NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB), NodeSpec(1, 1.0, 0.0, Role.COMMANDER)]
+    topology += [NodeSpec(i, float(i), 0.0, Role.SENSOR) for i in range(2, 6)]
+    world = World(ScenarioConfig(topology=topology, duration_ms=10_000, tx_queue_capacity=1))
+    clear_events(world)
+    hub, commander, sensor = world.nodes[0], world.nodes[1], world.nodes[5]
+
+    # data: received everywhere but at its origin; recorded at the hub, relayed elsewhere
+    data = sensor.originate(MessageKind.DATA, b"r")
+    assert deliver_to(world, data, [0, 2, 5]) == {
+        (0, "rx_count"): 1, (0, "received"): 1,
+        (2, "rx_count"): 1, (2, "received"): 1, (2, "relayed"): 1, (2, "txq"): 1,
+        (5, "rx_count"): 1}
+    assert world.tracker.unique_count == 1
+    assert world.nodes[2].txq[-1] == (forwarded(data, 2), BROADCAST)
+    # the same frame again: a duplicate at the hub, a seen-drop at the relay
+    assert deliver_to(world, data, [0, 2]) == {
+        (0, "rx_count"): 1, (0, "received"): 1,
+        (2, "rx_count"): 1, (2, "received"): 1, (2, "drops.seen"): 1}
+    assert world.tracker.duplicate_count == 1
+    # a new frame at a full queue is refused, and a refused forward is not relayed
+    assert deliver_to(world, sensor.originate(MessageKind.DATA, b"s"), [2]) == {
+        (2, "rx_count"): 1, (2, "received"): 1, (2, "tx_dropped"): 1}
+
+    # a heartbeat counts only as a reception, and its forward is queued
+    heartbeat = hub.originate(MessageKind.HEARTBEAT)
+    assert deliver_to(world, heartbeat, [0, 3]) == {
+        (0, "rx_count"): 1, (3, "rx_count"): 1, (3, "txq"): 1}
+    assert world.nodes[3].txq[-1] == (forwarded(heartbeat, 3), BROADCAST)
+
+    # a stats report ends at the hub and is relayed by anyone else
+    snapshot = world.nodes[4].stats_snapshot()
+    report = world.nodes[4].originate(MessageKind.STATS_REPORT, encode_stats(snapshot))
+    assert deliver_to(world, report, [0, 1]) == {
+        (0, "rx_count"): 1, (1, "rx_count"): 1, (1, "txq"): 1}
+    assert world.collected_stats == {4: snapshot}
+
+    # an ack ends at the prober, which counts it only for its newest probe
+    world.probe = (1, 7)
+    ack = world.nodes[4].originate(MessageKind.ACK, simnet._ACK_PAYLOAD.pack(1, 7))
+    assert deliver_to(world, ack, [1, 0]) == {
+        (0, "rx_count"): 1, (0, "txq"): 1, (1, "rx_count"): 1}
+    stale = world.nodes[3].originate(MessageKind.ACK, simnet._ACK_PAYLOAD.pack(1, 6))
+    assert deliver_to(world, stale, [1]) == {(1, "rx_count"): 1}
+    assert world.acked == {4}
+
+    # a command is applied, then relayed under the algorithm it may have just set
+    command = commander.originate(MessageKind.COMMAND, bytes([CommandVerb.SET_MAM]))
+    assert deliver_to(world, command, [4]) == {(4, "rx_count"): 1, (4, "txq"): 1}
+    assert world.nodes[4].algorithm is Algorithm.MAM
+    assert world.nodes[4].txq[-1] == (forwarded(command, 4), BROADCAST)
 
 
 def test_queue_wiped_by_a_reboot_still_sends_the_next_frame():
