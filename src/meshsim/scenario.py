@@ -168,12 +168,14 @@ def read_source(source: Union[str, Path], what: str, builtins: tuple[str, ...],
     ``resource`` is the packaged file of a built-in, with ``{}`` for its name;
     anything else raises ``error("<what> not found: <source>")``. A file that
     is not UTF-8 text raises ``error`` naming the line of its first bad byte.
+    A leading byte-order mark is dropped once decoded, so byte offsets still
+    count from the start of the file.
     """
     path = Path(source)
     if path.is_file():
         data = path.read_bytes()
         try:
-            return data.decode(), path
+            return data.decode().removeprefix("\ufeff"), path
         except UnicodeDecodeError as exc:
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise error(f"line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 text") from None

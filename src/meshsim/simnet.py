@@ -14,9 +14,10 @@ transmission that reaches nobody while frames wait, schedules a ``_tx_dequeue``.
 Links between nodes that stay put are worked out once per world, as lists of
 ``SimNode``s in id order. For a hub that walks, each node also keeps a second
 stored list with the hub in it, so ``links`` returns a stored list whether or
-not the hub moves, and ``neighbors`` is its id view; the hub's ``SimNode.pos``
-is worked out again once per simulated millisecond. A loss-free broadcast
-hands the stored list itself to ``_deliver``, which only reads it.
+not the hub moves. ``in_range`` tests one link live, after moving a walking
+hub's ``SimNode.pos`` at most once per simulated millisecond; it and ``links``
+both read ``pos``. A loss-free broadcast hands the stored list itself to
+``_deliver``, which only reads it.
 
 Every reception ends in ``_deliver``'s one loop: a step per frame kind either
 consumes the frame there or leaves it to the relay step, written once for all
@@ -94,7 +95,7 @@ class SimNode:
     def __init__(self, spec, config: ScenarioConfig):
         self.id: NodeId = spec.node
         self.role: Role = spec.role
-        # a walking hub's ``pos`` is where it was at the last ``World.position`` call
+        # a walking hub's ``pos`` is where it was at the last ``World.in_range`` test
         self.pos = (spec.x, spec.y)
         self.algorithm = config.algorithm
         self.relay = RelayState(config.relay_cache_size, config.delta_ms)
@@ -238,16 +239,14 @@ class World:
 
     # --- geometry: disc radio, evaluated at ``now`` -----------------------
 
-    def position(self, node: NodeId) -> tuple[float, float]:
-        # keyed on ``now`` itself, which callers may also set directly
-        if node == self.hub_id and self._hub_at != self.now:
-            self._hub_at = self.now
-            self.nodes[node].pos = self.trace.position(self.now)
-        return self.nodes[node].pos
-
     def in_range(self, u: NodeId, v: NodeId) -> bool:
-        (ux, uy) = self.position(u)
-        (vx, vy) = self.position(v)
+        # a walking hub moves first, at most once per value of ``now``, which
+        # callers may also set directly
+        if self.hub_moves and self._hub_at != self.now:
+            self._hub_at = self.now
+            self.nodes[self.hub_id].pos = self.trace.position(self.now)
+        (ux, uy) = self.nodes[u].pos
+        (vx, vy) = self.nodes[v].pos
         return math.hypot(ux - vx, uy - vy) <= self.range_m
 
     def links(self, u: NodeId) -> list[SimNode]:
@@ -263,10 +262,6 @@ class World:
         if self.in_range(u, self.hub_id):
             return self._hub_links[u]
         return self._static_links[u]
-
-    def neighbors(self, u: NodeId) -> list[NodeId]:
-        """The ids of ``links(u)``."""
-        return [n.id for n in self.links(u)]
 
     # --- event handlers ---------------------------------------------------
 

@@ -8,7 +8,7 @@ def component(world: World, start: int) -> set[int]:
     seen = {start}
     frontier = [start]
     while frontier:
-        for v in world.neighbors(frontier.pop()):
+        for v in [n.id for n in world.links(frontier.pop())]:
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)

@@ -30,6 +30,7 @@ import meshsim
 from meshsim import experiments, refdata
 from meshsim.cli import main as cli_main
 from meshsim.experiments import parse_plan
+from test_scenario import with_byte_order_mark
 from test_simnet import coordinate, geometries
 
 
@@ -354,6 +355,18 @@ def test_a_plan_naming_a_scenario_that_is_not_utf8_fails_on_that_line(tmp_path):
     with pytest.raises(PlanError,
                        match="^line 3: scenario: line 1: byte 0xff is not UTF-8 text$"):
         load_plan(path)
+
+
+def test_a_plan_file_with_a_byte_order_mark_loads(tmp_path):
+    path = with_byte_order_mark("plans/line3_quick.plan", tmp_path / "line3_quick.plan")
+    assert load_plan(path) == load_plan("line3_quick")
+
+
+def test_a_plan_naming_a_scenario_with_a_byte_order_mark_loads(tmp_path):
+    with_byte_order_mark("scenarios/line3.scn", tmp_path / "line3.scn")
+    path = tmp_path / "mini.plan"
+    path.write_text("algorithms = btmr\ndurations_min = 0.2\nscenario = line3.scn\n")
+    assert load_plan(path).scenario == load_scenario("line3")
 
 
 PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"

@@ -1,3 +1,6 @@
+import codecs
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,12 +112,25 @@ def test_missing_scenario_is_an_error():
 @pytest.mark.parametrize("data,complaint", [
     (b"duration_ms = 1\xff\n", "^line 1: byte 0xff is not UTF-8 text$"),
     (b"duration_ms = 1\r\n[nodes]\r\n0 0 0 hub \xe9\n", "^line 3: byte 0xe9 "),
+    # a byte-order mark is stripped, but the bad byte is still found in the file
+    (codecs.BOM_UTF8 + b"a = 1\n\xff", "^line 2: byte 0xff is not UTF-8 text$"),
 ])
 def test_a_scenario_file_that_is_not_utf8_names_the_line(tmp_path, data, complaint):
     path = tmp_path / "latin1.scn"
     path.write_bytes(data)
     with pytest.raises(ConfigError, match=complaint):
         load_scenario(path)
+
+
+def with_byte_order_mark(resource, path):
+    """Write a packaged file to ``path`` behind a UTF-8 byte-order mark."""
+    path.write_bytes(codecs.BOM_UTF8 + resources.files("meshsim").joinpath(resource).read_bytes())
+    return path
+
+
+def test_a_scenario_file_with_a_byte_order_mark_loads(tmp_path):
+    path = with_byte_order_mark("scenarios/line3.scn", tmp_path / "line3.scn")
+    assert load_scenario(path) == load_scenario("line3")
 
 
 # --- properties ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import heapq
 import itertools
+import math
 import weakref
 from dataclasses import replace
 
@@ -668,8 +669,8 @@ def test_topology_connectivity_is_derived():
                   NodeSpec(2, 10.0, 0.0, Role.SENSOR),
                   NodeSpec(3, 50.0, 0.0, Role.SENSOR)],
         duration_ms=1_000, radio_preset=6.0))
-    assert world.neighbors(0) == [1]
-    assert world.neighbors(1) == [0, 2]
+    assert [n.id for n in world.links(0)] == [1]
+    assert [n.id for n in world.links(1)] == [0, 2]
     assert component(world, 0) == {0, 1, 2}
     assert component(world, 3) == {3}
     assert world.in_range(1, 2) and not world.in_range(0, 2)
@@ -699,15 +700,50 @@ def geometries(draw, node_counts=st.integers(2, 30), ranges=radio_ranges):
                           radio_preset=draw(ranges), mobility=mobility)
 
 
+def swept_links(config, now):
+    """Each node's linked ids at ``now``, swept over the config's own coordinates."""
+    preset = config.radio_preset
+    range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else preset
+    pos = {spec.node: (spec.x, spec.y) for spec in config.topology}
+    if config.mobility:
+        pos[config.hub_id] = scanned_position(config.mobility, now)
+    ids = sorted(pos)
+    return {u: [v for v in ids if v != u and math.hypot(pos[u][0] - pos[v][0],
+                                                        pos[u][1] - pos[v][1]) <= range_m]
+            for u in ids}
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(geometries(), st.lists(st.integers(0, 12_000), min_size=1, max_size=4))
-def test_neighbors_match_a_full_range_sweep(config, times):
+def test_links_match_a_full_range_sweep(config, times):
     world = World(config)
     for now in times:
         world.now = now
+        swept = swept_links(config, now)
         for u in world.node_ids:
-            assert world.neighbors(u) == [v for v in world.node_ids
-                                          if v != u and world.in_range(u, v)]
+            assert [n.id for n in world.links(u)] == swept[u]
+            assert [v for v in world.node_ids if v != u and world.in_range(u, v)] == swept[u]
+
+
+def test_links_at_the_range_boundary():
+    # a 3-4-5 triangle puts the hub exactly one range from sensor 1, and a link
+    # holds at exactly the range; sensor 2 is a hair beyond it from sensor 1
+    topology = [NodeSpec(0, 3.0, 4.0, Role.MOBILE_HUB), NodeSpec(1, 0.0, 0.0, Role.SENSOR),
+                NodeSpec(2, 0.0, 5.0 + 1e-9, Role.SENSOR)]
+    static = World(ScenarioConfig(topology=topology, duration_ms=1_000, radio_preset=5.0))
+    assert not static.hub_moves
+    assert [n.id for n in static.links(1)] == [0]
+    assert [n.id for n in static.links(0)] == [1, 2]
+    assert static.in_range(0, 1) and static.in_range(1, 0)
+    assert not static.in_range(1, 2)
+    # walking (0, 0) -> (6, 8) over a second, the hub is at (3, 4) at 500 ms
+    walking = World(ScenarioConfig(topology=topology, duration_ms=1_000, radio_preset=5.0,
+                                   mobility=[Waypoint(0, 0.0, 0.0), Waypoint(1_000, 6.0, 8.0)]))
+    walking.now = 500
+    assert walking.in_range(1, 0) and [n.id for n in walking.links(1)] == [0]
+    assert walking.nodes[0].pos == (3.0, 4.0)
+    walking.now = 501
+    assert not walking.in_range(1, 0) and walking.links(1) == []
 
 
 def scanned_position(waypoints, t):
@@ -755,12 +791,12 @@ def test_hub_position_follows_the_clock():
     links_seen = {u: set() for u in world.node_ids}
 
     def check():
-        assert world.position(world.hub_id) == world.trace.position(world.now)
-        assert world.nodes[world.hub_id].pos == world.position(world.hub_id)
         for u in world.node_ids:
-            links = world.neighbors(u)
+            links = [n.id for n in world.links(u)]
             assert links == [v for v in world.node_ids if v != u and world.in_range(u, v)]
             links_seen[u].add(tuple(links))
+        # the range tests above moved the hub to the clock
+        assert world.nodes[world.hub_id].pos == world.trace.position(world.now)
 
     check()
     for parked in (5_007, 12_345, 25_001):
@@ -806,7 +842,7 @@ def test_static_hub_links_match_a_re_tested_hub(algorithm):
     static = World(hub_parked_at(config, 10.0, 7.5, 1))
     retested = World(hub_parked_at(config, 10.0, 7.5, 2))
     assert not static.hub_moves and retested.hub_moves
-    assert static.neighbors(static.hub_id) == [6, 7, 9]  # at its row: [1, 4]
+    assert [n.id for n in static.links(static.hub_id)] == [6, 7, 9]  # at its row: [1, 4]
     assert static.nodes[static.hub_id].pos == (10.0, 7.5)
     static.run_until(config.duration_ms)
     retested.run_until(config.duration_ms)
@@ -850,7 +886,6 @@ def test_a_run_leaves_the_stored_links_as_built(config):
             links = world.links(u)
             assert all(n is world.nodes[n.id] for n in links)
             assert [n.id for n in links] == [n.id for n in fresh.links(u)]
-            assert world.neighbors(u) == [n.id for n in links]
 
 
 @st.composite
