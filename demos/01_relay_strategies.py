@@ -18,6 +18,11 @@ from meshsim.routing import BROADCAST
 # A decision only says where a frame goes: to every neighbour (BROADCAST), to
 # one node (its id), or nowhere (the drop reason, a string). The frame a relay
 # sends is the same whatever the decision: one more hop, with the relay as sender.
+# Flooding reads only a frame's (origin, seq) key and its hop count.
+
+
+def flood(state, frame):
+    return btmr_relay(state, (frame.origin, frame.seq), frame.hops)
 
 
 def said(decision):
@@ -41,19 +46,19 @@ state = RelayState(cache_size=3, delta_ms=100_000)
 reading = Message(MessageKind.DATA, origin=2, seq=0, hops=0, sender=2, payload=b"\x17")
 
 echo = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=3, payload=b"\x17")
-print("flooding relay, first contact:   ", said(btmr_relay(state, reading)))
+print("flooding relay, first contact:   ", said(flood(state, reading)))
 print("node 5 then sends:               ", forwarded(reading, 5))
-print("same frame from another neighbor:", said(btmr_relay(state, echo)))
+print("same frame from another neighbor:", said(flood(state, echo)))
 
 stale = Message(MessageKind.DATA, origin=2, seq=1, hops=127, sender=2, payload=b"\x17")
-print("hop budget exhausted:            ", said(btmr_relay(state, stale)))
+print("hop budget exhausted:            ", said(flood(state, stale)))
 
 # The seen-key cache is a bounded LRU, so old entries age out and a frame can relay
 # again once enough newer traffic displaced it.
 for seq in (10, 11, 12):
-    btmr_relay(state, Message(MessageKind.DATA, 2, seq, 0, 2, b"\x17"))
+    btmr_relay(state, (2, seq), 0)
 print("after 3 newer frames, the first relays again:",
-      said(btmr_relay(state, reading)))
+      said(flood(state, reading)))
 
 # --- reactive least-hop route --------------------------------------------------
 

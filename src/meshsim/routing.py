@@ -2,9 +2,9 @@
 
 Two per-node state machines decide what to do with an incoming frame:
 
-* ``btmr_relay`` -- controlled flooding: rebroadcast unless the frame was
-  relayed recently (an LRU cache of ``(origin, seq)`` keys) or its hop
-  budget is exhausted.
+* ``btmr_relay`` -- controlled flooding: rebroadcast unless the frame's
+  ``(origin, seq)`` key was relayed recently (an LRU cache of keys) or its
+  hop budget is exhausted. It takes that key and the hop count, not the frame.
 * ``mam_handle`` -- reactive least-hop routing: unicast data and stats
   reports toward a cached best neighbor learned from the collector's periodic
   heartbeats, with an expiry window so routes follow a moving collector.
@@ -27,6 +27,7 @@ from .core import message_hash  # noqa: F401  (bench/tracer.py wraps routing.mes
 DROP_SEEN = "seen"
 DROP_TTL = "ttl"
 DROP_NO_ROUTE = "no-route"
+DROP_REASONS = (DROP_SEEN, DROP_TTL, DROP_NO_ROUTE)  # the keys of ``SimNode.drops``
 
 
 @dataclass
@@ -64,21 +65,20 @@ BROADCAST = Broadcast()
 RelayAction = Union[Broadcast, NodeId, str]
 
 
-def btmr_relay(state: RelayState, message: Message) -> RelayAction:
-    """Controlled-flooding relay decision for one incoming frame.
+def btmr_relay(state: RelayState, key: tuple[NodeId, int], hops: int) -> RelayAction:
+    """Controlled-flooding relay decision for one incoming frame's ``(origin, seq)`` and hops.
 
-    Drops when the frame's ``(origin, seq)`` is in ``state.seen`` (recently
-    relayed) or when the frame has used up its hop budget (``MAX_HOPS``, the
-    most the wire format carries); otherwise records the key and rebroadcasts.
-    A hit refreshes the key's recency; a new key is the most recent, and the
-    least recent goes when ``seen`` holds more than ``cache_size`` keys.
+    Drops when ``key`` is in ``state.seen`` (recently relayed) or when ``hops``
+    has used up the hop budget (``MAX_HOPS``, the most the wire format carries);
+    otherwise records the key and rebroadcasts. A hit refreshes the key's
+    recency; a new key is the most recent, and the least recent goes when
+    ``seen`` holds more than ``cache_size`` keys.
     """
-    key = (message.origin, message.seq)
     seen = state.seen
     if key in seen:
         seen.move_to_end(key)
         return DROP_SEEN
-    if message.hops >= MAX_HOPS:
+    if hops >= MAX_HOPS:
         return DROP_TTL
     seen[key] = None
     if len(seen) > state.cache_size:
@@ -111,4 +111,4 @@ def mam_handle(state: RelayState, now: int, message: Message) -> RelayAction:
         state.best_node = message.sender
         state.best_hops = message.hops
         state.expiry = now + state.delta_ms
-    return btmr_relay(state, message)
+    return btmr_relay(state, (message.origin, message.seq), message.hops)

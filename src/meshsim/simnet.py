@@ -19,10 +19,11 @@ hub's ``SimNode.pos`` at most once per simulated millisecond; it and ``links``
 both read ``pos``. A loss-free broadcast hands the stored list itself to
 ``_deliver``, which only reads it.
 
-Every reception ends in ``_deliver``'s one loop: a step per frame kind either
-consumes the frame there or leaves it to the relay step, written once for all
-kinds, and ``enqueue_tx`` builds a relay's forward only once the queue admits
-it. ``_relay`` sends only the frames a node originates.
+Every reception ends in ``_deliver``'s one loop: a step per frame kind consumes
+the frame or leaves it to the one relay step, which decides by the frame's
+``(origin, seq)`` key, built once per transmission. A relay queues the frame as
+heard; ``_tx_dequeue`` stamps the forward when it sends it. ``_relay`` sends
+only the frames a node originates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import random
 import struct
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from typing import Optional
 
 from .commander import STATS_COUNTERS, CommandVerb, NodeStats, decode_stats, encode_stats
@@ -58,7 +59,7 @@ from .core import (
     sensor_reading,
 )
 from .metrics import HashMapTracker, IntervalTracker, RunReport
-from .routing import BROADCAST, RelayAction, RelayState, btmr_relay, mam_handle
+from .routing import BROADCAST, DROP_REASONS, RelayAction, RelayState, btmr_relay, mam_handle
 
 _ACK_PAYLOAD = struct.Struct(">HI")
 _TRACKERS = {"hashmap": HashMapTracker, "interval": IntervalTracker}
@@ -118,7 +119,7 @@ class SimNode:
         self.tx_data_count = 0
         self.tx_dropped = 0
         self.restarts = 0
-        self.drops: Counter = Counter()
+        self.drops: dict[str, int] = dict.fromkeys(DROP_REASONS, 0)
 
     def reset_routing(self) -> None:
         """Return routing state and statistics to power-on values."""
@@ -307,7 +308,8 @@ class World:
         ``receivers`` may be a stored link list, so it is only read. A
         ``sender`` with frames still queued then sends its next one.
         """
-        kind, origin = message.kind, message.origin
+        kind, origin, hops = message.kind, message.origin, message.hops
+        key = (origin, message.seq)
         now, hub_id, enqueue_tx = self.now, self.hub_id, self.enqueue_tx
         for node in receivers:
             node.rx_count += 1
@@ -316,7 +318,7 @@ class World:
             if kind is DATA:
                 node.received += 1
                 if node.id == hub_id:
-                    self.tracker.record((origin, message.seq))
+                    self.tracker.record(key)
                     continue
             elif kind is HEARTBEAT:
                 pass  # no consume step: a heartbeat goes straight to the relay step
@@ -337,24 +339,24 @@ class World:
             if node.algorithm is MAM:
                 action = mam_handle(node.relay, now, message)
             else:
-                action = btmr_relay(node.relay, message)
+                action = btmr_relay(node.relay, key, hops)
             if isinstance(action, str):
                 node.drops[action] += 1
-            elif enqueue_tx(node, message, action, True) and kind is DATA:
+            elif enqueue_tx(node, message, action) and kind is DATA:
                 node.relayed += 1
         if sender is not None:
             self._tx_dequeue(sender)
 
     def _relay(self, node: SimNode, message: Message) -> None:
-        """Send a frame that ``node`` originated, as its relay algorithm decides."""
+        """Send a frame ``node`` originated as decided; it is queued as sent, one hop on."""
         if node.algorithm is MAM:
             action = mam_handle(node.relay, self.now, message)
         else:
-            action = btmr_relay(node.relay, message)
+            action = btmr_relay(node.relay, (message.origin, message.seq), message.hops)
         if isinstance(action, str):
             node.drops[action] += 1
         else:
-            self.enqueue_tx(node, message, action, True)
+            self.enqueue_tx(node, forwarded(message, node.id), action)
 
     def _apply_command(self, node: SimNode, message: Message) -> None:
         if message.seq <= node.last_cmd_seq.get(message.origin, -1):
@@ -391,18 +393,14 @@ class World:
 
     # --- transmission -----------------------------------------------------
 
-    def enqueue_tx(self, node: SimNode, message: Message, dest: RelayAction,
-                   forward: bool = False) -> bool:
+    def enqueue_tx(self, node: SimNode, message: Message, dest: RelayAction) -> bool:
         """Queue one transmission as decided; overflow drops the newest entry and counts it.
 
-        With ``forward`` the frame queued is ``forwarded(message, node.id)``,
-        built only once the queue has admitted it.
+        A frame from another ``sender`` is queued as heard; ``_tx_dequeue`` sends its forward.
         """
         if len(node.txq) >= self.config.tx_queue_capacity:
             node.tx_dropped += 1
             return False
-        if forward:
-            message = forwarded(message, node.id)
         node.txq.append((message, dest))
         if not node.tx_scheduled:
             node.tx_scheduled = True
@@ -415,6 +413,8 @@ class World:
             node.tx_scheduled = False
             return
         message, dest = node.txq.popleft()
+        if message.sender != node.id:
+            message = forwarded(message, node.id)
         copies = 1
         if message.kind is DATA:
             if self.config.fault_duplicate and dest is not BROADCAST:

@@ -101,10 +101,11 @@ def test_criterion_2_algorithm_branch_coverage():
 
     # flood relay: TTL cap exceeded / at the cap / LRU hit / LRU miss
     flooding = RelayState(20, 1_000)
-    assert btmr_relay(flooding, data(hops=127)) == DROP_TTL
-    assert btmr_relay(flooding, data(hops=126)) is BROADCAST
-    assert btmr_relay(flooding, data()) == DROP_SEEN  # hops=126 cached it
-    assert btmr_relay(RelayState(20, 1_000), data()) is BROADCAST
+    key = (2, 0)  # the (origin, seq) of data()
+    assert btmr_relay(flooding, key, 127) == DROP_TTL
+    assert btmr_relay(flooding, key, 126) is BROADCAST
+    assert btmr_relay(flooding, key, 0) == DROP_SEEN  # hops=126 cached it
+    assert btmr_relay(RelayState(20, 1_000), key, 0) is BROADCAST
 
     # route cache: expired true / false, fewer hops true / false
     state = RelayState(4, 1_000)

@@ -33,73 +33,69 @@ def heartbeat(origin=0, seq=0, hops=0, sender=0):
     return Message(MessageKind.HEARTBEAT, origin, seq, hops, sender)
 
 
+def flood(state, frame):
+    """``btmr_relay`` on a whole frame: its ``(origin, seq)`` key and its hops."""
+    return btmr_relay(state, (frame.origin, frame.seq), frame.hops)
+
+
 # --- flood relay ------------------------------------------------------------
 
 def test_btmr_first_relay_broadcasts():
     state = RelayState(20, DELTA)
-    action = btmr_relay(state, message=data_msg(hops=0))
+    action = btmr_relay(state, (2, 0), 0)
     assert action is BROADCAST
     assert (2, 0) in state.seen
     # a broadcast carries nothing, so every one is the same object
-    assert btmr_relay(state, data_msg(seq=1)) is action
+    assert btmr_relay(state, (2, 1), 0) is action
     assert fields(Broadcast) == ()
 
 
 def test_btmr_hop_budget_exhausted_drops():
     state = RelayState(20, DELTA)
-    action = btmr_relay(state, message=data_msg(hops=127))
+    action = btmr_relay(state, (2, 0), 127)
     assert action == DROP_TTL
     assert len(state.seen) == 0
 
 
 def test_btmr_hop_126_still_relays():
     state = RelayState(20, DELTA)
-    action = btmr_relay(state, message=data_msg(hops=126))
+    action = btmr_relay(state, (2, 0), 126)
     assert action is BROADCAST
 
 
 def test_btmr_second_relay_of_same_message_drops():
     state = RelayState(20, DELTA)
     m = data_msg()
-    assert btmr_relay(state, m) is BROADCAST
+    assert flood(state, m) is BROADCAST
     # the same message again, one hop further on, from another neighbor
-    assert btmr_relay(state, data_msg(hops=1, sender=3)) == DROP_SEEN
+    assert flood(state, data_msg(hops=1, sender=3)) == DROP_SEEN
 
 
 def test_btmr_lru_eviction_capacity_two():
     state = RelayState(2, DELTA)
-    m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
-    assert btmr_relay(state, m1) is BROADCAST
-    assert btmr_relay(state, m2) is BROADCAST
-    assert btmr_relay(state, m3) is BROADCAST
-    assert btmr_relay(state, m1) is BROADCAST
+    k1, k2, k3 = (2, 1), (2, 2), (2, 3)
+    assert btmr_relay(state, k1, 0) is BROADCAST
+    assert btmr_relay(state, k2, 0) is BROADCAST
+    assert btmr_relay(state, k3, 0) is BROADCAST
+    assert btmr_relay(state, k1, 0) is BROADCAST
 
 
 def test_btmr_hit_refreshes_recency():
     state = RelayState(2, DELTA)
-    m1, m2, m3 = data_msg(seq=1), data_msg(seq=2), data_msg(seq=3)
-    btmr_relay(state, m1)
-    btmr_relay(state, m2)
-    assert btmr_relay(state, m1) == DROP_SEEN
-    btmr_relay(state, m3)
-    assert (m1.origin, m1.seq) in state.seen
-    assert (m2.origin, m2.seq) not in state.seen
-
-
-def test_btmr_keys_on_origin_and_seq_alone():
-    state = RelayState(20, DELTA)
-    assert btmr_relay(state, data_msg(seq=4)) is BROADCAST
-    # another kind and payload under the same (origin, seq) is the same frame
-    other = Message(MessageKind.COMMAND, 2, 4, 0, 2, payload=b"\x01")
-    assert btmr_relay(state, other) == DROP_SEEN
-    assert len(state.seen) == 1 and (2, 4) in state.seen
+    k1, k2, k3 = (2, 1), (2, 2), (2, 3)
+    btmr_relay(state, k1, 0)
+    btmr_relay(state, k2, 0)
+    assert btmr_relay(state, k1, 0) == DROP_SEEN
+    btmr_relay(state, k3, 0)
+    assert k1 in state.seen
+    assert k2 not in state.seen
 
 
 def test_relay_cache_bounded_under_random_churn():
     rng = random.Random(31)
     state = RelayState(8, DELTA)
     for _ in range(2000):
-        btmr_relay(state, data_msg(seq=rng.randrange(100)))
+        btmr_relay(state, (2, rng.randrange(100)), 0)
         assert len(state.seen) <= 8
 
 
@@ -113,9 +109,9 @@ def test_relay_state_rejects_a_size_that_is_not_an_int_of_at_least_one(name, val
 
 def test_relay_cache_keeps_recent_entries():
     state = RelayState(5, DELTA)
-    btmr_relay(state, data_msg(seq=42))
+    btmr_relay(state, (2, 42), 0)
     for seq in range(4):
-        btmr_relay(state, data_msg(seq=seq))
+        btmr_relay(state, (2, seq), 0)
     assert (2, 42) in state.seen
 
 
@@ -136,7 +132,7 @@ def test_btmr_decides_as_a_list_lru(capacity, frames):
         else:
             reference = (reference + [key])[-capacity:]
             expected = BROADCAST
-        assert btmr_relay(state, data_msg(origin, seq, hops)) == expected
+        assert btmr_relay(state, key, hops) == expected
         assert list(state.seen) == reference
 
 
@@ -146,7 +142,7 @@ def test_btmr_broadcasts_only_frames_below_127_hops():
     state = RelayState(4, DELTA)
     for i in range(500):
         hops = rng.randrange(0, 140)
-        action = btmr_relay(state, data_msg(seq=i, hops=hops, sender=1))
+        action = btmr_relay(state, (2, i), hops)
         if action is BROADCAST:
             assert hops < 127
 
@@ -163,8 +159,8 @@ hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
 @given(hand_built_frames)
 def test_a_frame_and_its_forward_are_one_cache_entry(frame):
     state = RelayState(4, DELTA)
-    assert btmr_relay(state, frame) is BROADCAST
-    assert btmr_relay(state, forwarded(frame, RELAY)) == DROP_SEEN
+    assert flood(state, frame) is BROADCAST
+    assert flood(state, forwarded(frame, RELAY)) == DROP_SEEN
     assert (frame.origin, frame.seq) in state.seen and len(state.seen) == 1
 
 
@@ -258,9 +254,9 @@ def test_mam_floods_control_frames_as_btmr_does(state, now, keys, frame):
     flooding = RelayState(state.cache_size, state.delta_ms)
     for key in keys:
         for relay in (state, flooding):
-            btmr_relay(relay, data_msg(*key))
+            btmr_relay(relay, key, 0)
     before = route(state)
-    assert mam_handle(state, now, frame) == btmr_relay(flooding, frame)
+    assert mam_handle(state, now, frame) == flood(flooding, frame)
     # the same entries in the same LRU order
     assert list(state.seen) == list(flooding.seen)
     assert route(state) == before
@@ -277,7 +273,7 @@ def test_decisions_are_broadcast_a_node_id_or_a_drop_reason(state, arrivals):
     now = 0
     for gap, frame in arrivals:
         now += gap
-        action = btmr_relay(flooding, frame)
+        action = flood(flooding, frame)
         assert action is BROADCAST or action in (DROP_SEEN, DROP_TTL)
         action = mam_handle(state, now, frame)
         if type(action) is int:
@@ -327,7 +323,7 @@ def test_mam_best_hops_non_increasing_within_window():
 
 def test_handlers_are_deterministic_given_state():
     state = RelayState(4, DELTA, best_node=4, best_hops=3, expiry=2_000)
-    btmr_relay(state, data_msg(seq=123))
+    btmr_relay(state, (2, 123), 0)
     for message in (heartbeat(seq=1, hops=2, sender=5), data_msg(seq=2, hops=1)):
         s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
         a1 = mam_handle(s1, 900, message)
@@ -352,7 +348,7 @@ def routed_node():
 
 def test_reset_returns_to_init_state():
     node = routed_node()
-    btmr_relay(node.relay, data_msg(seq=55))
+    btmr_relay(node.relay, (2, 55), 0)
     node.reset_routing()
     assert route(node.relay) == (None, 0, 0)
     assert len(node.relay.seen) == 0
@@ -364,11 +360,11 @@ def test_reset_returns_to_init_state():
 
 def test_reset_lets_a_cached_frame_relay_again():
     node = routed_node()
-    m = data_msg(seq=9)
-    btmr_relay(node.relay, m)
-    assert btmr_relay(node.relay, m) == DROP_SEEN
+    key = (2, 9)
+    btmr_relay(node.relay, key, 0)
+    assert btmr_relay(node.relay, key, 0) == DROP_SEEN
     node.reset_routing()
-    assert btmr_relay(node.relay, m) is BROADCAST
+    assert btmr_relay(node.relay, key, 0) is BROADCAST
 
 
 def test_reset_is_idempotent():
@@ -377,3 +373,18 @@ def test_reset_is_idempotent():
     snapshot = (route(node.relay), len(node.relay.seen), node.relayed)
     node.reset_routing()
     assert snapshot == (route(node.relay), len(node.relay.seen), node.relayed)
+
+
+def test_drops_hold_exactly_the_three_reasons_at_zero_after_power_on():
+    # a plain dict, pre-seeded: the relay step adds to a key that is always there
+    power_on = {DROP_SEEN: 0, DROP_TTL: 0, DROP_NO_ROUTE: 0}
+    node = routed_node()
+    assert type(node.drops) is dict and node.drops == power_on
+    node.drops[DROP_SEEN] += 3
+    node.drops[DROP_NO_ROUTE] += 1
+    node.reset_routing()
+    assert type(node.drops) is dict and node.drops == power_on
+    node.drops[DROP_TTL] += 2
+    node.reboot()
+    assert type(node.drops) is dict and node.drops == power_on
+    assert node.restarts == 1

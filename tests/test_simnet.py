@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -363,6 +364,8 @@ class TwoEventWorld(LoggedWorld):
             node.tx_scheduled = False
             return
         message, dest = node.txq.popleft()
+        if message.sender != node.id:
+            message = forwarded(message, node.id)
         copies = 1
         if message.kind is MessageKind.DATA:
             if self.config.fault_duplicate and dest is not BROADCAST:
@@ -467,6 +470,14 @@ def deliver_to(world, message, ids):
             for key in after if after[key] != before.get(key, 0)}
 
 
+def sent_frame(world, node):
+    """Transmit ``node``'s next queued frame now; the frame that goes out."""
+    world._tx_dequeue(node)
+    handler, args = world._fifos[world.now + world.config.latency_ms][-1]
+    assert handler is World._deliver
+    return args[0]
+
+
 def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
     # hub 0, commander 1, sensors 2-5, all in range; a queue holds one frame
     topology = [NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB), NodeSpec(1, 1.0, 0.0, Role.COMMANDER)]
@@ -482,7 +493,8 @@ def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
         (2, "rx_count"): 1, (2, "received"): 1, (2, "relayed"): 1, (2, "txq"): 1,
         (5, "rx_count"): 1}
     assert world.tracker.unique_count == 1
-    assert world.nodes[2].txq[-1] == (forwarded(data, 2), BROADCAST)
+    # the queue holds the frame as heard
+    assert world.nodes[2].txq[-1] == (data, BROADCAST)
     # the same frame again: a duplicate at the hub, a seen-drop at the relay
     assert deliver_to(world, data, [0, 2]) == {
         (0, "rx_count"): 1, (0, "received"): 1,
@@ -491,12 +503,21 @@ def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
     # a new frame at a full queue is refused, and a refused forward is not relayed
     assert deliver_to(world, sensor.originate(MessageKind.DATA, b"s"), [2]) == {
         (2, "rx_count"): 1, (2, "received"): 1, (2, "tx_dropped"): 1}
+    # the forward is built when the frame is sent
+    assert sent_frame(world, world.nodes[2]) == forwarded(data, 2)
+
+    # a frame of the node's own is queued as sent, one hop on, and goes out unchanged
+    own = sensor.originate(MessageKind.DATA, b"o")
+    world._relay(sensor, own)
+    assert sensor.txq[-1] == (forwarded(own, 5), BROADCAST)
+    assert sent_frame(world, sensor) == forwarded(own, 5)
 
     # a heartbeat counts only as a reception, and its forward is queued
     heartbeat = hub.originate(MessageKind.HEARTBEAT)
     assert deliver_to(world, heartbeat, [0, 3]) == {
         (0, "rx_count"): 1, (3, "rx_count"): 1, (3, "txq"): 1}
-    assert world.nodes[3].txq[-1] == (forwarded(heartbeat, 3), BROADCAST)
+    assert world.nodes[3].txq[-1] == (heartbeat, BROADCAST)
+    assert sent_frame(world, world.nodes[3]) == forwarded(heartbeat, 3)
 
     # a stats report ends at the hub and is relayed by anyone else
     snapshot = world.nodes[4].stats_snapshot()
@@ -518,7 +539,25 @@ def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
     command = commander.originate(MessageKind.COMMAND, bytes([CommandVerb.SET_MAM]))
     assert deliver_to(world, command, [4]) == {(4, "rx_count"): 1, (4, "txq"): 1}
     assert world.nodes[4].algorithm is Algorithm.MAM
-    assert world.nodes[4].txq[-1] == (forwarded(command, 4), BROADCAST)
+    assert world.nodes[4].txq[-1] == (command, BROADCAST)
+    assert sent_frame(world, world.nodes[4]) == forwarded(command, 4)
+
+
+def test_frames_with_one_origin_and_seq_share_one_seen_entry():
+    # the relay step keys a frame on (origin, seq) alone: another sender, hop
+    # count, payload or kind under the same key is a repeat
+    world = World(line_of_four())
+    clear_events(world)
+    frame = Message(MessageKind.DATA, origin=1, seq=4, hops=0, sender=1, payload=b"r")
+    assert deliver_to(world, frame, [2]) == {
+        (2, "rx_count"): 1, (2, "received"): 1, (2, "relayed"): 1, (2, "txq"): 1}
+    for repeat in (frame._replace(hops=1, sender=3), frame._replace(hops=5),
+                   frame._replace(payload=b"other")):
+        assert deliver_to(world, repeat, [2]) == {
+            (2, "rx_count"): 1, (2, "received"): 1, (2, "drops.seen"): 1}
+    heartbeat = frame._replace(kind=MessageKind.HEARTBEAT, payload=b"")
+    assert deliver_to(world, heartbeat, [2]) == {(2, "rx_count"): 1, (2, "drops.seen"): 1}
+    assert list(world.nodes[2].relay.seen) == [(1, 4)]
 
 
 def test_queue_wiped_by_a_reboot_still_sends_the_next_frame():
@@ -905,19 +944,51 @@ def test_mam_collects_no_duplicates(config):
     assert report.unique_received <= sum(row["generated"] for row in report.per_node.values())
 
 
+class SendingWorld(LoggedWorld):
+    """Checks each transmission against the frame it took from the queue.
+
+    A frame heard from another node goes out as ``forwarded(frame, node.id)``,
+    built at that dequeue; a frame whose ``sender`` is the node goes out as
+    queued. ``sent`` counts the transmissions that reached anyone, by
+    ``"forward"`` or ``"own"``.
+    """
+
+    def __init__(self, config):
+        self.sent = Counter()
+        self._delivering = []
+        super().__init__(config)
+
+    def schedule(self, t, handler, *args):
+        if handler is World._deliver:
+            self._delivering.append(args[0])
+        super().schedule(t, handler, *args)
+
+    def _tx_dequeue(self, node):
+        queued = node.txq[0][0] if node.txq else None
+        self._delivering = []
+        super()._tx_dequeue(node)
+        if self._delivering:
+            own = queued.sender == node.id
+            expected = queued if own else forwarded(queued, node.id)
+            assert all(frame == expected for frame in self._delivering)
+            self.sent["own" if own else "forward"] += 1
+
+
 def relayed_frames(config, verb, at_ms):
     """Run ``config``, issuing ``verb`` at ``at_ms``; check and list the relays queued.
 
     Every relay decision that is not a drop reason must be followed by one
     ``enqueue_tx`` call of the deciding node, sent to the decision itself,
-    ``BROADCAST`` or a node id; a frame the queue admits there must be
-    ``forwarded(incoming, node.id)``. A drop reason queues nothing: the only
-    frames queued without a decision are the hub's own heartbeats. Returns
-    the ``(kind, broadcast)`` pairs of the relays admitted.
+    ``BROADCAST`` or a node id. The frame queued for a frame heard is that
+    frame as heard, and ``SendingWorld`` checks that its forward is what goes
+    out; a frame the node originated is queued as sent, ``forwarded(frame,
+    node.id)``. A drop reason queues nothing: the only frames queued without
+    a decision are the hub's own heartbeats. Returns the ``(kind, broadcast)``
+    pairs of the relays admitted and the world's ``sent`` counts.
     """
-    world = World(config)
+    world = SendingWorld(config)
     enqueue_tx = world.enqueue_tx
-    undone = []  # the (node, incoming frame, decision) whose frame is not queued yet
+    undone = []  # the (node, key, hops, decision) whose frame is not queued yet
     queued = set()
 
     def spy_decision(decide):
@@ -926,21 +997,31 @@ def relayed_frames(config, verb, at_ms):
             decision = decide(state, *args)
             if not isinstance(decision, str):
                 node = next(n for n in world.nodes.values() if n.relay is state)
-                undone.append((node, args[-1], decision))
+                if decide is btmr_relay:  # (key, hops)
+                    key, hops = args
+                else:  # (now, frame)
+                    key, hops = (args[1].origin, args[1].seq), args[1].hops
+                undone.append((node, key, hops, decision))
             return decision
         return decided
 
-    def spy_enqueue_tx(node, message, dest, *forward):
+    def spy_enqueue_tx(node, message, dest):
         txq = node.txq
         before = len(txq)
-        admitted = enqueue_tx(node, message, dest, *forward)
+        admitted = enqueue_tx(node, message, dest)
         assert len(txq) == before + admitted
         if undone:
-            relayer, incoming, decision = undone.pop()
+            relayer, key, hops, decision = undone.pop()
             assert node is relayer and dest == decision
+            if key[0] == node.id:  # a frame of its own, queued as sent: one hop on
+                assert ((message.origin, message.seq), message.hops, message.sender) == (
+                    key, hops + 1, node.id)
+            else:  # the frame being delivered, the newest entry of the log
+                assert message is world.log[-1][2]
+                assert ((message.origin, message.seq), message.hops) == (key, hops)
             if admitted:
-                assert txq[-1] == (forwarded(incoming, node.id), decision)
-                queued.add((incoming.kind, decision is BROADCAST))
+                assert txq[-1] == (message, decision)
+                queued.add((message.kind, decision is BROADCAST))
         elif admitted:
             message, dest = txq[-1]
             assert node.id == world.hub_id and dest is BROADCAST
@@ -949,7 +1030,7 @@ def relayed_frames(config, verb, at_ms):
         return admitted
 
     world.enqueue_tx = spy_enqueue_tx
-    decisions = simnet.btmr_relay, simnet.mam_handle
+    btmr_relay, mam_handle = decisions = simnet.btmr_relay, simnet.mam_handle
     simnet.btmr_relay, simnet.mam_handle = map(spy_decision, decisions)
     try:
         world.run_until(at_ms)
@@ -958,20 +1039,24 @@ def relayed_frames(config, verb, at_ms):
     finally:
         simnet.btmr_relay, simnet.mam_handle = decisions
     assert not undone
-    return queued
+    return queued, world.sent
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(lossy_mam_runs(), st.sampled_from([CommandVerb.PING, CommandVerb.SIM_STATS,
                                           CommandVerb.SET_BTMR]), st.integers(0, 10_000))
-def test_relays_queue_the_forward_of_the_incoming_frame(config, verb, at_ms):
+def test_relays_queue_the_incoming_frame_and_send_its_forward(config, verb, at_ms):
     relayed_frames(config, verb, at_ms)
 
 
 def test_relayed_frames_cover_every_decision():
     config = replace(load_scenario("line3"), algorithm=Algorithm.MAM)
-    assert relayed_frames(config, CommandVerb.PING, 5_000) >= {
+    queued, sent = relayed_frames(config, CommandVerb.PING, 5_000)
+    assert queued >= {
         (MessageKind.DATA, False), (MessageKind.HEARTBEAT, True),
         (MessageKind.COMMAND, True), (MessageKind.ACK, True)}
+    assert sent["own"] and sent["forward"]
     config = replace(config, algorithm=Algorithm.BTMR)
-    assert (MessageKind.DATA, True) in relayed_frames(config, CommandVerb.SIM_STATS, 5_000)
+    queued, sent = relayed_frames(config, CommandVerb.SIM_STATS, 5_000)
+    assert (MessageKind.DATA, True) in queued
+    assert sent["own"] and sent["forward"]
