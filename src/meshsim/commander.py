@@ -35,8 +35,12 @@ class CommandVerb(IntEnum):
         return self.name.lower().replace("_", "-")
 
 
+# every verb, indexed by its frame code, and each bound once as ``core`` binds ``MessageKind``
+VERBS = tuple(CommandVerb)
+SIM_RESET, SET_MAM, SET_BTMR, SIM_STATS, REBOOT, REBOOT_ALL, PING = VERBS
+
 # verbs an operator may type, by word; PING is reachability-tool plumbing
-SESSION_VERBS = {verb.wire: verb for verb in CommandVerb if verb is not CommandVerb.PING}
+SESSION_VERBS = {verb.wire: verb for verb in VERBS if verb is not PING}
 
 
 class NodeStats(NamedTuple):
@@ -65,7 +69,7 @@ def encode_stats(stats: NodeStats) -> bytes:
 
 
 def decode_stats(payload: bytes) -> NodeStats:
-    return NodeStats(*_STATS_PAYLOAD.unpack(payload))
+    return tuple.__new__(NodeStats, _STATS_PAYLOAD.unpack(payload))
 
 
 class ReachabilityReport(NamedTuple):
@@ -91,7 +95,7 @@ def check_reachability(world, deadline_ms: int) -> ReachabilityReport:
     _check_wait("deadline_ms", deadline_ms)
     prober = world.commander_id if world.commander_id is not None else world.hub_id
     probed_at = world.now
-    world.issue_command(CommandVerb.PING, issuer=prober)
+    world.issue_command(PING, issuer=prober)
     world.run_until(world.now + deadline_ms)
     acked = set(world.acked)
     missing = set(world.node_ids) - {prober} - acked
@@ -131,7 +135,7 @@ def respond(world, text: str, settle_ms: int) -> list[str]:
     except ConfigError as exc:
         return [f"ERR {exc}"]
     world.run_until(world.now + settle_ms)
-    if verb is not CommandVerb.SIM_STATS:
+    if verb is not SIM_STATS:
         return ["OK"]
     hub_algo = world.nodes[world.hub_id].algorithm
     return ["OK", f"algorithm={hub_algo.value}", *format_stats_table(world)]

@@ -24,6 +24,11 @@ class Verdict(Enum):
     DUPLICATE = "duplicate"
 
 
+# bound once, as ``core`` binds ``MessageKind``: ``record`` returns these
+UNIQUE = Verdict.UNIQUE
+DUPLICATE = Verdict.DUPLICATE
+
+
 class HashMapTracker:
     """Hash set of the message keys seen so far; the straightforward tracker."""
 
@@ -38,9 +43,9 @@ class HashMapTracker:
     def record(self, key: tuple[NodeId, int]) -> Verdict:
         if key in self._seen:
             self.duplicate_count += 1
-            return Verdict.DUPLICATE
+            return DUPLICATE
         self._seen.add(key)
-        return Verdict.UNIQUE
+        return UNIQUE
 
     def reset(self) -> None:
         self._seen.clear()
@@ -67,7 +72,7 @@ class IntervalTracker:
         i = bisect_right(bounds, seq)
         if i & 1:
             self.duplicate_count += 1
-            return Verdict.DUPLICATE
+            return DUPLICATE
 
         self.unique_count += 1
         # seq lies in the gap after the run ending at bounds[i - 1] - 1
@@ -82,7 +87,7 @@ class IntervalTracker:
             bounds[i] = seq
         else:
             bounds[i:i] = [seq, seq + 1]
-        return Verdict.UNIQUE
+        return UNIQUE
 
     def intervals(self, origin: NodeId) -> list[tuple[int, int]]:
         bounds = self._bounds.get(origin, [])
@@ -136,6 +141,5 @@ def scale_rule_of_three(count: float, from_minutes: float, to_minutes: float) ->
 def text_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
     """Lines of left-aligned columns two spaces apart, header first, no trailing blanks."""
     lines = [header, *rows]
-    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
-    return ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
-            for line in lines]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return ["  ".join(map(str.ljust, line, widths)).rstrip() for line in lines]

@@ -34,9 +34,11 @@ import random
 import struct
 from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 from typing import Optional
 
-from .commander import STATS_COUNTERS, CommandVerb, NodeStats, decode_stats, encode_stats
+from .commander import (PING, REBOOT, REBOOT_ALL, SET_BTMR, SET_MAM, SIM_RESET, SIM_STATS,
+                        STATS_COUNTERS, VERBS, CommandVerb, NodeStats, decode_stats, encode_stats)
 from .core import (
     ACK,
     BTMR,
@@ -63,6 +65,8 @@ from .routing import BROADCAST, DROP_REASONS, RelayAction, RelayState, btmr_rela
 
 _ACK_PAYLOAD = struct.Struct(">HI")
 _TRACKERS = {"hashmap": HashMapTracker, "interval": IntervalTracker}
+# one call reads every counter a ``NodeStats`` carries, in field order
+_read_counters = attrgetter(*STATS_COUNTERS)
 
 
 class MobilityTrace:
@@ -134,11 +138,12 @@ class SimNode:
         self.txq.clear()
 
     def stats_snapshot(self) -> NodeStats:
-        return NodeStats(self.id, *(getattr(self, name) for name in STATS_COUNTERS))
+        return tuple.__new__(NodeStats, (self.id, *_read_counters(self)))
 
     def originate(self, kind: MessageKind, payload: bytes = b"") -> Message:
         """A new frame from this node, under its next sequence number."""
-        message = Message(kind, self.id, self.next_seq, 0, self.id, payload)
+        # builds the tuple directly, as ``core.forwarded`` does
+        message = tuple.__new__(Message, (kind, self.id, self.next_seq, 0, self.id, payload))
         self.next_seq += 1
         return message
 
@@ -362,28 +367,28 @@ class World:
         if message.seq <= node.last_cmd_seq.get(message.origin, -1):
             return
         node.last_cmd_seq[message.origin] = message.seq
-        verb = CommandVerb(message.payload[0])
-        if (verb is CommandVerb.SIM_RESET or verb is CommandVerb.REBOOT_ALL
-                or (verb is CommandVerb.REBOOT and node.role is Role.COMMANDER)):
-            if verb is CommandVerb.SIM_RESET:
+        verb = VERBS[message.payload[0]]
+        if (verb is SIM_RESET or verb is REBOOT_ALL
+                or (verb is REBOOT and node.role is Role.COMMANDER)):
+            if verb is SIM_RESET:
                 node.reset_routing()
             else:
                 node.reboot()
             if node.id == self.hub_id:
                 self.tracker.reset()
                 self.collected_stats.clear()
-        elif verb is CommandVerb.SET_MAM:
+        elif verb is SET_MAM:
             node.algorithm = MAM
-        elif verb is CommandVerb.SET_BTMR:
+        elif verb is SET_BTMR:
             node.algorithm = BTMR
-        elif verb is CommandVerb.SIM_STATS:
+        elif verb is SIM_STATS:
             snapshot = node.stats_snapshot()
             if node.id == self.hub_id:
                 self.collected_stats[node.id] = snapshot
             else:
                 self._relay(node, node.originate(STATS_REPORT,
                                                  encode_stats(snapshot)))
-        elif verb is CommandVerb.PING:
+        elif verb is PING:
             if node.id == message.origin:
                 self.probe = (message.origin, message.seq)
                 self.acked = set()

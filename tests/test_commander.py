@@ -24,7 +24,8 @@ from meshsim import (
     load_scenario,
     make_server,
 )
-from meshsim.commander import STATS_COUNTERS, decode_stats, encode_stats
+from meshsim import commander
+from meshsim.commander import STATS_COUNTERS, VERBS, decode_stats, encode_stats
 from connectivity import component
 from recording import record_arrivals
 
@@ -199,6 +200,14 @@ def test_stats_payload_round_trip(stats):
                                   for name in STATS_COUNTERS])
     decoded = decode_stats(payload)
     assert type(decoded) is NodeStats and decoded == stats
+
+
+def test_verb_table_is_indexed_by_frame_code_and_binds_every_member():
+    # a verb added out of code order would decode as its neighbour; fail here instead
+    assert len(VERBS) == len(CommandVerb)
+    for verb in CommandVerb:
+        assert VERBS[verb] is verb
+        assert getattr(commander, verb.name) is verb
 
 
 # --- reachability ---------------------------------------------------------------

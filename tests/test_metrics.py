@@ -12,6 +12,8 @@ from meshsim import (
     aggregate,
     scale_rule_of_three,
 )
+from meshsim import metrics
+from meshsim.metrics import text_table
 
 
 def test_sequential_inserts_coalesce_to_one_interval():
@@ -189,3 +191,33 @@ def test_report_identity_and_formats():
                              "rx_total", "tx_data", "per_node"]
     assert payload["per_node"]["0"] == {"generated": 0, "relayed": 1,
                                         "tx_dropped": 0, "restarts": 0}
+
+
+def test_verdicts_are_bound_once_and_returned_by_both_trackers():
+    assert metrics.UNIQUE is Verdict.UNIQUE and metrics.DUPLICATE is Verdict.DUPLICATE
+    for tracker in (HashMapTracker(), IntervalTracker()):
+        assert tracker.record((0, 1)) is metrics.UNIQUE
+        assert tracker.record((0, 1)) is metrics.DUPLICATE
+
+
+def generator_text_table(header, rows):
+    """``text_table`` as written with generators, before it mapped ``len`` and ``str.ljust``."""
+    lines = [header, *rows]
+    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+    return ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+            for line in lines]
+
+
+@pytest.mark.parametrize("header, rows", [
+    (("node", "role", "generated"), []),  # header only
+    (("a", "bb"), [("cccc", "d"), ("e", "ffffff"), ("", "g")]),  # ragged widths
+    (("id", "", "n"), [("1", "", "7"), ("22", "", "8")]),  # an empty column
+    (("id", "note"), [("1", ""), ("333", "x "), ("", "")]),  # trailing blanks
+])
+def test_text_table_matches_the_generator_version(header, rows):
+    assert text_table(header, rows) == generator_text_table(header, rows)
+
+
+def test_text_table_pads_columns_and_strips_trailing_blanks():
+    assert text_table(("a", "bb"), [("cccc", "d"), ("e", "")]) == [
+        "a     bb", "cccc  d", "e"]

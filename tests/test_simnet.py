@@ -24,8 +24,9 @@ from meshsim import (
     load_scenario,
     run,
 )
-from meshsim import simnet
-from meshsim.commander import CommandVerb, encode_stats
+from meshsim import routing, simnet
+from meshsim.commander import CommandVerb, NodeStats, encode_stats
+from meshsim.metrics import HashMapTracker, IntervalTracker
 from meshsim.core import forwarded
 from meshsim.routing import BROADCAST
 from meshsim.simnet import RANGE_PRESETS
@@ -234,6 +235,31 @@ def line_of_four(**overrides):
         NodeSpec(i, float(i), 0.0, Role.SENSOR) for i in range(1, 5)]
     return ScenarioConfig(topology=topology, duration_ms=10_000, data_period_ms=10_000,
                           **overrides)
+
+
+def test_originate_and_stats_snapshot_build_what_the_constructors_build():
+    world = World(line_of_four())
+    node = world.nodes[2]
+    frame = node.originate(MessageKind.DATA, b"x")
+    assert type(frame) is Message and frame == Message(MessageKind.DATA, 2, 0, 0, 2, b"x")
+    assert node.originate(MessageKind.HEARTBEAT) == Message(MessageKind.HEARTBEAT, 2, 1, 0, 2)
+    world.run_until(25_000)
+    node.tx_dropped, node.restarts = 4, 2
+    assert node.generated and node.relayed and node.received
+    snapshot = node.stats_snapshot()
+    assert type(snapshot) is NodeStats
+    assert snapshot == NodeStats(node=2, generated=node.generated, relayed=node.relayed,
+                                 received=node.received, tx_dropped=4, restarts=2)
+
+
+def test_hot_paths_read_no_enum_class_attribute():
+    # ``Enum.MEMBER`` is a slow lookup on CPython 3.10/3.11; the per-frame and
+    # per-command code compares against members bound once as module globals
+    assert "CommandVerb" not in World._apply_command.__code__.co_names
+    for tracker in (HashMapTracker, IntervalTracker):
+        assert "Verdict" not in tracker.record.__code__.co_names
+    for hot in (World._deliver, World._tx_dequeue, World._relay, routing.mam_handle):
+        assert not {"MessageKind", "Algorithm"} & set(hot.__code__.co_names), hot.__name__
 
 
 def test_broadcast_fan_out_is_one_heap_entry():
