@@ -11,10 +11,11 @@ from __future__ import annotations
 import socketserver
 import struct
 import threading
+from collections import namedtuple
 from enum import IntEnum
 from typing import NamedTuple
 
-from .core import ConfigError, NodeId, is_int
+from .core import NODE_COUNTERS, ConfigError, NodeId, is_int
 from .metrics import text_table
 
 
@@ -43,22 +44,10 @@ SIM_RESET, SET_MAM, SET_BTMR, SIM_STATS, REBOOT, REBOOT_ALL, PING = VERBS
 SESSION_VERBS = {verb.wire: verb for verb in VERBS if verb is not PING}
 
 
-class NodeStats(NamedTuple):
-    """One node's counters as reported over the mesh.
-
-    The fields after ``node`` name the ``SimNode`` counters; the snapshot, the
-    wire payload and the stats table all follow this list.
-    """
-
-    node: NodeId
-    generated: int = 0
-    relayed: int = 0
-    received: int = 0
-    tx_dropped: int = 0
-    restarts: int = 0
-
-
-STATS_COUNTERS = NodeStats._fields[1:]
+# the counters a stats report carries, and one node's report of them, in table order
+STATS_COUNTERS = tuple(counter.name for counter in NODE_COUNTERS if counter.stats)
+NodeStats = namedtuple("NodeStats", ("node", *STATS_COUNTERS),
+                       defaults=(0,) * len(STATS_COUNTERS))
 
 # node id (16 bit), then one 32-bit word per counter, in field order
 _STATS_PAYLOAD = struct.Struct(">H" + "I" * len(STATS_COUNTERS))

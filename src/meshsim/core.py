@@ -57,6 +57,29 @@ BTMR = Algorithm.BTMR
 MAM = Algorithm.MAM
 
 
+class NodeCounter(NamedTuple):
+    """One per-node counter: a ``SimNode`` attribute that ``reset_stats`` zeroes."""
+
+    name: str
+    row: bool = False  # each ``RunReport.per_node`` row carries it
+    total: Optional[str] = None  # the ``RunReport`` field that sums it over the nodes
+    stats: bool = False  # a ``sim-stats`` report carries it
+
+
+# Every node counter, declared once; rows, totals and the stats payload keep
+# this order. Per-frame code counts with a plain attribute add.
+NODE_COUNTERS = (
+    NodeCounter("generated", row=True, stats=True),  # sensor readings originated
+    NodeCounter("relayed", row=True, stats=True),  # data frames queued for relay
+    NodeCounter("received", stats=True),  # data frames heard from another node
+    NodeCounter("tx_count", total="tx_total"),  # transmissions of any kind (energy proxy)
+    NodeCounter("rx_count", total="rx_total"),  # receptions of any kind (energy proxy)
+    NodeCounter("tx_data_count", total="tx_data"),  # data-frame transmissions
+    NodeCounter("tx_dropped", row=True, stats=True),  # frames a full transmit queue refused
+    NodeCounter("restarts", row=True, stats=True),  # reboots; ``SimNode.reboot`` keeps it
+)
+
+
 class ConfigError(ValueError):
     """A scenario configuration is invalid; the message names the field."""
 
@@ -296,10 +319,7 @@ class ScenarioConfig:
 
     @property
     def commander_id(self) -> Optional[NodeId]:
-        for s in self.topology:
-            if s.role is Role.COMMANDER:
-                return s.node
-        return None
+        return next((s.node for s in self.topology if s.role is Role.COMMANDER), None)
 
     @property
     def sensor_ids(self) -> list[NodeId]:

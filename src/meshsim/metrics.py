@@ -106,9 +106,9 @@ class IntervalTracker:
 class RunReport:
     """Counters frozen at the end of one run.
 
-    ``tx_total``/``rx_total`` count every transmission/delivery of any kind
-    (energy proxies); ``tx_data`` counts only sensor-data transmissions.
-    Per-node rows carry data-plane counters plus queue drops and restarts.
+    ``algorithm`` is the scenario's configured algorithm, not the one nodes run
+    after ``set-mam``/``set-btmr``. ``core.NODE_COUNTERS`` says which node
+    counters each ``per_node`` row carries and each total sums.
     """
 
     algorithm: str
@@ -133,8 +133,9 @@ class RunReport:
 
 def scale_rule_of_three(count: float, from_minutes: float, to_minutes: float) -> float:
     """Linearly rescale a count observed over ``from_minutes`` to ``to_minutes``."""
-    if not is_number(from_minutes) or from_minutes <= 0:
-        raise ValueError(f"from_minutes must be a finite positive number, got {from_minutes!r}")
+    for name, minutes in (("from_minutes", from_minutes), ("to_minutes", to_minutes)):
+        if not is_number(minutes) or minutes <= 0:
+            raise ValueError(f"{name} must be a finite positive number, got {minutes!r}")
     return count * to_minutes / from_minutes
 
 

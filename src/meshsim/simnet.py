@@ -46,6 +46,7 @@ from .core import (
     DATA,
     HEARTBEAT,
     MAM,
+    NODE_COUNTERS,
     RANGE_PRESETS,
     STATS_REPORT,
     ConfigError,
@@ -113,16 +114,9 @@ class SimNode:
         self.reset_stats()
 
     def reset_stats(self) -> None:
-        # data-plane statistics (heartbeat/control traffic excluded)
-        self.generated = 0
-        self.relayed = 0
-        self.received = 0
-        # energy proxies: every transmission / delivery of any kind
-        self.tx_count = 0
-        self.rx_count = 0
-        self.tx_data_count = 0
-        self.tx_dropped = 0
-        self.restarts = 0
+        # ``setattr``: writing ``__dict__`` would slow every per-frame attribute access
+        for counter in NODE_COUNTERS:
+            setattr(self, counter.name, 0)
         self.drops: dict[str, int] = dict.fromkeys(DROP_REASONS, 0)
 
     def reset_routing(self) -> None:
@@ -459,7 +453,11 @@ class World:
     # --- reporting ----------------------------------------------------------
 
     def report(self) -> RunReport:
-        nodes = self.nodes.values()
+        nodes = [self.nodes[nid] for nid in self.node_ids]
+        totals = {}  # counters that name one total add up in it
+        for c in NODE_COUNTERS:
+            if c.total:
+                totals[c.total] = totals.get(c.total, 0) + sum(getattr(n, c.name) for n in nodes)
         unique = self.tracker.unique_count
         duplicate = self.tracker.duplicate_count
         return RunReport(
@@ -469,18 +467,9 @@ class World:
             unique_received=unique,
             duplicate_received=duplicate,
             total_received=unique + duplicate,
-            tx_total=sum(n.tx_count for n in nodes),
-            rx_total=sum(n.rx_count for n in nodes),
-            tx_data=sum(n.tx_data_count for n in nodes),
-            per_node={
-                nid: {
-                    "generated": n.generated,
-                    "relayed": n.relayed,
-                    "tx_dropped": n.tx_dropped,
-                    "restarts": n.restarts,
-                }
-                for nid, n in sorted(self.nodes.items())
-            },
+            **totals,
+            per_node={n.id: {c.name: getattr(n, c.name) for c in NODE_COUNTERS if c.row}
+                      for n in nodes},
         )
 
 

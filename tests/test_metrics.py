@@ -138,6 +138,13 @@ def test_scaling_rejects_nonpositive_source():
             scale_rule_of_three(100, from_minutes, 5)
 
 
+def test_scaling_rejects_nonpositive_target():
+    # the target duration follows the source's rule, and a non-number is a ValueError too
+    for to_minutes in (0, -2, math.inf, math.nan, True, "x"):
+        with pytest.raises(ValueError, match="to_minutes"):
+            scale_rule_of_three(1, 1, to_minutes)
+
+
 # --- aggregation ---------------------------------------------------------------
 
 def _report(unique, algorithm="btmr", duration_ms=300_000, seed=0):

@@ -1,5 +1,6 @@
 import gc
 import heapq
+import inspect
 import itertools
 import math
 import weakref
@@ -27,7 +28,7 @@ from meshsim import (
 from meshsim import routing, simnet
 from meshsim.commander import CommandVerb, NodeStats, encode_stats
 from meshsim.metrics import HashMapTracker, IntervalTracker
-from meshsim.core import forwarded
+from meshsim.core import NODE_COUNTERS, forwarded
 from meshsim.routing import BROADCAST
 from meshsim.simnet import RANGE_PRESETS
 from connectivity import component
@@ -262,6 +263,15 @@ def test_hot_paths_read_no_enum_class_attribute():
         assert not {"MessageKind", "Algorithm"} & set(hot.__code__.co_names), hot.__name__
 
 
+def test_node_methods_never_touch_the_instance_dict():
+    # CPython keeps a node's attributes inline; reading or writing ``__dict__``
+    # (or ``vars``) materialises a dict per node and slows every per-frame access
+    methods = [f for f in vars(simnet.SimNode).values() if inspect.isfunction(f)]
+    assert simnet.SimNode.reset_stats in methods
+    for method in methods:
+        assert not {"__dict__", "vars"} & set(method.__code__.co_names), method.__name__
+
+
 def test_broadcast_fan_out_is_one_heap_entry():
     world = World(line_of_four())
     world.run_until(1)  # the hub's first heartbeat reaches nobody
@@ -476,11 +486,11 @@ def test_tx_queue_overflow_drops_newest_and_counts():
 
 
 def reception_counters(world):
-    """Each node's reception counters, drop reasons and queue length, keyed ``(id, name)``."""
+    """Each node's counters, drop reasons and queue length, keyed ``(id, name)``."""
     counters = {}
     for nid, n in world.nodes.items():
-        for name in ("rx_count", "received", "relayed", "tx_dropped"):
-            counters[nid, name] = getattr(n, name)
+        for counter in NODE_COUNTERS:
+            counters[nid, counter.name] = getattr(n, counter.name)
         for reason, count in n.drops.items():
             counters[nid, "drops." + reason] = count
         counters[nid, "txq"] = len(n.txq)
