@@ -8,9 +8,7 @@ that verifies which nodes can currently be reached from the control plane.
 
 from __future__ import annotations
 
-import socketserver
 import struct
-import threading
 from collections import namedtuple
 from enum import IntEnum
 from typing import NamedTuple
@@ -96,11 +94,11 @@ STATS_COLUMNS = ("node", "role", *STATS_COUNTERS)
 
 def format_stats_table(world) -> list[str]:
     """Aligned text table of the statistics collected at the hub."""
-    rows = []
-    for node_id in sorted(world.collected_stats):
-        stats = world.collected_stats[node_id]
-        rows.append((str(node_id), world.nodes[node_id].role.value, *map(str, stats[1:])))
-    return text_table(STATS_COLUMNS, rows)
+    collected, nodes = world.collected_stats, world.nodes
+    # ``_value_`` holds what the ``Role.value`` property returns, without the property call
+    return text_table(STATS_COLUMNS, [(str(node_id), nodes[node_id].role._value_,
+                                       *map(str, collected[node_id][1:]))
+                                      for node_id in sorted(collected)])
 
 
 # longest line the TCP server reads, in bytes with its line ending; far above any verb
@@ -159,6 +157,8 @@ def make_server(world, host: str = "127.0.0.1", port: int = 0,
     and its connection is closed.
     """
     _check_wait("settle_ms", settle_ms)
+    import socketserver  # here, not at the top: no other caller needs sockets
+    import threading
     lock = threading.Lock()
 
     class Handler(socketserver.StreamRequestHandler):

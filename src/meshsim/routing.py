@@ -97,18 +97,17 @@ def mam_handle(state: RelayState, now: int, message: Message) -> RelayAction:
     leave the route alone; they flood because algorithm switches and probes
     must reach nodes before any route exists.
     """
-    kind = message.kind
+    kind, origin, seq, hops, sender, _ = message
     if kind is DATA or kind is STATS_REPORT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
-        if message.hops >= MAX_HOPS:
+        if hops >= MAX_HOPS:
             return DROP_TTL
-        if state.best_node is None:
-            return DROP_NO_ROUTE
-        return state.best_node
+        best_node = state.best_node
+        return DROP_NO_ROUTE if best_node is None else best_node
 
-    if kind is HEARTBEAT and (now > state.expiry or message.hops < state.best_hops):
-        state.best_node = message.sender
-        state.best_hops = message.hops
+    if kind is HEARTBEAT and (now > state.expiry or hops < state.best_hops):
+        state.best_node = sender
+        state.best_hops = hops
         state.expiry = now + state.delta_ms
-    return btmr_relay(state, (message.origin, message.seq), message.hops)
+    return btmr_relay(state, (origin, seq), hops)

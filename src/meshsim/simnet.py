@@ -2,14 +2,17 @@
 
 A ``World`` owns every node's routing state, the disc-radio geometry, the
 collector's mobility trace, per-node transmit queues, and a single seeded
-RNG for link-loss draws. Each event is a ``(handler, args)`` pair that runs
-as ``handler(world, *args)``. The pending events of one millisecond wait in
-one FIFO, and a heap holds each pending millisecond once, so events pop in
-(time, insertion) order and identical configurations replay identical runs
-byte for byte. One transmission is one event: it delivers the frame to every
-receiver that the loss draws spared, in id order, and then the sender's radio
-sends its next queued frame. Only a queue that takes a frame while idle, or a
-transmission that reaches nobody while frames wait, schedules a ``_tx_dequeue``.
+RNG for link-loss draws: a broadcast draws once per stored link, a unicast in
+range once and one out of range not at all. Events read the settings that the
+world takes from its validated config once, at construction. Each event is a
+``(handler, args)`` pair that runs as ``handler(world, *args)``. The pending
+events of one millisecond wait in one FIFO, and a heap holds each pending
+millisecond once, so events pop in (time, insertion) order and identical
+configurations replay identical runs byte for byte. One transmission is one
+event: it delivers the frame to every receiver that the loss draws spared, in
+id order, and then the sender's radio sends its next queued frame. Only a queue
+that takes a frame while idle, or a transmission that reaches nobody while
+frames wait, schedules a ``_tx_dequeue``.
 
 Links between nodes that stay put are worked out once per world, as lists of
 ``SimNode``s in id order. For a hub that walks, each node also keeps a second
@@ -22,8 +25,8 @@ both read ``pos``. A loss-free broadcast hands the stored list itself to
 Every reception ends in ``_deliver``'s one loop: a step per frame kind consumes
 the frame or leaves it to the one relay step, which decides by the frame's
 ``(origin, seq)`` key, built once per transmission. A relay queues the frame as
-heard; ``_tx_dequeue`` stamps the forward when it sends it. ``_relay`` sends
-only the frames a node originates.
+heard; ``_tx_dequeue`` unpacks it once and builds the forward when it sends it.
+``_relay`` sends only the frames a node originates.
 """
 
 from __future__ import annotations
@@ -143,13 +146,19 @@ class SimNode:
 
 
 class World:
-    """One simulation run: event queue, nodes, radio geometry, collector-side metrics."""
+    """One simulation run: event queue, nodes, radio geometry, collector-side metrics.
+
+    Events read the validated settings that the world takes from ``config`` at construction.
+    """
 
     def __init__(self, config: ScenarioConfig):
         if not isinstance(config, ScenarioConfig):
             raise ConfigError(f"config: must be a ScenarioConfig, got {type(config).__name__}")
         config.validate()
         self.config = config
+        self.latency_ms, self.heartbeat_period_ms = config.latency_ms, config.heartbeat_period_ms
+        self.tx_queue_capacity, self.loss_prob = config.tx_queue_capacity, config.loss_prob
+        self.fault_duplicate, self.data_period_ms = config.fault_duplicate, config.data_period_ms
         preset = config.radio_preset
         self.range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else float(preset)
         self.rng = random.Random(config.rng_seed)
@@ -267,13 +276,13 @@ class World:
 
     def _emit_heartbeat(self, hub: SimNode) -> None:
         self.enqueue_tx(hub, hub.originate(HEARTBEAT), BROADCAST)
-        self.schedule(self.now + self.config.heartbeat_period_ms, World._emit_heartbeat, hub)
+        self.schedule(self.now + self.heartbeat_period_ms, World._emit_heartbeat, hub)
 
     def _generate_data(self, node: SimNode) -> None:
         node.generated += 1
         self._relay(node, node.originate(DATA,
                                          sensor_reading(node.id, node.next_seq)))
-        self.schedule(self.now + self.config.data_period_ms, World._generate_data, node)
+        self.schedule(self.now + self.data_period_ms, World._generate_data, node)
 
     def _command_arrival(self, verb: CommandVerb, issuer: SimNode) -> None:
         message = issuer.originate(COMMAND, bytes([verb]))
@@ -307,8 +316,8 @@ class World:
         ``receivers`` may be a stored link list, so it is only read. A
         ``sender`` with frames still queued then sends its next one.
         """
-        kind, origin, hops = message.kind, message.origin, message.hops
-        key = (origin, message.seq)
+        kind, origin, seq, hops, _, payload = message
+        key = (origin, seq)
         now, hub_id, enqueue_tx = self.now, self.hub_id, self.enqueue_tx
         for node in receivers:
             node.rx_count += 1
@@ -325,11 +334,11 @@ class World:
                 self._apply_command(node, message)
             elif kind is STATS_REPORT:
                 if node.id == hub_id:
-                    stats = decode_stats(message.payload)
+                    stats = decode_stats(payload)
                     self.collected_stats[stats.node] = stats
                     continue
             elif kind is ACK:
-                probe = _ACK_PAYLOAD.unpack(message.payload)
+                probe = _ACK_PAYLOAD.unpack(payload)
                 if node.id == probe[0]:
                     if probe == self.probe:
                         self.acked.add(origin)
@@ -339,7 +348,7 @@ class World:
                 action = mam_handle(node.relay, now, message)
             else:
                 action = btmr_relay(node.relay, key, hops)
-            if isinstance(action, str):
+            if action.__class__ is str:
                 node.drops[action] += 1
             elif enqueue_tx(node, message, action) and kind is DATA:
                 node.relayed += 1
@@ -352,16 +361,17 @@ class World:
             action = mam_handle(node.relay, self.now, message)
         else:
             action = btmr_relay(node.relay, (message.origin, message.seq), message.hops)
-        if isinstance(action, str):
+        if action.__class__ is str:
             node.drops[action] += 1
         else:
             self.enqueue_tx(node, forwarded(message, node.id), action)
 
     def _apply_command(self, node: SimNode, message: Message) -> None:
-        if message.seq <= node.last_cmd_seq.get(message.origin, -1):
+        _, origin, seq, _, _, payload = message
+        if seq <= node.last_cmd_seq.get(origin, -1):
             return
-        node.last_cmd_seq[message.origin] = message.seq
-        verb = VERBS[message.payload[0]]
+        node.last_cmd_seq[origin] = seq
+        verb = VERBS[payload[0]]
         if (verb is SIM_RESET or verb is REBOOT_ALL
                 or (verb is REBOOT and node.role is Role.COMMANDER)):
             if verb is SIM_RESET:
@@ -383,12 +393,11 @@ class World:
                 self._relay(node, node.originate(STATS_REPORT,
                                                  encode_stats(snapshot)))
         elif verb is PING:
-            if node.id == message.origin:
-                self.probe = (message.origin, message.seq)
+            if node.id == origin:
+                self.probe = (origin, seq)
                 self.acked = set()
             else:
-                self._relay(node, node.originate(
-                    ACK, _ACK_PAYLOAD.pack(message.origin, message.seq)))
+                self._relay(node, node.originate(ACK, _ACK_PAYLOAD.pack(origin, seq)))
 
     # --- transmission -----------------------------------------------------
 
@@ -397,13 +406,14 @@ class World:
 
         A frame from another ``sender`` is queued as heard; ``_tx_dequeue`` sends its forward.
         """
-        if len(node.txq) >= self.config.tx_queue_capacity:
+        if len(node.txq) >= self.tx_queue_capacity:
             node.tx_dropped += 1
             return False
         node.txq.append((message, dest))
         if not node.tx_scheduled:
             node.tx_scheduled = True
-            self.schedule(max(self.now, node.radio_free_at), World._tx_dequeue, node)
+            t = node.radio_free_at
+            self.schedule(t if t > self.now else self.now, World._tx_dequeue, node)
         return True
 
     def _tx_dequeue(self, node: SimNode) -> None:
@@ -412,15 +422,16 @@ class World:
             node.tx_scheduled = False
             return
         message, dest = node.txq.popleft()
-        if message.sender != node.id:
-            message = forwarded(message, node.id)
+        kind, origin, seq, hops, sent_by, payload = message
+        if sent_by != node.id:
+            message = tuple.__new__(Message, (kind, origin, seq, hops + 1, node.id, payload))
         copies = 1
-        if message.kind is DATA:
-            if self.config.fault_duplicate and dest is not BROADCAST:
+        if kind is DATA:
+            if self.fault_duplicate and dest is not BROADCAST:
                 copies = 2
             node.tx_data_count += copies
         node.tx_count += copies
-        t = node.radio_free_at = self.now + self.config.latency_ms
+        t = node.radio_free_at = self.now + self.latency_ms
         receivers = self._fan_out(node, dest)
         if copies == 2:
             # the duplication fault: the second copy draws its loss after the first
@@ -438,13 +449,13 @@ class World:
 
     def _fan_out(self, node: SimNode, dest: RelayAction) -> list[SimNode]:
         """One copy's receivers: the nodes in range that the loss draws spare, in id order."""
-        if dest is BROADCAST:
-            receivers = self.links(node.id)
-        elif self.in_range(node.id, dest):
-            receivers = [self.nodes[dest]]
-        else:
+        loss_prob = self.loss_prob
+        if dest is not BROADCAST:  # one loss draw, and none out of range
+            if self.in_range(node.id, dest) and (loss_prob == 0.0
+                                                 or self.rng.random() >= loss_prob):
+                return [self.nodes[dest]]
             return []
-        loss_prob = self.config.loss_prob
+        receivers = self.links(node.id)
         if loss_prob != 0.0:
             draw = self.rng.random
             receivers = [n for n in receivers if draw() >= loss_prob]

@@ -3,6 +3,7 @@ import heapq
 import inspect
 import itertools
 import math
+import random
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -261,6 +262,12 @@ def test_hot_paths_read_no_enum_class_attribute():
         assert "Verdict" not in tracker.record.__code__.co_names
     for hot in (World._deliver, World._tx_dequeue, World._relay, routing.mam_handle):
         assert not {"MessageKind", "Algorithm"} & set(hot.__code__.co_names), hot.__name__
+    # each event unpacks its frame once and reads the settings the world took
+    # at construction, not ``Message`` fields or ``world.config`` one by one
+    for hot in (World._deliver, World._tx_dequeue, World._fan_out, World.enqueue_tx,
+                routing.mam_handle):
+        named = {"config", "kind", "origin", "seq", "hops", "sender"}
+        assert not named & set(hot.__code__.co_names), hot.__name__
 
 
 def test_node_methods_never_touch_the_instance_dict():
@@ -308,6 +315,21 @@ def queue_frames(world, node, dest, count):
     for frame in frames:
         assert world.enqueue_tx(node, frame, dest)
     return frames
+
+
+@pytest.mark.parametrize("loss_prob", [0.0, 0.25])
+@pytest.mark.parametrize("dest, draws", [(3, 1), (0, 0), (BROADCAST, 3)])
+def test_fan_out_draws_once_per_receiver_in_range(loss_prob, dest, draws):
+    # a unicast in range draws once and one out of range (the hub) not at all;
+    # a broadcast draws once per stored link; a loss-free channel never draws
+    world = World(line_of_four(loss_prob=loss_prob, rng_seed=11))
+    node = world.nodes[2]
+    assert len(world.links(node.id)) == 3
+    world._fan_out(node, dest)
+    expected = random.Random(11)
+    for _ in range(draws if loss_prob else 0):
+        expected.random()
+    assert world.rng.getstate() == expected.getstate()
 
 
 def test_a_transmission_that_reaches_nobody_schedules_its_next_frame_alone():
@@ -716,6 +738,20 @@ def test_world_rejects_invalid_config_naming_field():
     config.loss_prob = 2.0
     with pytest.raises(ConfigError, match="loss_prob"):
         World(config)
+
+
+def test_world_reads_its_settings_once_at_construction():
+    # a change to ``world.config`` after construction skips ``validate``, so
+    # the run must not see it
+    config = replace(load_scenario("indoor10"), algorithm=Algorithm.MAM, loss_prob=0.15,
+                     duration_ms=20_000)
+    world = World(replace(config))
+    changed = world.config
+    changed.loss_prob, changed.latency_ms, changed.tx_queue_capacity = 0.9, 500, 1
+    changed.heartbeat_period_ms, changed.data_period_ms = 300, 7
+    changed.fault_duplicate = True
+    world.run_until(config.duration_ms)
+    assert world.report() == run(config)
 
 
 @pytest.mark.parametrize("config", [{}, None, "line3"])
