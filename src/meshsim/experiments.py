@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import random
-import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -92,6 +91,7 @@ class TableRow:
 
 def aggregate(reports: list[RunReport], minutes: float, reference_minutes: float) -> TableRow:
     """The row of one batch of runs: means and sample (n-1) standard deviations."""
+    import statistics  # here, not at the top: only a campaign's aggregation needs it
     if not reports:
         raise ValueError("aggregate needs at least one report")
     first = reports[0]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, fields
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -180,6 +179,7 @@ def read_source(source: Union[str, Path], what: str, builtins: tuple[str, ...],
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise error(f"line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 text") from None
     if str(source) in builtins:
+        from importlib import resources  # here, not at the top: only a built-in name reads it
         return resources.files("meshsim").joinpath(resource.format(source)).read_text(), None
     raise error(f"{what} not found: {source}")
 

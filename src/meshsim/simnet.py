@@ -1,18 +1,19 @@
 """Deterministic discrete-event engine.
 
 A ``World`` owns every node's routing state, the disc-radio geometry, the
-collector's mobility trace, per-node transmit queues, and a single seeded
-RNG for link-loss draws: a broadcast draws once per stored link, a unicast in
-range once and one out of range not at all. Events read the settings that the
-world takes from its validated config once, at construction. Each event is a
-``(handler, args)`` pair that runs as ``handler(world, *args)``. The pending
-events of one millisecond wait in one FIFO, and a heap holds each pending
-millisecond once, so events pop in (time, insertion) order and identical
-configurations replay identical runs byte for byte. One transmission is one
-event: it delivers the frame to every receiver that the loss draws spared, in
-id order, and then the sender's radio sends its next queued frame. Only a queue
-that takes a frame while idle, or a transmission that reaches nobody while
-frames wait, schedules a ``_tx_dequeue``.
+collector's mobility trace, per-node transmit queues, and a single seeded RNG
+for link-loss draws: a broadcast draws once per stored link, a unicast in range
+once and one out of range not at all. Events read the settings that the world
+takes from its validated config once, at construction. Each event is a
+``(handler, args)`` pair that runs as ``handler(world, *args)``; events, frames,
+queues and relay state form no reference cycles, so ``run_until`` holds off the
+cyclic GC. The pending events of one millisecond wait in one FIFO, and a heap
+holds each pending millisecond once, so events pop in (time, insertion) order
+and identical configurations replay identical runs byte for byte. One
+transmission is one event: it delivers the frame to every receiver that the loss
+draws spared, in id order, and then the sender's radio sends its next queued
+frame. Only a queue that takes a frame while idle, or a transmission that
+reaches nobody while frames wait, schedules a ``_tx_dequeue``.
 
 Links between nodes that stay put are worked out once per world, as lists of
 ``SimNode``s in id order. For a hub that walks, each node also keeps a second
@@ -25,12 +26,14 @@ both read ``pos``. A loss-free broadcast hands the stored list itself to
 Every reception ends in ``_deliver``'s one loop: a step per frame kind consumes
 the frame or leaves it to the one relay step, which decides by the frame's
 ``(origin, seq)`` key, built once per transmission. A relay queues the frame as
-heard; ``_tx_dequeue`` unpacks it once and builds the forward when it sends it.
-``_relay`` sends only the frames a node originates.
+heard, its decision beside it in a parallel deque; ``_tx_dequeue`` unpacks it
+once and builds the forward when it sends it. ``_relay`` sends only the frames a
+node originates.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
@@ -99,7 +102,8 @@ class MobilityTrace:
 
 
 class SimNode:
-    """Per-node state owned by the engine: position, relay state, queue, counters."""
+    """Per-node state owned by the engine: position, relay state, counters, and a
+    transmit queue of frames as heard (``txq``) beside their decisions (``txq_dest``)."""
 
     def __init__(self, spec, config: ScenarioConfig):
         self.id: NodeId = spec.node
@@ -110,6 +114,7 @@ class SimNode:
         self.relay = RelayState(config.relay_cache_size, config.delta_ms)
         self.next_seq = 0
         self.txq: deque = deque()
+        self.txq_dest: deque = deque()
         self.tx_scheduled = False
         self.radio_free_at = 0
         # replay protection survives reboots, like provisioning sequence state
@@ -133,6 +138,7 @@ class SimNode:
         self.reset_routing()
         self.restarts = restarts
         self.txq.clear()
+        self.txq_dest.clear()
 
     def stats_snapshot(self) -> NodeStats:
         return tuple.__new__(NodeStats, (self.id, *_read_counters(self)))
@@ -237,12 +243,19 @@ class World:
         return True
 
     def run_until(self, limit_ms: int) -> None:
-        """Apply every event strictly before ``limit_ms``, then park the clock there."""
+        """Apply every event strictly before ``limit_ms``, then park the clock there; the
+        cyclic GC is held off meanwhile and left as it was found, even if a handler raises."""
         if not is_int(limit_ms):
             raise ConfigError(f"limit_ms: must be an integer, got {limit_ms!r}")
         times, step = self._times, self.step
-        while times and times[0] < limit_ms:
-            step()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while times and times[0] < limit_ms:
+                step()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         if limit_ms > self.now:
             self.now = limit_ms
 
@@ -409,7 +422,8 @@ class World:
         if len(node.txq) >= self.tx_queue_capacity:
             node.tx_dropped += 1
             return False
-        node.txq.append((message, dest))
+        node.txq.append(message)
+        node.txq_dest.append(dest)
         if not node.tx_scheduled:
             node.tx_scheduled = True
             t = node.radio_free_at
@@ -421,7 +435,8 @@ class World:
             # queue wiped by a reboot between scheduling and firing
             node.tx_scheduled = False
             return
-        message, dest = node.txq.popleft()
+        message = node.txq.popleft()
+        dest = node.txq_dest.popleft()
         kind, origin, seq, hops, sent_by, payload = message
         if sent_by != node.id:
             message = tuple.__new__(Message, (kind, origin, seq, hops + 1, node.id, payload))

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import types
@@ -7,6 +8,9 @@ import meshsim
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+
+# modules that only some calls need, imported by those calls rather than by ``import meshsim``
+LAZY_MODULES = ("statistics", "importlib.resources", "socketserver")
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -45,3 +49,15 @@ def test_a_failing_property_fails_without_aborting_the_run(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed" in result.stdout
+
+
+def test_import_loads_no_module_that_only_some_calls_need():
+    # ``-S`` skips ``site``, so only what ``import meshsim`` pulls in is loaded
+    probe = ("import sys, meshsim\n"
+             f"print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))\n"
+             "print(meshsim.load_scenario('line3').topology[-1].node)")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n") == ["[]", "2", ""]

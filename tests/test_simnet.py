@@ -410,7 +410,9 @@ class LoggedWorld(World):
 
     def _tx_dequeue(self, node):
         self.log.append((self.now, node.id))
+        assert len(node.txq) == len(node.txq_dest)
         super()._tx_dequeue(node)
+        assert len(node.txq) == len(node.txq_dest)
 
 
 class TwoEventWorld(LoggedWorld):
@@ -421,7 +423,7 @@ class TwoEventWorld(LoggedWorld):
         if not node.txq:
             node.tx_scheduled = False
             return
-        message, dest = node.txq.popleft()
+        message, dest = node.txq.popleft(), node.txq_dest.popleft()
         if message.sender != node.id:
             message = forwarded(message, node.id)
         copies = 1
@@ -472,8 +474,8 @@ def busy_runs(draw):
     return config, sorted(commands, key=lambda command: command[0])
 
 
-def logged_run(world_class, config, commands):
-    world = world_class(config)
+def drive(world, config, commands):
+    """Run ``world`` to the end of ``config``, issuing the ``busy_runs`` commands; its report."""
     nodes = world.nodes.values()
     for at_ms, verb, issuer in commands:
         world.run_until(at_ms)
@@ -485,7 +487,12 @@ def logged_run(world_class, config, commands):
         if issuer is not None:
             world.issue_command(verb, issuer)
     world.run_until(config.duration_ms)
-    return world.report(), world.log
+    return world.report()
+
+
+def logged_run(world_class, config, commands):
+    world = world_class(config)
+    return drive(world, config, commands), world.log
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -517,6 +524,11 @@ def reception_counters(world):
             counters[nid, "drops." + reason] = count
         counters[nid, "txq"] = len(n.txq)
     return counters
+
+
+def queue_entry(node, i):
+    """The ``i``-th entry of ``node``'s transmit queue, as ``(frame, decision)``."""
+    return node.txq[i], node.txq_dest[i]
 
 
 def deliver_to(world, message, ids):
@@ -552,7 +564,7 @@ def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
         (5, "rx_count"): 1}
     assert world.tracker.unique_count == 1
     # the queue holds the frame as heard
-    assert world.nodes[2].txq[-1] == (data, BROADCAST)
+    assert queue_entry(world.nodes[2], -1) == (data, BROADCAST)
     # the same frame again: a duplicate at the hub, a seen-drop at the relay
     assert deliver_to(world, data, [0, 2]) == {
         (0, "rx_count"): 1, (0, "received"): 1,
@@ -567,14 +579,14 @@ def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
     # a frame of the node's own is queued as sent, one hop on, and goes out unchanged
     own = sensor.originate(MessageKind.DATA, b"o")
     world._relay(sensor, own)
-    assert sensor.txq[-1] == (forwarded(own, 5), BROADCAST)
+    assert queue_entry(sensor, -1) == (forwarded(own, 5), BROADCAST)
     assert sent_frame(world, sensor) == forwarded(own, 5)
 
     # a heartbeat counts only as a reception, and its forward is queued
     heartbeat = hub.originate(MessageKind.HEARTBEAT)
     assert deliver_to(world, heartbeat, [0, 3]) == {
         (0, "rx_count"): 1, (3, "rx_count"): 1, (3, "txq"): 1}
-    assert world.nodes[3].txq[-1] == (heartbeat, BROADCAST)
+    assert queue_entry(world.nodes[3], -1) == (heartbeat, BROADCAST)
     assert sent_frame(world, world.nodes[3]) == forwarded(heartbeat, 3)
 
     # a stats report ends at the hub and is relayed by anyone else
@@ -597,8 +609,13 @@ def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
     command = commander.originate(MessageKind.COMMAND, bytes([CommandVerb.SET_MAM]))
     assert deliver_to(world, command, [4]) == {(4, "rx_count"): 1, (4, "txq"): 1}
     assert world.nodes[4].algorithm is Algorithm.MAM
-    assert world.nodes[4].txq[-1] == (command, BROADCAST)
+    assert queue_entry(world.nodes[4], -1) == (command, BROADCAST)
     assert sent_frame(world, world.nodes[4]) == forwarded(command, 4)
+
+    # a reboot empties both halves of the queue
+    queue_frames(world, sensor, BROADCAST, 1)
+    sensor.reboot()
+    assert not sensor.txq and not sensor.txq_dest
 
 
 def test_frames_with_one_origin_and_seq_share_one_seen_entry():
@@ -731,6 +748,45 @@ def test_finished_world_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(busy_runs())
+def test_a_run_leaves_nothing_for_the_cycle_collector(run_case):
+    # ``run_until`` holds the cyclic GC off on this premise: events, frames,
+    # queues and relay state form no reference cycles, through reboots too
+    config, commands = run_case
+    gc.collect()
+    gc.disable()
+    try:
+        world = World(config)
+        report = drive(world, config, commands)
+        del world, report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_until_leaves_the_cycle_collector_as_it_found_it(enabled):
+    was_enabled = gc.isenabled()
+    world = World(line_of_four())
+    seen = []
+
+    def fail(world):
+        raise RuntimeError("handler failed")
+
+    world.schedule(5, lambda world: seen.append(gc.isenabled()))
+    world.schedule(50, fail)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        world.run_until(10)
+        assert (seen, gc.isenabled()) == ([False], enabled)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            world.run_until(100)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_world_rejects_invalid_config_naming_field():
@@ -1036,7 +1092,7 @@ class SendingWorld(LoggedWorld):
         super().schedule(t, handler, *args)
 
     def _tx_dequeue(self, node):
-        queued = node.txq[0][0] if node.txq else None
+        queued = node.txq[0] if node.txq else None
         self._delivering = []
         super()._tx_dequeue(node)
         if self._delivering:
@@ -1081,7 +1137,7 @@ def relayed_frames(config, verb, at_ms):
         txq = node.txq
         before = len(txq)
         admitted = enqueue_tx(node, message, dest)
-        assert len(txq) == before + admitted
+        assert len(txq) == len(node.txq_dest) == before + admitted
         if undone:
             relayer, key, hops, decision = undone.pop()
             assert node is relayer and dest == decision
@@ -1092,10 +1148,10 @@ def relayed_frames(config, verb, at_ms):
                 assert message is world.log[-1][2]
                 assert ((message.origin, message.seq), message.hops) == (key, hops)
             if admitted:
-                assert txq[-1] == (message, decision)
+                assert queue_entry(node, -1) == (message, decision)
                 queued.add((message.kind, decision is BROADCAST))
         elif admitted:
-            message, dest = txq[-1]
+            message, dest = queue_entry(node, -1)
             assert node.id == world.hub_id and dest is BROADCAST
             assert message.kind is MessageKind.HEARTBEAT
             assert message.origin == node.id and message.hops == 0
