@@ -12,7 +12,6 @@ from meshsim import (
     btmr_relay,
     mam_handle,
 )
-from meshsim.core import forwarded
 from meshsim.routing import BROADCAST
 
 # A decision only says where a frame goes: to every neighbour (BROADCAST), to
@@ -47,7 +46,7 @@ reading = Message(MessageKind.DATA, origin=2, seq=0, hops=0, sender=2, payload=b
 
 echo = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=3, payload=b"\x17")
 print("flooding relay, first contact:   ", said(flood(state, reading)))
-print("node 5 then sends:               ", forwarded(reading, 5))
+print("node 5 then sends:               ", reading._replace(hops=reading.hops + 1, sender=5))
 print("same frame from another neighbor:", said(flood(state, echo)))
 
 stale = Message(MessageKind.DATA, origin=2, seq=1, hops=127, sender=2, payload=b"\x17")

@@ -145,9 +145,9 @@ class CommanderSession:
         return response
 
 
-def make_server(world, host: str = "127.0.0.1", port: int = 0,
-                settle_ms: int = 1000) -> socketserver.ThreadingTCPServer:
-    """TCP server speaking the session protocol (telnet-compatible line endings).
+# no return annotation: it would name ``socketserver``, which only this function imports
+def make_server(world, host: str = "127.0.0.1", port: int = 0, settle_ms: int = 1000):
+    """A ``socketserver.ThreadingTCPServer`` speaking the session protocol (telnet-compatible).
 
     The bound address is ``server.server_address``; run ``serve_forever`` (in a
     thread if the caller owns the world) and ``shutdown`` to stop. Each client

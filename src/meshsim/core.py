@@ -87,9 +87,11 @@ class ConfigError(ValueError):
 class Message(NamedTuple):
     """One frame exchanged on the mesh.
 
-    ``(origin, seq)`` identifies the logical message for the whole run;
-    relaying only rewrites ``hops`` (transmissions so far) and ``sender``
-    (the immediate previous transmitter).
+    ``(origin, seq)`` identifies the logical message for the whole run.
+    ``hops`` counts the transmissions so far, whatever the kind: the
+    originator sends a frame at 1 and each relay adds 1, up to ``MAX_HOPS``.
+    Relaying rewrites only ``hops`` and ``sender`` (the immediate previous
+    transmitter).
     """
 
     kind: MessageKind
@@ -98,13 +100,6 @@ class Message(NamedTuple):
     hops: int
     sender: NodeId
     payload: bytes = b""
-
-
-def forwarded(message: Message, relay: NodeId) -> Message:
-    """The frame ``relay`` transmits for ``message``: one more hop, sent by ``relay``."""
-    kind, origin, seq, hops, _, payload = message
-    # builds the tuple directly: the NamedTuple constructor is an extra Python call
-    return tuple.__new__(Message, (kind, origin, seq, hops + 1, relay, payload))
 
 
 def message_hash(payload: bytes, origin: NodeId, seq: int) -> int:

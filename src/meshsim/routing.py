@@ -13,6 +13,10 @@ Two per-node state machines decide what to do with an incoming frame:
 
 Both decide only where a frame goes, deterministically from one node's
 ``RelayState`` and the frame; the engine owns that state and builds the frame sent.
+
+A frame's ``hops`` is a Bluetooth Mesh PDU's 7-bit TTL read as ``hops = 128 - TTL``:
+every kind leaves its originator at hops 1 (TTL 127), each relay adds one, and a
+node relays only while ``hops < MAX_HOPS`` (TTL 2 or more).
 """
 
 from __future__ import annotations

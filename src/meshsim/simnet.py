@@ -27,8 +27,8 @@ Every reception ends in ``_deliver``'s one loop: a step per frame kind consumes
 the frame or leaves it to the one relay step, which decides by the frame's
 ``(origin, seq)`` key, built once per transmission. A relay queues the frame as
 heard, its decision beside it in a parallel deque; ``_tx_dequeue`` unpacks it
-once and builds the forward when it sends it. ``_relay`` sends only the frames a
-node originates.
+once and builds the forward, one hop on, when it sends it. ``_relay`` sends only
+the frames a node originates, each queued as ``SimNode.originate`` built it.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .core import (
     ScenarioConfig,
     Waypoint,
     _mobility_problem,
-    forwarded,
     is_int,
     sensor_reading,
 )
@@ -144,9 +143,9 @@ class SimNode:
         return tuple.__new__(NodeStats, (self.id, *_read_counters(self)))
 
     def originate(self, kind: MessageKind, payload: bytes = b"") -> Message:
-        """A new frame from this node, under its next sequence number."""
-        # builds the tuple directly, as ``core.forwarded`` does
-        message = tuple.__new__(Message, (kind, self.id, self.next_seq, 0, self.id, payload))
+        """A new frame from this node, under its next sequence number, sent at hops 1."""
+        # builds the tuple directly: the NamedTuple constructor is an extra Python call
+        message = tuple.__new__(Message, (kind, self.id, self.next_seq, 1, self.id, payload))
         self.next_seq += 1
         return message
 
@@ -369,7 +368,7 @@ class World:
             self._tx_dequeue(sender)
 
     def _relay(self, node: SimNode, message: Message) -> None:
-        """Send a frame ``node`` originated as decided; it is queued as sent, one hop on."""
+        """Send a frame ``node`` originated as decided; it is queued as sent."""
         if node.algorithm is MAM:
             action = mam_handle(node.relay, self.now, message)
         else:
@@ -377,7 +376,7 @@ class World:
         if action.__class__ is str:
             node.drops[action] += 1
         else:
-            self.enqueue_tx(node, forwarded(message, node.id), action)
+            self.enqueue_tx(node, message, action)
 
     def _apply_command(self, node: SimNode, message: Message) -> None:
         _, origin, seq, _, _, payload = message

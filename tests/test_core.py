@@ -18,7 +18,7 @@ from meshsim import (
     encode_message,
     message_hash,
 )
-from meshsim.core import forwarded, sensor_reading
+from meshsim.core import sensor_reading
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -121,23 +121,6 @@ def test_every_decoded_frame_re_encodes_to_its_bytes(buf):
     except ValueError:
         return
     assert encode_message(message) == buf
-
-
-node_ids = st.integers(0, 0xFFFF)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.builds(Message, st.sampled_from(MessageKind), node_ids, st.integers(0, 0xFFFFFFFF),
-                 st.integers(0, 127), node_ids, st.binary(max_size=16)),
-       st.lists(node_ids, max_size=8))
-def test_forwards_change_only_hops_and_sender(frame, relays):
-    message = frame
-    for relay in relays:
-        out = forwarded(message, relay)
-        assert (out.kind, out.origin, out.seq, out.payload) == (
-            message.kind, message.origin, message.seq, message.payload)
-        assert (out.hops, out.sender) == (message.hops + 1, relay)
-        message = out
 
 
 def test_sensor_reading_fixed_size_and_deterministic():

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import types
+import typing
 from pathlib import Path
 
 import meshsim
@@ -27,6 +28,31 @@ def test_all_lists_every_public_name():
     public = [name for name, value in vars(meshsim).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
     assert sorted(meshsim.__all__) == sorted(public)
+
+
+def public_callables():
+    """Each public function and class in ``meshsim.__all__``, and each method a class defines."""
+    for name in meshsim.__all__:
+        value = getattr(meshsim, name)
+        if not callable(value):
+            continue
+        yield name, value
+        if isinstance(value, type):
+            for attr, member in vars(value).items():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if isinstance(member, types.FunctionType):
+                    yield f"{name}.{attr}", member
+
+
+def test_every_public_annotation_resolves():
+    # an annotation naming a module that only the function body imports fails here
+    unresolved = []
+    for name, value in public_callables():
+        try:
+            typing.get_type_hints(value)
+        except NameError as error:
+            unresolved.append(f"{name}: {error}")
+    assert not unresolved
 
 
 def test_readme_library_tour_runs():

@@ -17,7 +17,6 @@ from meshsim import (
     Role,
     ScenarioConfig,
 )
-from meshsim.core import forwarded
 from meshsim.routing import BROADCAST, DROP_NO_ROUTE, DROP_SEEN, DROP_TTL
 from meshsim.simnet import SimNode
 
@@ -160,7 +159,7 @@ hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
 def test_a_frame_and_its_forward_are_one_cache_entry(frame):
     state = RelayState(4, DELTA)
     assert flood(state, frame) is BROADCAST
-    assert flood(state, forwarded(frame, RELAY)) == DROP_SEEN
+    assert flood(state, frame._replace(hops=frame.hops + 1, sender=RELAY)) == DROP_SEEN
     assert (frame.origin, frame.seq) in state.seen and len(state.seen) == 1
 
 

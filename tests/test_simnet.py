@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from meshsim import (
@@ -29,12 +29,17 @@ from meshsim import (
 from meshsim import routing, simnet
 from meshsim.commander import CommandVerb, NodeStats, encode_stats
 from meshsim.metrics import HashMapTracker, IntervalTracker
-from meshsim.core import NODE_COUNTERS, forwarded
-from meshsim.routing import BROADCAST
+from meshsim.core import NODE_COUNTERS
+from meshsim.routing import BROADCAST, DROP_TTL
 from meshsim.simnet import RANGE_PRESETS
 from connectivity import component
 from recording import record_arrivals
 from test_golden import grid25
+
+
+def forwarded(message, relay):
+    """The frame ``relay`` sends for ``message`` it heard: one hop on, with ``relay`` as sender."""
+    return message._replace(hops=message.hops + 1, sender=relay)
 
 
 def pair_config(distance, preset="ground", **overrides):
@@ -243,8 +248,8 @@ def test_originate_and_stats_snapshot_build_what_the_constructors_build():
     world = World(line_of_four())
     node = world.nodes[2]
     frame = node.originate(MessageKind.DATA, b"x")
-    assert type(frame) is Message and frame == Message(MessageKind.DATA, 2, 0, 0, 2, b"x")
-    assert node.originate(MessageKind.HEARTBEAT) == Message(MessageKind.HEARTBEAT, 2, 1, 0, 2)
+    assert type(frame) is Message and frame == Message(MessageKind.DATA, 2, 0, 1, 2, b"x")
+    assert node.originate(MessageKind.HEARTBEAT) == Message(MessageKind.HEARTBEAT, 2, 1, 1, 2)
     world.run_until(25_000)
     node.tx_dropped, node.restarts = 4, 2
     assert node.generated and node.relayed and node.received
@@ -576,11 +581,11 @@ def test_each_frame_kind_is_consumed_or_relayed_once_per_receiver():
     # the forward is built when the frame is sent
     assert sent_frame(world, world.nodes[2]) == forwarded(data, 2)
 
-    # a frame of the node's own is queued as sent, one hop on, and goes out unchanged
+    # a frame of the node's own is queued as originated, at hops 1, and goes out unchanged
     own = sensor.originate(MessageKind.DATA, b"o")
     world._relay(sensor, own)
-    assert queue_entry(sensor, -1) == (forwarded(own, 5), BROADCAST)
-    assert sent_frame(world, sensor) == forwarded(own, 5)
+    assert queue_entry(sensor, -1) == (own, BROADCAST)
+    assert sent_frame(world, sensor) == own
 
     # a heartbeat counts only as a reception, and its forward is queued
     heartbeat = hub.originate(MessageKind.HEARTBEAT)
@@ -717,9 +722,86 @@ def test_mam_routes_form_after_first_heartbeat_round():
     world = World(config)
     world.run_until(100)
     assert world.nodes[1].relay.best_node == 0
-    assert world.nodes[1].relay.best_hops == 0
+    assert world.nodes[1].relay.best_hops == 1
     assert world.nodes[2].relay.best_node == 1
-    assert world.nodes[2].relay.best_hops == 1
+    assert world.nodes[2].relay.best_hops == 2
+
+
+# --- one hop scale ---------------------------------------------------------------
+
+def test_every_originated_kind_is_queued_at_hops_1():
+    world = World(load_scenario("line3"))
+    enqueue_tx, originated = world.enqueue_tx, set()
+
+    def spy_enqueue_tx(node, message, dest):
+        # a relay queues the frame as heard, so only a node's own frames carry its id
+        if message.sender == node.id:
+            originated.add((message.kind, message.hops))
+        return enqueue_tx(node, message, dest)
+
+    world.enqueue_tx = spy_enqueue_tx
+    for verb in (CommandVerb.PING, CommandVerb.SIM_STATS):
+        world.run_until(world.now + 5_000)
+        world.issue_command(verb)
+    world.run_until(world.now + 5_000)
+    assert originated == {(kind, 1) for kind in MessageKind}
+
+
+def test_a_heartbeat_and_a_data_frame_stop_after_the_same_number_of_relays(monkeypatch):
+    # hub 0 and the data's origin at the two ends of a line of MAX_HOPS + 1 relays
+    max_hops = 4
+    monkeypatch.setattr(routing, "MAX_HOPS", max_hops)
+    far = max_hops + 2
+    topology = [NodeSpec(i, 5.0 * i, 0.0, Role.SENSOR if i else Role.MOBILE_HUB)
+                for i in range(far + 1)]
+    config = ScenarioConfig(topology=topology, duration_ms=1_000,
+                            heartbeat_period_ms=10_000, data_period_ms=10_000)
+    world = World(config)
+    world.schedule(0, World._generate_data, world.nodes[far])  # the one data frame
+    world.run_until(config.duration_ms)
+    relays = world.nodes.values()
+    heartbeat = [n.id for n in relays if n.id != 0 and n.tx_count > n.tx_data_count]
+    data = [n.id for n in relays if n.relayed]
+    assert heartbeat == list(range(1, max_hops))
+    assert data == list(range(far - max_hops + 1, far))
+    # the relay MAX_HOPS hops away from each origin drops the frame
+    assert [n.id for n in relays if n.drops[DROP_TTL]] == [far - max_hops, max_hops]
+
+
+class ZeroHopHeartbeatWorld(World):
+    """The engine with the hub's heartbeats queued at hops 0, a count of relays rather
+    than of transmissions; ``heartbeat_hops`` is the most any heartbeat delivery carried."""
+
+    def __init__(self, config):
+        self.heartbeat_hops = 0
+        super().__init__(config)
+
+    def schedule(self, t, handler, *args):
+        if handler is World._emit_heartbeat:
+            handler = ZeroHopHeartbeatWorld._emit_heartbeat
+        elif handler is World._deliver and args[0].kind is MessageKind.HEARTBEAT:
+            self.heartbeat_hops = max(self.heartbeat_hops, args[0].hops)
+        super().schedule(t, handler, *args)
+
+    def _emit_heartbeat(self, hub):
+        self.enqueue_tx(hub, hub.originate(MessageKind.HEARTBEAT)._replace(hops=0), BROADCAST)
+        self.schedule(self.now + self.heartbeat_period_ms, World._emit_heartbeat, hub)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(busy_runs(), st.one_of(st.just(routing.MAX_HOPS), st.integers(3, 6)))
+def test_heartbeats_sent_at_hops_1_change_no_report_below_the_hop_cap(run_case, max_hops):
+    # one more hop on every heartbeat moves only the relay that the cap stops;
+    # a small cap makes some runs reach it, and ``event`` counts those rejected
+    config, commands = run_case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(routing, "MAX_HOPS", max_hops)
+        zero_hop = ZeroHopHeartbeatWorld(config)
+        report = drive(zero_hop, config, commands)
+        reached = zero_hop.heartbeat_hops >= max_hops - 1
+        event(f"a heartbeat reached MAX_HOPS - 1: {reached}")
+        assume(not reached)
+        assert drive(World(config), config, commands) == report
 
 
 def test_report_totals_are_consistent():
@@ -1109,9 +1191,9 @@ def relayed_frames(config, verb, at_ms):
     ``enqueue_tx`` call of the deciding node, sent to the decision itself,
     ``BROADCAST`` or a node id. The frame queued for a frame heard is that
     frame as heard, and ``SendingWorld`` checks that its forward is what goes
-    out; a frame the node originated is queued as sent, ``forwarded(frame,
-    node.id)``. A drop reason queues nothing: the only frames queued without
-    a decision are the hub's own heartbeats. Returns the ``(kind, broadcast)``
+    out; a frame the node originated is queued as originated, at hops 1. A
+    drop reason queues nothing: the only frames queued without a decision are
+    the hub's own heartbeats, also at hops 1. Returns the ``(kind, broadcast)``
     pairs of the relays admitted and the world's ``sent`` counts.
     """
     world = SendingWorld(config)
@@ -1141,9 +1223,10 @@ def relayed_frames(config, verb, at_ms):
         if undone:
             relayer, key, hops, decision = undone.pop()
             assert node is relayer and dest == decision
-            if key[0] == node.id:  # a frame of its own, queued as sent: one hop on
+            if key[0] == node.id:  # a frame of its own, queued as originated
                 assert ((message.origin, message.seq), message.hops, message.sender) == (
-                    key, hops + 1, node.id)
+                    key, hops, node.id)
+                assert hops == 1
             else:  # the frame being delivered, the newest entry of the log
                 assert message is world.log[-1][2]
                 assert ((message.origin, message.seq), message.hops) == (key, hops)
@@ -1154,7 +1237,7 @@ def relayed_frames(config, verb, at_ms):
             message, dest = queue_entry(node, -1)
             assert node.id == world.hub_id and dest is BROADCAST
             assert message.kind is MessageKind.HEARTBEAT
-            assert message.origin == node.id and message.hops == 0
+            assert message.origin == node.id and message.hops == 1
         return admitted
 
     world.enqueue_tx = spy_enqueue_tx
