@@ -42,9 +42,9 @@ def route(state):
 # relayed (origin, seq) keys that flooding reads, and the route that the
 # reactive strategy learns.
 state = RelayState(cache_size=3, delta_ms=100_000)
-reading = Message(MessageKind.DATA, origin=2, seq=0, hops=0, sender=2, payload=b"\x17")
+reading = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=2, payload=b"\x17")
 
-echo = Message(MessageKind.DATA, origin=2, seq=0, hops=1, sender=3, payload=b"\x17")
+echo = Message(MessageKind.DATA, origin=2, seq=0, hops=2, sender=3, payload=b"\x17")
 print("flooding relay, first contact:   ", said(flood(state, reading)))
 print("node 5 then sends:               ", reading._replace(hops=reading.hops + 1, sender=5))
 print("same frame from another neighbor:", said(flood(state, echo)))
@@ -55,7 +55,7 @@ print("hop budget exhausted:            ", said(flood(state, stale)))
 # The seen-key cache is a bounded LRU, so old entries age out and a frame can relay
 # again once enough newer traffic displaced it.
 for seq in (10, 11, 12):
-    btmr_relay(state, (2, seq), 0)
+    btmr_relay(state, (2, seq), 1)
 print("after 3 newer frames, the first relays again:",
       said(flood(state, reading)))
 
@@ -88,7 +88,7 @@ print("data without a route:",
 
 # Commands flood even under MAM, and leave the route alone: an algorithm switch
 # or a probe must reach nodes before any route exists.
-set_mam = Message(MessageKind.COMMAND, origin=1, seq=0, hops=0, sender=1,
+set_mam = Message(MessageKind.COMMAND, origin=1, seq=0, hops=1, sender=1,
                   payload=bytes([CommandVerb.SET_MAM]))
 print("set-mam command:     ", said(mam_handle(state, 5_000, set_mam)))
 

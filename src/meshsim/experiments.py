@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import random
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -21,7 +20,7 @@ from .core import Algorithm, ScenarioConfig, check_fields, is_int, is_number, se
 from .metrics import RunReport, scale_rule_of_three, text_table
 from .refdata import REFERENCE_MINUTES
 from .scenario import file_keys, load_scenario, read_settings, read_source
-from .simnet import World, run  # noqa: F401  (bench/tracer.py wraps experiments.run)
+from .simnet import World, run, seed_matters  # noqa: F401  (bench/tracer.py wraps run)
 
 
 class PlanError(ValueError):
@@ -64,11 +63,13 @@ class ExperimentPlan:
                                        default=REFERENCE_MINUTES)
 
     def run_seeds(self) -> list[int]:
-        if self.seeds is not None:
-            if len(self.seeds) != self.repetitions:
-                raise PlanError(f"plan needs {self.repetitions} seeds, got {len(self.seeds)}")
-            return list(self.seeds)
-        return [self.seed_base + i for i in range(self.repetitions)]
+        seeds = list(self.seeds if self.seeds is not None
+                     else range(self.seed_base, self.seed_base + self.repetitions))
+        if len(seeds) != self.repetitions:
+            raise PlanError(f"plan needs {self.repetitions} seeds, got {len(seeds)}")
+        if not _distinct([abs(seed) for seed in seeds]):  # random.Random seeds from abs(n)
+            raise PlanError(f"a seed and its negation seed the same run, got seeds {seeds}")
+        return seeds
 
     def validate(self) -> None:
         check_fields(self, PlanError)
@@ -155,11 +156,9 @@ class ComparisonTable:
         return "\n".join(text_table(header, body)) + "\n"
 
 
-def _run_seed(plan: ExperimentPlan, algorithm: Algorithm,
-              seed: int) -> tuple[dict[float, RunReport], bool]:
+def _run_seed(plan: ExperimentPlan, algorithm: Algorithm, seed: int) -> dict[float, RunReport]:
     """One world run through the plan's durations in ascending order, reported at
-    each (a shorter run is the prefix of a longer one), and whether it drew from
-    its RNG: a run that drew nothing is the same under every seed."""
+    each: a shorter run is the prefix of a longer one."""
     by_length = sorted(plan.durations_min)
     config = replace(plan.scenario, algorithm=algorithm, rng_seed=seed)
     taken: dict[float, RunReport] = {}
@@ -174,14 +173,14 @@ def _run_seed(plan: ExperimentPlan, algorithm: Algorithm,
             f"run failed (algorithm={algorithm.value}, "
             f"duration_min={by_length[len(taken)]}, seed={seed}): {exc}"
         ) from exc
-    return taken, world.rng.getstate() != random.Random(seed).getstate()
+    return taken
 
 
 def run_plan(plan: ExperimentPlan, out_dir: Optional[Union[str, Path]] = None) -> ComparisonTable:
     """Execute the full sweep; optionally write table/series/report files.
 
-    Each (algorithm, seed) is simulated once. An algorithm's other seeds reuse
-    its first seed's reports when that run drew nothing from the RNG.
+    Each algorithm runs every seed if ``seed_matters`` says its runs can depend on
+    the seed, else only the first seed, whose reports the other seeds reuse.
     """
     plan.validate()
     seeds = plan.run_seeds()
@@ -192,11 +191,9 @@ def run_plan(plan: ExperimentPlan, out_dir: Optional[Union[str, Path]] = None) -
     rows: list[TableRow] = []
     reports: dict[tuple[str, float], list[RunReport]] = {}
     for algorithm in plan.algorithms:
-        first, drew = _run_seed(plan, algorithm, seeds[0])
-        runs = [first]
-        for seed in seeds[1:]:
-            runs.append(_run_seed(plan, algorithm, seed)[0] if drew
-                        else {m: replace(r, seed=seed) for m, r in first.items()})
+        distinct = seeds if seed_matters(replace(plan.scenario, algorithm=algorithm)) else seeds[:1]
+        runs = [_run_seed(plan, algorithm, seed) for seed in distinct]
+        runs += [{m: replace(r, seed=s) for m, r in runs[0].items()} for s in seeds[len(runs):]]
         for minutes in plan.durations_min:
             batch = [taken[minutes] for taken in runs]
             rows.append(aggregate(batch, minutes, plan.reference_minutes))
@@ -254,7 +251,8 @@ def parse_plan(text: str, base_dir: Optional[Path] = None) -> ExperimentPlan:
     try:
         plan.run_seeds()
     except PlanError as exc:
-        raise PlanError(f"line {where['seeds'][0]}: seeds: {exc}") from None
+        line, key, _ = where.get("seeds") or where["seed_base"]
+        raise PlanError(f"line {line}: {key}: {exc}") from None
     return plan
 
 

@@ -3,8 +3,8 @@
 A ``World`` owns every node's routing state, the disc-radio geometry, the
 collector's mobility trace, per-node transmit queues, and a single seeded RNG
 for link-loss draws: a broadcast draws once per stored link, a unicast in range
-once and one out of range not at all. Events read the settings that the world
-takes from its validated config once, at construction. Each event is a
+once and one out of range not at all. ``seed_matters(config)`` says whether a
+run can read that RNG, and so depend on its seed. Each event is a
 ``(handler, args)`` pair that runs as ``handler(world, *args)``; events, frames,
 queues and relay state form no reference cycles, so ``run_until`` holds off the
 cyclic GC. The pending events of one millisecond wait in one FIFO, and a heap
@@ -148,6 +148,11 @@ class SimNode:
         message = tuple.__new__(Message, (kind, self.id, self.next_seq, 1, self.id, payload))
         self.next_seq += 1
         return message
+
+
+def seed_matters(config: ScenarioConfig) -> bool:
+    """Whether a run of ``config`` can draw from its RNG, and so depend on its seed."""
+    return config.loss_prob > 0
 
 
 class World:

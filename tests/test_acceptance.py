@@ -93,10 +93,10 @@ def test_criterion_1_scaling_averages_and_runtime():
 # --- criterion 2: every branch of both relay algorithms ----------------------
 
 def test_criterion_2_algorithm_branch_coverage():
-    def data(seq=0, hops=0, sender=2):
+    def data(seq=0, hops=1, sender=2):
         return Message(MessageKind.DATA, 2, seq, hops, sender, payload=b"x")
 
-    def heartbeat(seq=0, hops=0, sender=0):
+    def heartbeat(seq=0, hops=1, sender=0):
         return Message(MessageKind.HEARTBEAT, 0, seq, hops, sender)
 
     # flood relay: TTL cap exceeded / at the cap / LRU hit / LRU miss
@@ -104,8 +104,8 @@ def test_criterion_2_algorithm_branch_coverage():
     key = (2, 0)  # the (origin, seq) of data()
     assert btmr_relay(flooding, key, 127) == DROP_TTL
     assert btmr_relay(flooding, key, 126) is BROADCAST
-    assert btmr_relay(flooding, key, 0) == DROP_SEEN  # hops=126 cached it
-    assert btmr_relay(RelayState(20, 1_000), key, 0) is BROADCAST
+    assert btmr_relay(flooding, key, 1) == DROP_SEEN  # hops=126 cached it
+    assert btmr_relay(RelayState(20, 1_000), key, 1) is BROADCAST
 
     # route cache: expired true / false, fewer hops true / false
     state = RelayState(4, 1_000)

@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meshsim import (
@@ -30,8 +31,10 @@ import meshsim
 from meshsim import experiments, refdata
 from meshsim.cli import main as cli_main
 from meshsim.experiments import parse_plan
+from meshsim.simnet import seed_matters
 from test_scenario import with_byte_order_mark
-from test_simnet import coordinate, geometries
+from test_golden import read_tree
+from test_simnet import busy_runs, coordinate, drive, geometries
 
 
 def quick_plan(**overrides):
@@ -175,6 +178,44 @@ def test_plan_builds_one_world_per_distinct_run(monkeypatch):
     run_plan(replace(plan, scenario=replace(plan.scenario, loss_prob=0.2)))
     assert built == [(algorithm, seed) for algorithm in (Algorithm.BTMR, Algorithm.MAM)
                      for seed in (5, 6, 7)]
+
+
+def test_a_lossy_plan_that_draws_nothing_still_runs_every_seed(monkeypatch, tmp_path):
+    # every node out of range of every other: frames reach no one, so nothing is drawn
+    isolated = replace(load_scenario("line3"), loss_prob=0.2, topology=[
+        NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB), NodeSpec(1, 500.0, 0.0, Role.COMMANDER),
+        NodeSpec(2, 1000.0, 0.0, Role.SENSOR)])
+    worlds = []
+
+    def kept_world(config):
+        worlds.append(World(config))
+        return worlds[-1]
+
+    monkeypatch.setattr(experiments, "World", kept_world)
+    plan = quick_plan(scenario=isolated, algorithms=[Algorithm.BTMR, Algorithm.MAM])
+    run_plan(plan, out_dir=tmp_path / "lossy")
+    # the distinct runs are fixed from the config, before any run: one world per seed
+    assert [w.config.rng_seed for w in worlds] == [5, 6, 7, 5, 6, 7]
+    assert all(w.rng.getstate() == random.Random(w.config.rng_seed).getstate() for w in worlds)
+    worlds.clear()
+    run_plan(replace(plan, scenario=replace(isolated, loss_prob=0.0)), out_dir=tmp_path / "reuse")
+    assert [w.config.rng_seed for w in worlds] == [5, 5]
+    assert read_tree(tmp_path / "lossy") == read_tree(tmp_path / "reuse")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(busy_runs(), st.integers(0, 2**32))
+def test_a_run_whose_seed_cannot_matter_draws_nothing_and_equals_another_seeds(case, seed):
+    # A plan reuses one run for every seed when ``seed_matters`` is false; a setting
+    # that draws, or that changes a run by its seed, without joining it fails here.
+    config, commands = case
+    config = replace(config, loss_prob=0.0)
+    assume(not seed_matters(config))
+    world = World(config)
+    report = drive(world, config, commands)
+    assert world.rng.getstate() == random.Random(config.rng_seed).getstate()
+    other = replace(config, rng_seed=seed)
+    assert drive(World(other), other, commands) == replace(report, seed=seed)
 
 
 def test_unusable_out_dir_fails_before_any_run(monkeypatch, tmp_path):
@@ -405,6 +446,11 @@ PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
     (PLAN_HEAD + "seed_base = 100\ndurations_min = 1\nseeds = 4\n",
      "line 5: seeds: seed_base already set on line 3"),
     (PLAN_HEAD + "durations_min = 1\n[nodes]\n", r"line 4: unknown section \[nodes\]"),
+    # random.Random seeds from abs(n), so n and -n would be one run reported as two
+    (PLAN_HEAD + "durations_min = 1\nseeds = 3, -3\n",
+     r"line 4: seeds: a seed and its negation seed the same run, got seeds \[3, -3\]$"),
+    (PLAN_HEAD + "durations_min = 1\nseed_base = -1\nrepetitions = 3\n",
+     r"line 4: seed_base: a seed and its negation seed the same run, got seeds \[-1, 0, 1\]$"),
 ])
 def test_plan_errors_name_the_line(text, complaint):
     with pytest.raises(PlanError, match=complaint):

@@ -24,11 +24,11 @@ DELTA = 100_000
 RELAY = 5  # id of a node that forwards frames
 
 
-def data_msg(origin=2, seq=0, hops=0, sender=2):
+def data_msg(origin=2, seq=0, hops=1, sender=2):
     return Message(MessageKind.DATA, origin, seq, hops, sender, payload=b"r")
 
 
-def heartbeat(origin=0, seq=0, hops=0, sender=0):
+def heartbeat(origin=0, seq=0, hops=1, sender=0):
     return Message(MessageKind.HEARTBEAT, origin, seq, hops, sender)
 
 
@@ -67,7 +67,7 @@ def test_btmr_second_relay_of_same_message_drops():
     m = data_msg()
     assert flood(state, m) is BROADCAST
     # the same message again, one hop further on, from another neighbor
-    assert flood(state, data_msg(hops=1, sender=3)) == DROP_SEEN
+    assert flood(state, data_msg(hops=2, sender=3)) == DROP_SEEN
 
 
 def test_btmr_lru_eviction_capacity_two():

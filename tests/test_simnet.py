@@ -170,8 +170,8 @@ def next_event(world):
 def test_event_ties_pop_in_insertion_order():
     world = World(pair_config(5.0))
     clear_events(world)
-    first = Message(MessageKind.DATA, origin=1, seq=0, hops=0, sender=1)
-    second = Message(MessageKind.DATA, origin=1, seq=1, hops=0, sender=1)
+    first = Message(MessageKind.DATA, origin=1, seq=0, hops=1, sender=1)
+    second = Message(MessageKind.DATA, origin=1, seq=1, hops=1, sender=1)
     world.schedule(50, World._deliver, first, [world.nodes[0]])
     world.schedule(50, World._deliver, second, [world.nodes[0]])
     seen = []
@@ -628,10 +628,10 @@ def test_frames_with_one_origin_and_seq_share_one_seen_entry():
     # count, payload or kind under the same key is a repeat
     world = World(line_of_four())
     clear_events(world)
-    frame = Message(MessageKind.DATA, origin=1, seq=4, hops=0, sender=1, payload=b"r")
+    frame = Message(MessageKind.DATA, origin=1, seq=4, hops=1, sender=1, payload=b"r")
     assert deliver_to(world, frame, [2]) == {
         (2, "rx_count"): 1, (2, "received"): 1, (2, "relayed"): 1, (2, "txq"): 1}
-    for repeat in (frame._replace(hops=1, sender=3), frame._replace(hops=5),
+    for repeat in (frame._replace(hops=2, sender=3), frame._replace(hops=5),
                    frame._replace(payload=b"other")):
         assert deliver_to(world, repeat, [2]) == {
             (2, "rx_count"): 1, (2, "received"): 1, (2, "drops.seen"): 1}
