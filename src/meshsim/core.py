@@ -122,7 +122,7 @@ def encode_message(message: Message) -> bytes:
         raise ValueError(f"sender out of range: {message.sender}")
     if not 0 <= message.seq <= 0xFFFFFFFF:
         raise ValueError(f"seq out of range: {message.seq}")
-    if not 0 <= message.hops <= MAX_HOPS:
+    if not 1 <= message.hops <= MAX_HOPS:
         raise ValueError(f"hops out of range: {message.hops}")
     if len(message.payload) > 0xFFFF:
         raise ValueError(f"payload too long: {len(message.payload)}")
@@ -143,7 +143,7 @@ def decode_message(buf: bytes) -> Message:
     kind, origin, seq, hops, sender, plen = _WIRE_HEADER.unpack_from(buf)
     if len(buf) != _WIRE_HEADER.size + plen:
         raise ValueError("frame length mismatch")
-    if hops > MAX_HOPS:
+    if not 1 <= hops <= MAX_HOPS:
         raise ValueError(f"hops out of range: {hops}")
     return Message(
         kind=MessageKind(kind),
@@ -177,15 +177,14 @@ RANGE_PRESETS = {
 }
 
 
-def setting(parse: Callable[[str], Any], rule: str, ok: Callable[[Any], bool],
-            alias: Optional[tuple[str, Callable[[str], Any]]] = None, **default):
+def setting(parse: Callable[[str], Any], rule: str, ok: Callable[[Any], bool], **default):
     """A config field that scenario and plan files set as ``key = value``.
 
-    ``parse`` reads the value text, ``ok`` is the field's one check (a
-    ``TypeError`` in it fails the check) and ``rule`` says in words what both
-    demand. ``alias`` is an optional second ``(key, parse)`` spelling of the field.
+    The field's name is its one key. ``parse`` reads the value text, ``ok`` is
+    the field's one check (a ``TypeError`` in it fails the check) and ``rule``
+    says in words what both demand.
     """
-    return field(metadata={"parse": parse, "rule": rule, "ok": ok, "alias": alias}, **default)
+    return field(metadata={"parse": parse, "rule": rule, "ok": ok}, **default)
 
 
 def check_fields(obj, error: type[Exception], where: Optional[dict] = None) -> None:
@@ -290,11 +289,12 @@ class ScenarioConfig:
     relay_cache_size: int = _positive_int(20)
     tx_queue_capacity: int = _positive_int(200)
     rng_seed: int = setting(int, "must be an integer", is_int, default=0)
-    # a preset name, or a disc range in metres spelled radio_range_m
+    # a preset name, or a disc range in metres
     radio_preset: Union[str, float] = setting(
-        str, f"must be one of {', '.join(RANGE_PRESETS)} or a positive finite range in m",
+        lambda text: text if text in RANGE_PRESETS else float(text),
+        f"must be one of {', '.join(RANGE_PRESETS)} or a positive finite range in m",
         lambda v: v in RANGE_PRESETS if isinstance(v, str) else is_number(v) and v > 0,
-        alias=("radio_range_m", float), default="ground")
+        default="ground")
     loss_prob: float = setting(float, "must be a number in [0, 1)",
                                lambda v: is_number(v) and 0.0 <= v < 1.0, default=0.0)
     latency_ms: int = _positive_int(10)

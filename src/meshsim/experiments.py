@@ -241,7 +241,7 @@ def parse_plan(text: str, base_dir: Optional[Path] = None) -> ExperimentPlan:
         return load_scenario(value)
 
     keys = file_keys(ExperimentPlan)
-    keys["scenario"] = ("scenario", scenario, keys["scenario"][2])
+    keys["scenario"] = (scenario, keys["scenario"][1])
     plan, where = read_settings(ExperimentPlan, text, PlanError, keys)
     if "seeds" in where and "repetitions" not in where:
         plan.repetitions = len(plan.seeds)  # a list of seeds alone says how many runs

@@ -15,10 +15,12 @@ Example::
     # t_ms  x     y
     0       0.0   0.0
 
-``read_settings`` reads these files, and plan files, which hold settings
-only. The package ships reference scenarios (``line3``, ``indoor10``,
-``outdoor10``); ``load_scenario`` accepts either a file path or one of those
-names.
+Each setting has one key, the name of its ``ScenarioConfig`` field, and
+``dump_scenario`` writes it under that key: ``radio_preset`` takes a preset
+name or a range in metres. ``read_settings`` reads these files, and plan
+files, which hold settings only. The package ships reference scenarios
+(``line3``, ``indoor10``, ``outdoor10``); ``load_scenario`` accepts either a
+file path or one of those names.
 """
 
 from __future__ import annotations
@@ -47,16 +49,10 @@ _SECTIONS = {
 BUILTIN_SCENARIOS = ("line3", "indoor10", "outdoor10")
 
 
-def file_keys(cls) -> dict[str, tuple[str, Callable[[str], object], str]]:
-    """File key -> (field name, parser, rule) for every setting of ``cls``."""
-    keys = {}
-    for f in fields(cls):
-        if "parse" in f.metadata:
-            keys[f.name] = (f.name, f.metadata["parse"], f.metadata["rule"])
-            if f.metadata["alias"]:
-                alias, parse = f.metadata["alias"]
-                keys[alias] = (f.name, parse, f.metadata["rule"])
-    return keys
+def file_keys(cls) -> dict[str, tuple[Callable[[str], object], str]]:
+    """Field name -> (parser, rule) for every setting of ``cls``: its one file key."""
+    return {f.name: (f.metadata["parse"], f.metadata["rule"])
+            for f in fields(cls) if "parse" in f.metadata}
 
 
 def _read_row(header: str, line: str) -> tuple:
@@ -77,11 +73,11 @@ def read_settings(cls, text: str, error: type[Exception], keys: Optional[dict] =
     """``(cls(**values), where)`` read from a settings file.
 
     The file holds ``key = value`` lines, then the ``_SECTIONS`` tables that
-    ``cls`` has fields for; ``#`` starts a comment. ``keys`` maps each file key
-    to ``(field, parser, rule)``, by default ``file_keys(cls)``; ``values`` are
-    fields set up front. ``where`` keeps the ``(line, key, text)`` that set each
-    field: a field may be set only once, and the field checks name that line
-    and quote its text. Every problem raises ``error``.
+    ``cls`` has fields for; ``#`` starts a comment. ``keys`` maps each file key,
+    which is a field name, to ``(parser, rule)``, by default ``file_keys(cls)``;
+    ``values`` are fields set up front. ``where`` keeps the ``(line, key, text)``
+    that set each field: a field may be set only once, and the field checks
+    name that line and quote its text. Every problem raises ``error``.
     """
     keys = file_keys(cls) if keys is None else keys
     names = {f.name for f in fields(cls)}
@@ -108,16 +104,16 @@ def read_settings(cls, text: str, error: type[Exception], keys: Optional[dict] =
                     raise ValueError("expected key = value")
                 if key not in keys:
                     raise ValueError(f"unknown key {key}")
-                name, parse, rule = keys[key]
-                if name in where:
-                    raise ValueError(f"{key}: already set on line {where[name][0]}")
+                parse, rule = keys[key]
+                if key in where:
+                    raise ValueError(f"{key}: already set on line {where[key][0]}")
                 try:
-                    values[name] = parse(setting)
+                    values[key] = parse(setting)
                 except ConfigError as exc:
                     raise ValueError(f"{key}: {exc}") from None
                 except (KeyError, OSError, ValueError):
                     raise ValueError(f"{key}: {rule}, got {setting!r}") from None
-                where[name] = (lineno, key, setting)
+                where[key] = (lineno, key, setting)
         except ValueError as exc:
             raise error(f"line {lineno}: {exc}") from None
     for f in fields(cls):
@@ -144,15 +140,8 @@ def _text(value) -> str:
 
 def dump_scenario(config: ScenarioConfig) -> str:
     """Scenario text that ``parse_scenario`` reads back to an equal config."""
-    lines = []
-    for f in fields(config):
-        if "parse" not in f.metadata:
-            continue
-        value = getattr(config, f.name)
-        text, key = _text(value), f.name
-        if f.metadata["alias"] and f.metadata["parse"](text) != value:
-            key = f.metadata["alias"][0]  # the spelling that reads the value back
-        lines.append(f"{key} = {text}")
+    lines = [f"{f.name} = {_text(getattr(config, f.name))}"
+             for f in fields(config) if "parse" in f.metadata]
     for header, (name, *_) in _SECTIONS.items():
         rows = getattr(config, name)
         if rows:

@@ -52,8 +52,8 @@ def test_hash_fits_64_bits():
 def test_wire_golden_vectors():
     m = Message(MessageKind.DATA, origin=1, seq=2, hops=3, sender=4, payload=b"\x01\x02")
     assert encode_message(m).hex() == "0200010000000203000400020102"
-    hb = Message(MessageKind.HEARTBEAT, origin=0, seq=0, hops=0, sender=0)
-    assert encode_message(hb).hex() == "010000000000000000000000"
+    hb = Message(MessageKind.HEARTBEAT, origin=0, seq=0, hops=1, sender=0)
+    assert encode_message(hb).hex() == "010000000000000100000000"
     ack = Message(MessageKind.ACK, origin=65535, seq=4294967295, hops=127, sender=65535)
     assert encode_message(ack).hex() == "05ffffffffffff7fffff0000"
 
@@ -65,7 +65,7 @@ def test_wire_round_trip():
             kind=rng.choice(list(MessageKind)),
             origin=rng.randrange(65536),
             seq=rng.randrange(1 << 32),
-            hops=rng.randrange(128),
+            hops=rng.randrange(1, 128),
             sender=rng.randrange(65536),
             payload=rng.randbytes(rng.randrange(64)),
         )
@@ -75,18 +75,26 @@ def test_wire_round_trip():
 
 
 def test_encode_rejects_out_of_range():
-    base = Message(MessageKind.DATA, origin=0, seq=0, hops=0, sender=0)
+    base = Message(MessageKind.DATA, origin=0, seq=0, hops=1, sender=0)
     with pytest.raises(ValueError, match="origin"):
-        encode_message(Message(MessageKind.DATA, 70000, 0, 0, 0))
+        encode_message(Message(MessageKind.DATA, 70000, 0, 1, 0))
     with pytest.raises(ValueError, match="hops"):
         encode_message(Message(MessageKind.DATA, 0, 0, 128, 0))
     with pytest.raises(ValueError, match="seq"):
-        encode_message(Message(MessageKind.DATA, 0, 1 << 32, 0, 0))
+        encode_message(Message(MessageKind.DATA, 0, 1 << 32, 1, 0))
     with pytest.raises(ValueError, match="sender"):
-        encode_message(Message(MessageKind.DATA, 0, 0, 0, 70000))
+        encode_message(Message(MessageKind.DATA, 0, 0, 1, 70000))
     with pytest.raises(ValueError, match="payload"):
-        encode_message(Message(MessageKind.DATA, 0, 0, 0, 0, bytes(0x10000)))
+        encode_message(Message(MessageKind.DATA, 0, 0, 1, 0, bytes(0x10000)))
     assert decode_message(encode_message(base)) == base
+
+
+def test_codec_refuses_hops_0_both_ways():
+    # hops 0 would be TTL 128, which the 7-bit TTL field cannot hold
+    with pytest.raises(ValueError, match="hops out of range: 0"):
+        encode_message(Message(MessageKind.HEARTBEAT, origin=0, seq=0, hops=0, sender=0))
+    with pytest.raises(ValueError, match="hops out of range: 0"):
+        decode_message(bytes.fromhex("010000000000000000000000"))
 
 
 def test_decode_rejects_malformed():

@@ -59,6 +59,14 @@ def golden_configs() -> dict[str, ScenarioConfig]:
     configs["indoor10-mam-loss30-seed2"] = replace(
         load_scenario("indoor10"), algorithm=Algorithm.MAM, rng_seed=2,
         duration_ms=MINUTE_MS, loss_prob=0.3)
+    # the smallest queue and relay cache, which no other entry runs: a queue
+    # that admits one frame over capacity changes both reports
+    configs["grid25-queue1-btmr-seed1"] = replace(grid25(), tx_queue_capacity=1)
+    configs["grid25-cache1-btmr-seed1"] = replace(grid25(), relay_cache_size=1)
+    # duplication on lossy links: each copy of a duplicated unicast draws its own loss
+    configs["indoor10-mam-duplicate-seed1"] = replace(
+        load_scenario("indoor10"), algorithm=Algorithm.MAM, rng_seed=1,
+        duration_ms=MINUTE_MS, fault_duplicate=True)
     return configs
 
 

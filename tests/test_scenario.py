@@ -1,4 +1,5 @@
 import codecs
+from dataclasses import fields
 from importlib import resources
 
 import pytest
@@ -18,8 +19,8 @@ from meshsim import (
     load_scenario,
     parse_scenario,
 )
-from meshsim.experiments import parse_plan
-from meshsim.scenario import BUILTIN_SCENARIOS
+from meshsim.experiments import ExperimentPlan, parse_plan
+from meshsim.scenario import BUILTIN_SCENARIOS, file_keys
 
 # bounded and derandomized, so that the suite stays quick and repeatable
 PROPERTY = settings(max_examples=150, derandomize=True, deadline=None)
@@ -79,13 +80,14 @@ def test_parse_accepts_comments_and_blank_lines():
     ("duration_ms = 1\nfault_duplicate = maybe\n[nodes]\n0 0 0 hub\n", "fault_duplicate"),
     ("duration_ms = 5\nalgorithm = mam\nduration_ms = 6\n[nodes]\n0 0 0 hub\n",
      "line 3: duration_ms: already set on line 1"),
-    ("radio_range_m = -3\nduration_ms = 5\nradio_preset = ground\n[nodes]\n0 0 0 hub\n",
+    ("radio_preset = -3\nduration_ms = 5\nradio_preset = ground\n[nodes]\n0 0 0 hub\n",
      "line 3: radio_preset: already set on line 1"),
     ("duration_ms = abc\n[nodes]\n0 0 0 hub\n", "line 1: duration_ms"),
     ("duration_ms = 1\n[nodes]\n0 0 0 hub\n1 x 0 sensor\n", "line 4: nodes"),
     ("duration_ms = 1\n[nodes]\n0 0 0 hub\n[mobility]\n0 0 0\n9 1 y\n", "line 6: mobility"),
     ("duration_ms = 1\nradio_preset = moon\n[nodes]\n0 0 0 hub\n", "line 2: radio_preset"),
-    ("radio_range_m = -3\nduration_ms = 1\n[nodes]\n0 0 0 hub\n", "line 1: radio_range_m"),
+    ("radio_preset = -3\nduration_ms = 1\n[nodes]\n0 0 0 hub\n",
+     "line 1: radio_preset: .*positive finite range in m, got '-3'"),
     ("duration_ms = 1\n[nodes]\n0 0 0 hub\n1 1 0 hub\n", "line 2: nodes: .*one hub"),
     ("duration_ms = 1\n[nodes]\n0 0 0 hub\n[mobility]\n5 0 0\n5 1 0\n",
      "line 4: mobility: .*increase"),
@@ -95,8 +97,11 @@ def test_parse_accepts_comments_and_blank_lines():
     ("duration_ms = 1\n[nodes]\n0 nan 0 hub\n", "line 3: nodes: .*finite x and y"),
     ("duration_ms = 1\n[nodes]\n0 0 0 hub\n[mobility]\n0 0 0\n1000 inf 0\n",
      "line 6: mobility: .*finite x and y"),
-    ("duration_ms = 1\nradio_range_m = inf\n[nodes]\n0 0 0 hub\n",
-     "line 2: radio_range_m: .*positive finite range"),
+    ("duration_ms = 1\nradio_preset = inf\n[nodes]\n0 0 0 hub\n",
+     "line 2: radio_preset: .*positive finite range"),
+    # every setting has one key: the numeric range is spelled radio_preset
+    ("duration_ms = 1\nradio_range_m = 4.5\n[nodes]\n0 0 0 hub\n",
+     "^line 2: unknown key radio_range_m$"),
     ("duration_ms = 1\nname = x\n[nodes]\n0 0 0 hub\n", "line 2: unknown key name"),
 ])
 def test_parse_errors_name_the_problem(text, complaint):
@@ -177,8 +182,19 @@ def test_generated_configs_round_trip_through_text(config):
     assert parse_scenario(dump_scenario(config)) == config
 
 
+@pytest.mark.parametrize("cls", [ScenarioConfig, ExperimentPlan])
+def test_every_file_key_is_a_field_name(cls):
+    assert set(file_keys(cls)) <= {f.name for f in fields(cls)}
+
+
+def test_dump_writes_each_setting_under_its_field_name():
+    header = dump_scenario(load_scenario("indoor10")).split("\n\n")[0].splitlines()
+    assert [line.split(" = ")[0] for line in header] == list(file_keys(ScenarioConfig))
+    assert "radio_preset = 4.5" in header
+
+
 # Lines that reach every branch of the readers, mixed with arbitrary text.
-SCENARIO_LINES = ["duration_ms = 1000", "algorithm = mam", "radio_range_m = 4.5",
+SCENARIO_LINES = ["duration_ms = 1000", "algorithm = mam", "radio_preset = 4.5",
                   "radio_preset = elevated", "loss_prob = 0.5", "fault_duplicate = true",
                   "tracker = interval", "[nodes]", "[mobility]", "0 0 0 hub", "1 5 0 sensor",
                   "2 9 0 commander", "0 0.0 0.0", "100 1 1", "duration_ms = -1", "# note"]
