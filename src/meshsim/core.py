@@ -116,6 +116,8 @@ def message_hash(payload: bytes, origin: NodeId, seq: int) -> int:
 
 def encode_message(message: Message) -> bytes:
     """Canonical big-endian wire encoding (bit-exact, see tests for vectors)."""
+    if not isinstance(message.kind, MessageKind):
+        raise ValueError(f"kind must be a MessageKind: {message.kind!r}")
     if not 0 <= message.origin <= 0xFFFF:
         raise ValueError(f"origin out of range: {message.origin}")
     if not 0 <= message.sender <= 0xFFFF:

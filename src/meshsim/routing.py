@@ -21,7 +21,6 @@ node relays only while ``hops < MAX_HOPS`` (TTL 2 or more).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -38,15 +37,16 @@ DROP_REASONS = (DROP_SEEN, DROP_TTL, DROP_NO_ROUTE)  # the keys of ``SimNode.dro
 class RelayState:
     """One node's relay memory, shared by both algorithms.
 
-    ``seen`` is a bounded LRU of recently relayed ``(origin, seq)`` keys, least
-    recent first; only ``btmr_relay`` writes it. ``best_node``, ``best_hops``
+    ``seen`` is a bounded LRU of recently relayed ``(origin, seq)`` keys: an
+    insertion-ordered ``dict``, least recent first, in which a hit is popped and
+    re-inserted; only ``btmr_relay`` writes it. ``best_node``, ``best_hops``
     and ``expiry`` are the route toward the collector that ``mam_handle``
     learns from heartbeats.
     """
 
     cache_size: int
     delta_ms: int
-    seen: OrderedDict[tuple[NodeId, int], None] = field(default_factory=OrderedDict)
+    seen: dict[tuple[NodeId, int], bool] = field(default_factory=dict)
     best_node: Optional[NodeId] = None
     best_hops: int = 0
     expiry: int = 0
@@ -79,14 +79,16 @@ def btmr_relay(state: RelayState, key: tuple[NodeId, int], hops: int) -> RelayAc
     ``seen`` holds more than ``cache_size`` keys.
     """
     seen = state.seen
-    if key in seen:
-        seen.move_to_end(key)
+    # one lookup finds and removes a hit, which re-inserting makes the most recent;
+    # every stored value is True, so ``pop``'s default tells a miss
+    if seen.pop(key, False):
+        seen[key] = True
         return DROP_SEEN
     if hops >= MAX_HOPS:
         return DROP_TTL
-    seen[key] = None
+    seen[key] = True
     if len(seen) > state.cache_size:
-        seen.popitem(last=False)
+        del seen[next(iter(seen))]
     return BROADCAST
 
 

@@ -21,7 +21,8 @@ stored list with the hub in it, so ``links`` returns a stored list whether or
 not the hub moves. ``in_range`` tests one link live, after moving a walking
 hub's ``SimNode.pos`` at most once per simulated millisecond; it and ``links``
 both read ``pos``. A loss-free broadcast hands the stored list itself to
-``_deliver``, which only reads it.
+``_deliver``, which only reads it; in a world whose hub stays put and whose links
+lose nothing, ``_tx_dequeue`` takes a broadcast's stored list without ``_fan_out``.
 
 Every reception ends in ``_deliver``'s one loop: a step per frame kind consumes
 the frame or leaves it to the one relay step, which decides by the frame's
@@ -204,6 +205,8 @@ class World:
         if self.hub_moves:
             self._hub_links = {u: sorted(links + [hub], key=lambda n: n.id)
                                for u, links in self._static_links.items()}
+        # with the hub put and no loss, a broadcast reaches exactly its sender's stored links
+        self.static_loss_free = not self.hub_moves and self.loss_prob == 0
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
@@ -451,7 +454,10 @@ class World:
             node.tx_data_count += copies
         node.tx_count += copies
         t = node.radio_free_at = self.now + self.latency_ms
-        receivers = self._fan_out(node, dest)
+        if self.static_loss_free and dest is BROADCAST:
+            receivers = self._static_links[node.id]
+        else:
+            receivers = self._fan_out(node, dest)
         if copies == 2:
             # the duplication fault: the second copy draws its loss after the first
             second = self._fan_out(node, dest)

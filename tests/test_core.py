@@ -86,6 +86,8 @@ def test_encode_rejects_out_of_range():
         encode_message(Message(MessageKind.DATA, 0, 0, 1, 70000))
     with pytest.raises(ValueError, match="payload"):
         encode_message(Message(MessageKind.DATA, 0, 0, 1, 0, bytes(0x10000)))
+    with pytest.raises(ValueError, match=r"kind must be a MessageKind: 2$"):
+        encode_message(Message(2, 1, 0, 1, 1))
     assert decode_message(encode_message(base)) == base
 
 

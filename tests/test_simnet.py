@@ -452,7 +452,7 @@ class TwoEventWorld(LoggedWorld):
 @st.composite
 def busy_runs(draw):
     """2-12 nodes packed for a ground radio, 0-3 hub waypoints, short queues, any
-    loss, latency and algorithm, maybe duplicated frames and reboot-all or
+    loss (often none), latency and algorithm, maybe duplicated frames and reboot-all or
     sim-reset commands; returns the config and the ``(at_ms, verb, issuer)`` list.
 
     An issuer of ``None`` stands for the first node with frames waiting at
@@ -469,7 +469,8 @@ def busy_runs(draw):
         topology=topology, duration_ms=3_000,
         mobility=[Waypoint(t, draw(place), draw(place)) for t in times] or None,
         algorithm=draw(st.sampled_from(list(Algorithm))),
-        loss_prob=draw(st.floats(0.0, 0.5)), fault_duplicate=draw(st.booleans()),
+        loss_prob=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+        fault_duplicate=draw(st.booleans()),
         tx_queue_capacity=draw(st.integers(1, 5)), latency_ms=draw(st.integers(1, 20)),
         data_period_ms=draw(st.integers(50, 1_000)),
         heartbeat_period_ms=draw(st.integers(200, 2_000)), rng_seed=draw(st.integers(0, 2**32)))
@@ -503,8 +504,11 @@ def logged_run(world_class, config, commands):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(busy_runs())
 def test_a_delivery_that_starts_the_next_frame_replays_the_two_event_engine(run_case):
+    # ``TwoEventWorld`` always fans out, so a static loss-free world also checks
+    # the broadcasts that take their stored links directly
     config, commands = run_case
     report, log = logged_run(LoggedWorld, config, commands)
+    event(f"broadcasts take their stored links: {World(config).static_loss_free}")
     assert (report, log) == logged_run(TwoEventWorld, config, commands)
 
 
