@@ -17,12 +17,12 @@ reaches nobody while frames wait, schedules a ``_tx_dequeue``.
 
 Links between nodes that stay put are worked out once per world, as lists of
 ``SimNode``s in id order. For a hub that walks, each node also keeps a second
-stored list with the hub in it, so ``links`` returns a stored list whether or
-not the hub moves. ``in_range`` tests one link live, after moving a walking
-hub's ``SimNode.pos`` at most once per simulated millisecond; it and ``links``
-both read ``pos``. A loss-free broadcast hands the stored list itself to
-``_deliver``, which only reads it; in a world whose hub stays put and whose links
-lose nothing, ``_tx_dequeue`` takes a broadcast's stored list without ``_fan_out``.
+stored list with the hub in it, and a hold on its link to the hub: the answer of
+its last live test, kept while the hub cannot have crossed the range edge, which
+``links`` and a unicast to or from the hub read. ``in_range`` tests one link live,
+after moving a walking hub's ``SimNode.pos`` at most once per simulated
+millisecond; only it moves the hub. ``_deliver`` only reads its receivers, so a
+loss-free broadcast hands it the sender's ``links`` as they are, without ``_fan_out``.
 
 Every reception ends in ``_deliver``'s one loop: a step per frame kind consumes
 the frame or leaves it to the one relay step, which decides by the frame's
@@ -110,6 +110,7 @@ class SimNode:
         self.role: Role = spec.role
         # a walking hub's ``pos`` is where it was at the last ``World.in_range`` test
         self.pos = (spec.x, spec.y)
+        self.hub_hold = (0, -math.inf, False)  # (tested ms, ms either side, linked)
         self.algorithm = config.algorithm
         self.relay = RelayState(config.relay_cache_size, config.delta_ms)
         self.next_seq = 0
@@ -191,9 +192,14 @@ class World:
         self.hub_moves = len(waypoints) > 1
         hub.pos = self.trace.position(0)
         self._hub_at = 0  # the ``now`` that ``hub.pos`` was worked out for
-        fixed = [self.nodes[v] for v in self.node_ids]
+        fixed = self._fixed = [self.nodes[v] for v in self.node_ids]
         if self.hub_moves:
             fixed.remove(hub)
+        # the hub's top speed in m/ms, and a slack well above a link test's float error
+        self._top_speed = max((math.hypot(b.x - a.x, b.y - a.y) / (b.t_ms - a.t_ms)
+                               for a, b in zip(waypoints, waypoints[1:])), default=0.0)
+        coords = [c for n in fixed for c in n.pos] + [c for w in waypoints for c in (w.x, w.y)]
+        self._slack = 1e-9 * (self.range_m + max(map(abs, coords)))
         self._static_links: dict[NodeId, list[SimNode]] = {
             u.id: [v for v in fixed
                    if v is not u and math.hypot(u.pos[0] - v.pos[0],
@@ -205,8 +211,8 @@ class World:
         if self.hub_moves:
             self._hub_links = {u: sorted(links + [hub], key=lambda n: n.id)
                                for u, links in self._static_links.items()}
-        # with the hub put and no loss, a broadcast reaches exactly its sender's stored links
-        self.static_loss_free = not self.hub_moves and self.loss_prob == 0
+        # with no loss, a broadcast reaches exactly its sender's links
+        self.loss_free = self.loss_prob == 0
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
@@ -278,19 +284,35 @@ class World:
         (vx, vy) = self.nodes[v].pos
         return math.hypot(ux - vx, uy - vy) <= self.range_m
 
-    def links(self, u: NodeId) -> list[SimNode]:
-        """The nodes in range of ``u``, in id order; only links to a moving hub are re-tested.
+    def _hub_link(self, node: SimNode) -> bool:
+        """Whether fixed ``node`` is in range of the walking hub, as ``in_range`` says.
 
-        For any node but a moving hub this is a stored list, with or without
-        the hub, that deliveries share, so callers must not mutate it.
+        A live test's answer holds as long as the hub, at its top speed, cannot
+        cover the distance's margin to ``range_m`` less the slack (forever if
+        the trace stands still); past its hold a live test renews it.
+        """
+        tested, span, linked = node.hub_hold
+        now = self.now
+        if -span <= now - tested <= span:
+            return linked
+        linked = self.in_range(node.id, self.hub_id)
+        margin = abs(math.dist(node.pos, self.nodes[self.hub_id].pos) - self.range_m)
+        span = (margin - self._slack) / self._top_speed if self._top_speed else math.inf
+        node.hub_hold = (now, span, linked)
+        return linked
+
+    def links(self, u: NodeId) -> list[SimNode]:
+        """The nodes in range of ``u``, in id order, as ``in_range`` says at ``now``.
+
+        For any node but a walking hub this is a stored list, with or without
+        the hub, that deliveries share, so callers must not mutate it. Links
+        to a walking hub are read from their holds (``_hub_link``).
         """
         if not self.hub_moves:
             return self._static_links[u]
         if u == self.hub_id:
-            return [self.nodes[v] for v in self.node_ids if v != u and self.in_range(u, v)]
-        if self.in_range(u, self.hub_id):
-            return self._hub_links[u]
-        return self._static_links[u]
+            return [n for n in self._fixed if self._hub_link(n)]
+        return self._hub_links[u] if self._hub_link(self.nodes[u]) else self._static_links[u]
 
     # --- event handlers ---------------------------------------------------
 
@@ -454,8 +476,8 @@ class World:
             node.tx_data_count += copies
         node.tx_count += copies
         t = node.radio_free_at = self.now + self.latency_ms
-        if self.static_loss_free and dest is BROADCAST:
-            receivers = self._static_links[node.id]
+        if self.loss_free and dest is BROADCAST:
+            receivers = self.links(node.id) if self.hub_moves else self._static_links[node.id]
         else:
             receivers = self._fan_out(node, dest)
         if copies == 2:
@@ -476,8 +498,11 @@ class World:
         """One copy's receivers: the nodes in range that the loss draws spare, in id order."""
         loss_prob = self.loss_prob
         if dest is not BROADCAST:  # one loss draw, and none out of range
-            if self.in_range(node.id, dest) and (loss_prob == 0.0
-                                                 or self.rng.random() >= loss_prob):
+            if self.hub_moves and self.hub_id in (node.id, dest):
+                linked = self._hub_link(self.nodes[dest] if node.id == self.hub_id else node)
+            else:
+                linked = self.in_range(node.id, dest)
+            if linked and (loss_prob == 0.0 or self.rng.random() >= loss_prob):
                 return [self.nodes[dest]]
             return []
         receivers = self.links(node.id)

@@ -7,6 +7,7 @@ import random
 import weakref
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -504,12 +505,38 @@ def logged_run(world_class, config, commands):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(busy_runs())
 def test_a_delivery_that_starts_the_next_frame_replays_the_two_event_engine(run_case):
-    # ``TwoEventWorld`` always fans out, so a static loss-free world also checks
-    # the broadcasts that take their stored links directly
+    # ``TwoEventWorld`` always fans out, so a loss-free world also checks the
+    # broadcasts that take their links directly, with the hub put or walking
     config, commands = run_case
     report, log = logged_run(LoggedWorld, config, commands)
-    event(f"broadcasts take their stored links: {World(config).static_loss_free}")
+    world = World(config)
+    event("broadcasts take their links directly: "
+          + (("walking hub" if world.hub_moves else "hub put") if world.loss_free else "no"))
     assert (report, log) == logged_run(TwoEventWorld, config, commands)
+
+
+class LiveLinkWorld(LoggedWorld):
+    """Tests every link live each time it is used, so no link to a walking hub is held."""
+
+    def links(self, u):
+        return [self.nodes[v] for v in self.node_ids if v != u and self.in_range(u, v)]
+
+    def _fan_out(self, node, dest):
+        if dest is BROADCAST:
+            return super()._fan_out(node, dest)
+        reached = self.in_range(node.id, dest) and (self.loss_prob == 0.0
+                                                    or self.rng.random() >= self.loss_prob)
+        return [self.nodes[dest]] if reached else []
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(busy_runs())
+def test_held_hub_links_replay_links_tested_live(run_case):
+    # ``TwoEventWorld`` reads links as ``World`` does, holds and all, so it cannot check them
+    config, commands = run_case
+    event(f"hub walks: {World(config).hub_moves}")
+    assert logged_run(LoggedWorld, config, commands) == logged_run(LiveLinkWorld, config,
+                                                                   commands)
 
 
 def test_tx_queue_overflow_drops_newest_and_counts():
@@ -966,10 +993,30 @@ def swept_links(config, now):
             for u in ids}
 
 
+@st.composite
+def far_geometries(draw):
+    """``geometries`` shifted up to 1e9 m from the origin, and sometimes a hub whose
+    trace of 2-4 waypoints stands still at one point."""
+    config = draw(geometries())
+    dx, dy = (draw(st.one_of(st.just(0.0), st.integers(-10**9, 10**9).map(float),
+                             st.floats(-1e9, 1e9))) for _ in range(2))
+    mobility = config.mobility
+    if draw(st.booleans()):
+        times = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=4, unique=True))
+        x, y = draw(coordinate), draw(coordinate)
+        mobility = [Waypoint(t, x, y) for t in sorted(times)]
+    return replace(config, topology=[s._replace(x=s.x + dx, y=s.y + dy) for s in config.topology],
+                   mobility=mobility and [Waypoint(w.t_ms, w.x + dx, w.y + dy) for w in mobility])
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(geometries(), st.lists(st.integers(0, 12_000), min_size=1, max_size=4))
+@given(far_geometries(), st.lists(st.integers(0, 20_000), min_size=1, max_size=6))
 def test_links_match_a_full_range_sweep(config, times):
+    # every trace ends by 10 s, so later times lie past it; unsorted times step back
     world = World(config)
+    points = {(w.x, w.y) for w in config.mobility or ()}
+    event("hub " + ("walks" if len(points) > 1 else "stands still" if world.hub_moves
+                    else "stays put"))
     for now in times:
         world.now = now
         swept = swept_links(config, now)
@@ -997,6 +1044,51 @@ def test_links_at_the_range_boundary():
     assert walking.nodes[0].pos == (3.0, 4.0)
     walking.now = 501
     assert not walking.in_range(1, 0) and walking.links(1) == []
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+@pytest.mark.parametrize("path, in_range_ms", [
+    # on the tangent y = 5 the hub touches the range only at 100 ms
+    ([(-100.0, 5.0), (100.0, 5.0)], range(100, 101)),
+    # head-on it is exactly one range from sensor 1 at 95 ms and at 105 ms
+    ([(-100.0, 0.0), (100.0, 0.0)], range(95, 106)),
+], ids=["tangent", "head-on"])
+def test_held_hub_links_at_the_range_edge(offset, path, in_range_ms):
+    # sensor 1 at (offset, offset), 5 m range; the hub walks at 1 m/ms from 0 to 200 ms
+    (ax, ay), (bx, by) = path
+    world = World(ScenarioConfig(
+        topology=[NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
+                  NodeSpec(1, offset, offset, Role.SENSOR)],
+        duration_ms=1_000, radio_preset=5.0,
+        mobility=[Waypoint(0, ax + offset, ay + offset), Waypoint(200, bx + offset, by + offset)]))
+    hub, sensor = world.nodes[0], world.nodes[1]
+    # forwards, then backwards, then past the trace's end
+    for now in [*range(0, 201), *range(200, -1, -1), 10**6]:
+        world.now = now
+        linked = now in in_range_ms
+        assert [n.id for n in world.links(1)] == ([0] if linked else [])
+        assert [n.id for n in world.links(0)] == ([1] if linked else [])
+        assert world._fan_out(sensor, 0) == ([hub] if linked else [])
+        assert world._fan_out(hub, 1) == ([sensor] if linked else [])
+
+
+def test_a_held_hub_link_allows_for_rounding_far_from_the_origin():
+    # 1e9 m out, an x coordinate is a multiple of 2**-23 m. At 1 ms the trace puts the
+    # hub at 1e9 + 1/3 rounded up by 4e-8 m, and the range is the distance from there,
+    # so the live test finds a link that the exact distance would miss. A slack that
+    # ignores the coordinates' magnitude holds the 0 ms answer, out of range, past it.
+    x = 1e9
+    hub_x = x + 1 / 3  # the trace's position at 1 ms
+    range_m = (x + 5.5) - hub_x
+    assert Fraction(x + 5.5) - Fraction(x) - Fraction(1, 3) > Fraction(range_m)
+    world = World(ScenarioConfig(
+        topology=[NodeSpec(0, x, x, Role.MOBILE_HUB), NodeSpec(1, x + 5.5, x, Role.SENSOR)],
+        duration_ms=10, radio_preset=range_m,
+        mobility=[Waypoint(0, x, x), Waypoint(3, x + 1.0, x)]))
+    assert world.links(1) == []
+    world.now = 1
+    assert [n.id for n in world.links(1)] == [0]
+    assert world.nodes[0].pos == (hub_x, x)
 
 
 def scanned_position(waypoints, t):
