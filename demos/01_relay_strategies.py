@@ -17,11 +17,17 @@ from meshsim.routing import BROADCAST
 # A decision only says where a frame goes: to every neighbour (BROADCAST), to
 # one node (its id), or nowhere (the drop reason, a string). The frame a relay
 # sends is the same whatever the decision: one more hop, with the relay as sender.
-# Flooding reads only a frame's (origin, seq) key and its hop count.
+# (The engine never copies a frame: it carries those two beside the frame that
+# its origin built.) Flooding reads only a frame's (origin, seq) key and its hop
+# count; the reactive strategy also reads its kind and who sent it.
 
 
 def flood(state, frame):
     return btmr_relay(state, (frame.origin, frame.seq), frame.hops)
+
+
+def routed(state, now, frame):
+    return mam_handle(state, now, frame.kind, (frame.origin, frame.seq), frame.hops, frame.sender)
 
 
 def said(decision):
@@ -71,28 +77,28 @@ def hb(seq, hops, sender):
 
 print()
 print("before any heartbeat:", route(state))
-mam_handle(state, 1_000, hb(0, 2, 7))
+routed(state, 1_000, hb(0, 2, 7))
 print("heartbeat via node 7:", route(state))
 
-mam_handle(state, 3_000, hb(1, 5, 9))
+routed(state, 3_000, hb(1, 5, 9))
 print("worse offer ignored: ", route(state))
 
-mam_handle(state, 4_000, hb(2, 1, 4))
+routed(state, 4_000, hb(2, 1, 4))
 print("fewer hops accepted: ", route(state))
 
 # Data rides the cached route as a unicast; with no route it is dropped.
 print("data with a route:   ",
-      said(mam_handle(state, 5_000, reading)))
+      said(routed(state, 5_000, reading)))
 print("data without a route:",
-      said(mam_handle(RelayState(cache_size=20, delta_ms=100_000), 5_000, reading)))
+      said(routed(RelayState(cache_size=20, delta_ms=100_000), 5_000, reading)))
 
 # Commands flood even under MAM, and leave the route alone: an algorithm switch
 # or a probe must reach nodes before any route exists.
 set_mam = Message(MessageKind.COMMAND, origin=1, seq=0, hops=1, sender=1,
                   payload=bytes([CommandVerb.SET_MAM]))
-print("set-mam command:     ", said(mam_handle(state, 5_000, set_mam)))
+print("set-mam command:     ", said(routed(state, 5_000, set_mam)))
 
 # After the expiry window, whoever forwards the next heartbeat wins -- that is
 # how routes follow a moving collector.
-mam_handle(state, 200_000, hb(3, 6, 9))
+routed(state, 200_000, hb(3, 6, 9))
 print("after expiry:        ", route(state))

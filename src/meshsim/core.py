@@ -90,8 +90,10 @@ class Message(NamedTuple):
     ``(origin, seq)`` identifies the logical message for the whole run.
     ``hops`` counts the transmissions so far, whatever the kind: the
     originator sends a frame at 1 and each relay adds 1, up to ``MAX_HOPS``.
-    Relaying rewrites only ``hops`` and ``sender`` (the immediate previous
-    transmitter).
+    ``sender`` is the immediate previous transmitter. The engine builds a
+    frame once, at its origin, with hops 1 and ``sender`` the origin, and no
+    relay rewrites it: each transmission carries its hops and transmitter
+    beside the frame.
     """
 
     kind: MessageKind

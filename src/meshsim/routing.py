@@ -11,8 +11,9 @@ Two per-node state machines decide what to do with an incoming frame:
   Heartbeats, commands and acks flood through ``btmr_relay``: algorithm
   switches and reachability probes must reach nodes before any route exists.
 
-Both decide only where a frame goes, deterministically from one node's
-``RelayState`` and the frame; the engine owns that state and builds the frame sent.
+Both decide only where a frame goes, deterministically from one node's ``RelayState``
+and the frame's fields as heard, never from the frame: a frame is built once, at its
+origin, and the engine carries each transmission's hops and transmitter beside it.
 
 A frame's ``hops`` is a Bluetooth Mesh PDU's 7-bit TTL read as ``hops = 128 - TTL``:
 every kind leaves its originator at hops 1 (TTL 127), each relay adds one, and a
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .core import DATA, HEARTBEAT, MAX_HOPS, STATS_REPORT, Message, NodeId, is_int
+from .core import DATA, HEARTBEAT, MAX_HOPS, STATS_REPORT, MessageKind, NodeId, is_int
 from .core import message_hash  # noqa: F401  (bench/tracer.py wraps routing.message_hash)
 
 DROP_SEEN = "seen"
@@ -92,8 +93,11 @@ def btmr_relay(state: RelayState, key: tuple[NodeId, int], hops: int) -> RelayAc
     return BROADCAST
 
 
-def mam_handle(state: RelayState, now: int, message: Message) -> RelayAction:
-    """Reactive least-hop handling of one incoming frame, whatever its kind.
+def mam_handle(state: RelayState, now: int, kind: MessageKind, key: tuple[NodeId, int],
+               hops: int, sender: NodeId) -> RelayAction:
+    """Reactive least-hop handling of one incoming frame, whatever its kind: its
+    ``kind`` and ``(origin, seq)`` ``key``, the ``hops`` it was heard at, and
+    ``sender``, the node that transmitted it.
 
     Data and stats reports are unicast toward the cached best neighbor (or
     dropped when no route is known). Every other frame floods through
@@ -103,7 +107,6 @@ def mam_handle(state: RelayState, now: int, message: Message) -> RelayAction:
     leave the route alone; they flood because algorithm switches and probes
     must reach nodes before any route exists.
     """
-    kind, origin, seq, hops, sender, _ = message
     if kind is DATA or kind is STATS_REPORT:
         # The bearer-level TTL cap applies to unicasts as well; without it a
         # transiently looped route would forward a frame forever.
@@ -116,4 +119,4 @@ def mam_handle(state: RelayState, now: int, message: Message) -> RelayAction:
         state.best_node = sender
         state.best_hops = hops
         state.expiry = now + state.delta_ms
-    return btmr_relay(state, (origin, seq), hops)
+    return btmr_relay(state, key, hops)

@@ -24,12 +24,12 @@ after moving a walking hub's ``SimNode.pos`` at most once per simulated
 millisecond; only it moves the hub. ``_deliver`` only reads its receivers, so a
 loss-free broadcast hands it the sender's ``links`` as they are, without ``_fan_out``.
 
-Every reception ends in ``_deliver``'s one loop: a step per frame kind consumes
-the frame or leaves it to the one relay step, which decides by the frame's
-``(origin, seq)`` key, built once per transmission. A relay queues the frame as
-heard, its decision beside it in a parallel deque; ``_tx_dequeue`` unpacks it
-once and builds the forward, one hop on, when it sends it. ``_relay`` sends only
-the frames a node originates, each queued as ``SimNode.originate`` built it.
+A frame is built once, by ``SimNode.originate``, and never copied: a transmission
+is ``_deliver(frame, hops, transmitter, receivers, sender)``. Its one loop hands
+the frame to a consume step per kind or to the one relay step, which decides by
+the ``(origin, seq)`` key, built once per transmission, the heard hops and the
+transmitter's id. A relay queues the same frame, beside its decision and the heard
+hops + 1; ``_tx_dequeue`` only pops and sends. ``_relay`` queues a node's own frames at hops 1.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class MobilityTrace:
 
 class SimNode:
     """Per-node state owned by the engine: position, relay state, counters, and a
-    transmit queue of frames as heard (``txq``) beside their decisions (``txq_dest``)."""
+    transmit queue of frames as their origins built them (``txq``), beside their
+    decisions (``txq_dest``) and the hops each leaves at (``txq_hops``)."""
 
     def __init__(self, spec, config: ScenarioConfig):
         self.id: NodeId = spec.node
@@ -114,8 +115,7 @@ class SimNode:
         self.algorithm = config.algorithm
         self.relay = RelayState(config.relay_cache_size, config.delta_ms)
         self.next_seq = 0
-        self.txq: deque = deque()
-        self.txq_dest: deque = deque()
+        self.txq, self.txq_dest, self.txq_hops = deque(), deque(), deque()
         self.tx_scheduled = False
         self.radio_free_at = 0
         # replay protection survives reboots, like provisioning sequence state
@@ -138,14 +138,14 @@ class SimNode:
         restarts = self.restarts + 1
         self.reset_routing()
         self.restarts = restarts
-        self.txq.clear()
-        self.txq_dest.clear()
+        for queue in (self.txq, self.txq_dest, self.txq_hops):
+            queue.clear()
 
     def stats_snapshot(self) -> NodeStats:
         return tuple.__new__(NodeStats, (self.id, *_read_counters(self)))
 
     def originate(self, kind: MessageKind, payload: bytes = b"") -> Message:
-        """A new frame from this node, under its next sequence number, sent at hops 1."""
+        """A new frame from this node, under its next sequence number: the only frame built."""
         # builds the tuple directly: the NamedTuple constructor is an extra Python call
         message = tuple.__new__(Message, (kind, self.id, self.next_seq, 1, self.id, payload))
         self.next_seq += 1
@@ -317,7 +317,7 @@ class World:
     # --- event handlers ---------------------------------------------------
 
     def _emit_heartbeat(self, hub: SimNode) -> None:
-        self.enqueue_tx(hub, hub.originate(HEARTBEAT), BROADCAST)
+        self.enqueue_tx(hub, hub.originate(HEARTBEAT), BROADCAST, 1)
         self.schedule(self.now + self.heartbeat_period_ms, World._emit_heartbeat, hub)
 
     def _generate_data(self, node: SimNode) -> None:
@@ -345,9 +345,10 @@ class World:
 
     # --- frame handling ---------------------------------------------------
 
-    def _deliver(self, message: Message, receivers: list[SimNode],
-                 sender: Optional[SimNode] = None) -> None:
-        """Hand one transmission to each receiver: consume it there, or relay it.
+    def _deliver(self, frame: Message, hops: int, transmitter: NodeId,
+                 receivers: list[SimNode], sender: Optional[SimNode] = None) -> None:
+        """Hand one transmission of ``frame``, heard at ``hops`` from node ``transmitter``,
+        to each receiver: consume it there, or relay it at ``hops + 1``.
 
         Each frame kind first has its own consume step: a data frame counts as
         received and ends at the hub, a command is applied, a stats report ends
@@ -358,7 +359,7 @@ class World:
         ``receivers`` may be a stored link list, so it is only read. A
         ``sender`` with frames still queued then sends its next one.
         """
-        kind, origin, seq, hops, _, payload = message
+        kind, origin, seq, _, _, payload = frame
         key = (origin, seq)
         now, hub_id, enqueue_tx = self.now, self.hub_id, self.enqueue_tx
         for node in receivers:
@@ -373,7 +374,7 @@ class World:
             elif kind is HEARTBEAT:
                 pass  # no consume step: a heartbeat goes straight to the relay step
             elif kind is COMMAND:
-                self._apply_command(node, message)
+                self._apply_command(node, frame)
             elif kind is STATS_REPORT:
                 if node.id == hub_id:
                     stats = decode_stats(payload)
@@ -387,26 +388,27 @@ class World:
                     continue
             # the relay step
             if node.algorithm is MAM:
-                action = mam_handle(node.relay, now, message)
+                action = mam_handle(node.relay, now, kind, key, hops, transmitter)
             else:
                 action = btmr_relay(node.relay, key, hops)
             if action.__class__ is str:
                 node.drops[action] += 1
-            elif enqueue_tx(node, message, action) and kind is DATA:
+            elif enqueue_tx(node, frame, action, hops + 1) and kind is DATA:
                 node.relayed += 1
         if sender is not None:
             self._tx_dequeue(sender)
 
-    def _relay(self, node: SimNode, message: Message) -> None:
-        """Send a frame ``node`` originated as decided; it is queued as sent."""
+    def _relay(self, node: SimNode, frame: Message) -> None:
+        """Send a frame ``node`` originated as decided, at hops 1."""
+        key = (frame.origin, frame.seq)
         if node.algorithm is MAM:
-            action = mam_handle(node.relay, self.now, message)
+            action = mam_handle(node.relay, self.now, frame.kind, key, 1, node.id)
         else:
-            action = btmr_relay(node.relay, (message.origin, message.seq), message.hops)
+            action = btmr_relay(node.relay, key, 1)
         if action.__class__ is str:
             node.drops[action] += 1
         else:
-            self.enqueue_tx(node, message, action)
+            self.enqueue_tx(node, frame, action, 1)
 
     def _apply_command(self, node: SimNode, message: Message) -> None:
         _, origin, seq, _, _, payload = message
@@ -443,16 +445,16 @@ class World:
 
     # --- transmission -----------------------------------------------------
 
-    def enqueue_tx(self, node: SimNode, message: Message, dest: RelayAction) -> bool:
-        """Queue one transmission as decided; overflow drops the newest entry and counts it.
-
-        A frame from another ``sender`` is queued as heard; ``_tx_dequeue`` sends its forward.
-        """
+    def enqueue_tx(self, node: SimNode, frame: Message, dest: RelayAction, hops: int) -> bool:
+        """Queue one transmission of ``frame`` as decided, to leave at ``hops``: 1 for a
+        node's own frame, the heard hops + 1 for a relay. Overflow drops the newest entry
+        and counts it."""
         if len(node.txq) >= self.tx_queue_capacity:
             node.tx_dropped += 1
             return False
-        node.txq.append(message)
+        node.txq.append(frame)
         node.txq_dest.append(dest)
+        node.txq_hops.append(hops)
         if not node.tx_scheduled:
             node.tx_scheduled = True
             t = node.radio_free_at
@@ -464,13 +466,9 @@ class World:
             # queue wiped by a reboot between scheduling and firing
             node.tx_scheduled = False
             return
-        message = node.txq.popleft()
-        dest = node.txq_dest.popleft()
-        kind, origin, seq, hops, sent_by, payload = message
-        if sent_by != node.id:
-            message = tuple.__new__(Message, (kind, origin, seq, hops + 1, node.id, payload))
+        frame, dest, hops = node.txq.popleft(), node.txq_dest.popleft(), node.txq_hops.popleft()
         copies = 1
-        if kind is DATA:
+        if frame[0] is DATA:  # its kind
             if self.fault_duplicate and dest is not BROADCAST:
                 copies = 2
             node.tx_data_count += copies
@@ -484,13 +482,13 @@ class World:
             # the duplication fault: the second copy draws its loss after the first
             second = self._fan_out(node, dest)
             if receivers and second:
-                self.schedule(t, World._deliver, message, receivers)
+                self.schedule(t, World._deliver, frame, hops, node.id, receivers)
             receivers = second or receivers
         # the last delivery starts the next frame; with none, an event of its own does
         node.tx_scheduled = bool(node.txq)
         sender = node if node.tx_scheduled else None
         if receivers:
-            self.schedule(t, World._deliver, message, receivers, sender)
+            self.schedule(t, World._deliver, frame, hops, node.id, receivers, sender)
         elif sender is not None:
             self.schedule(t, World._tx_dequeue, node)
 

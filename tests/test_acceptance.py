@@ -16,7 +16,6 @@ from meshsim import (
     CommanderSession,
     HashMapTracker,
     IntervalTracker,
-    Message,
     MessageKind,
     NodeSpec,
     RelayState,
@@ -93,11 +92,12 @@ def test_criterion_1_scaling_averages_and_runtime():
 # --- criterion 2: every branch of both relay algorithms ----------------------
 
 def test_criterion_2_algorithm_branch_coverage():
+    # what ``mam_handle`` reads of a frame heard: kind, (origin, seq), hops, sender
     def data(seq=0, hops=1, sender=2):
-        return Message(MessageKind.DATA, 2, seq, hops, sender, payload=b"x")
+        return MessageKind.DATA, (2, seq), hops, sender
 
     def heartbeat(seq=0, hops=1, sender=0):
-        return Message(MessageKind.HEARTBEAT, 0, seq, hops, sender)
+        return MessageKind.HEARTBEAT, (0, seq), hops, sender
 
     # flood relay: TTL cap exceeded / at the cap / LRU hit / LRU miss
     flooding = RelayState(20, 1_000)
@@ -109,19 +109,19 @@ def test_criterion_2_algorithm_branch_coverage():
 
     # route cache: expired true / false, fewer hops true / false
     state = RelayState(4, 1_000)
-    mam_handle(state, 5, heartbeat(hops=3, sender=7))
+    mam_handle(state, 5, *heartbeat(hops=3, sender=7))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 3, 1_005)
-    mam_handle(state, 10, heartbeat(seq=1, hops=9, sender=9))
+    mam_handle(state, 10, *heartbeat(seq=1, hops=9, sender=9))
     assert state.best_node == 7  # fresh entry, more hops: ignored
-    mam_handle(state, 20, heartbeat(seq=2, hops=1, sender=9))
+    mam_handle(state, 20, *heartbeat(seq=2, hops=1, sender=9))
     assert (state.best_node, state.best_hops) == (9, 1)  # fresh entry, fewer hops
-    mam_handle(state, 5_000, heartbeat(seq=3, hops=8, sender=4))
+    mam_handle(state, 5_000, *heartbeat(seq=3, hops=8, sender=4))
     assert (state.best_node, state.best_hops) == (4, 8)  # expired: any sender wins
 
     # data path: route present / absent, TTL cap
-    assert mam_handle(state, 5_001, data(seq=9, hops=2)) == 4
-    assert mam_handle(RelayState(4, 1), 0, data()) == DROP_NO_ROUTE
-    assert mam_handle(state, 5_002, data(hops=127)) == DROP_TTL
+    assert mam_handle(state, 5_001, *data(seq=9, hops=2)) == 4
+    assert mam_handle(RelayState(4, 1), 0, *data()) == DROP_NO_ROUTE
+    assert mam_handle(state, 5_002, *data(hops=127)) == DROP_TTL
     _passed(2, "algorithm branch coverage")
 
 

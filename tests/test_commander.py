@@ -187,7 +187,7 @@ def test_resets_never_rewind_a_sequence_number(verb):
 counters = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(st.builds(NodeStats, st.integers(0, 0xFFFF), counters, counters, counters, counters,
                  counters))
 def test_stats_payload_round_trip(stats):
@@ -346,7 +346,7 @@ SESSION_LINE = (st.tuples(PADDING, st.sampled_from(SESSION_WORDS), PADDING).map(
                 | PADDING | st.text(max_size=20))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(SESSION_LINE, min_size=1, max_size=6))
 def test_fuzzed_session_lines_answer_ok_or_err(lines):
     session = CommanderSession(line3_world(), settle_ms=200)

@@ -123,7 +123,7 @@ raw_frames = st.builds(_raw_frame, st.integers(0, 0xFF), st.integers(0, 0xFFFF),
                        st.binary(max_size=8), st.sampled_from([0, 1]))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(raw_frames | st.binary(max_size=24))
 def test_every_decoded_frame_re_encodes_to_its_bytes(buf):
     try:

@@ -203,7 +203,7 @@ def test_a_lossy_plan_that_draws_nothing_still_runs_every_seed(monkeypatch, tmp_
     assert read_tree(tmp_path / "lossy") == read_tree(tmp_path / "reuse")
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(busy_runs(), st.integers(0, 2**32))
 def test_a_run_whose_seed_cannot_matter_draws_nothing_and_equals_another_seeds(case, seed):
     # A plan reuses one run for every seed when ``seed_matters`` is false; a setting
@@ -245,7 +245,7 @@ def prefix_cases(draw):
     return config, d1, draw(st.integers(d1 + 1, 25_000))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(prefix_cases())
 def test_reports_taken_on_the_way_equal_separate_runs(case):
     config, d1, d2 = case

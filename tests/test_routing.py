@@ -37,6 +37,11 @@ def flood(state, frame):
     return btmr_relay(state, (frame.origin, frame.seq), frame.hops)
 
 
+def mam(state, now, frame):
+    """``mam_handle`` on a whole frame: its kind, ``(origin, seq)`` key, hops and sender."""
+    return mam_handle(state, now, frame.kind, (frame.origin, frame.seq), frame.hops, frame.sender)
+
+
 # --- flood relay ------------------------------------------------------------
 
 def test_btmr_first_relay_broadcasts():
@@ -117,7 +122,7 @@ def test_relay_cache_keeps_recent_entries():
 lru_frames = st.tuples(st.integers(0, 15), st.integers(0, 15), st.sampled_from([1, 126, 127]))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 30),
        # the length is drawn first: a plain list strategy seldom draws more than a few dozen
        st.integers(0, 400).flatmap(lambda n: st.lists(lru_frames, min_size=n, max_size=n)))
@@ -159,7 +164,7 @@ hand_built_frames = st.builds(Message, st.sampled_from(MessageKind), node_ids,
                               st.binary(max_size=16))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(hand_built_frames)
 def test_a_frame_and_its_forward_are_one_cache_entry(frame):
     state = RelayState(4, DELTA)
@@ -172,43 +177,43 @@ def test_a_frame_and_its_forward_are_one_cache_entry(frame):
 
 def test_mam_initial_discovery_accepted_by_expiry():
     state = RelayState(20, DELTA)
-    action = mam_handle(state, 1, message=heartbeat(hops=2, sender=7))
+    action = mam(state, 1, heartbeat(hops=2, sender=7))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 1 + DELTA)
     assert action is BROADCAST
 
 
 def test_mam_not_expired_and_more_hops_ignored():
     state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 1000, message=heartbeat(hops=5, sender=9))
+    action = mam(state, 1000, heartbeat(hops=5, sender=9))
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
     assert action is BROADCAST
 
 
 def test_mam_expired_accepts_any_sender():
     state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 6000, message=heartbeat(hops=5, sender=9))
+    action = mam(state, 6000, heartbeat(hops=5, sender=9))
     assert (state.best_node, state.best_hops, state.expiry) == (9, 5, 6000 + DELTA)
     assert action is BROADCAST
 
 
 def test_mam_fewer_hops_updates_before_expiry():
     state = RelayState(20, DELTA, best_node=7, best_hops=4, expiry=9000)
-    mam_handle(state, 100, message=heartbeat(hops=1, sender=3))
+    mam(state, 100, heartbeat(hops=1, sender=3))
     assert (state.best_node, state.best_hops, state.expiry) == (3, 1, 100 + DELTA)
 
 
 def test_mam_equal_hops_is_not_an_update():
     state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
-    mam_handle(state, 100, message=heartbeat(hops=2, sender=9))
+    mam(state, 100, heartbeat(hops=2, sender=9))
     assert state.best_node == 7
 
 
 def test_mam_expiry_boundary_is_strict():
     # NOW() > expiry: at exactly the expiry tick the entry is still fresh
     state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
-    mam_handle(state, 5000, message=heartbeat(hops=5, sender=9))
+    mam(state, 5000, heartbeat(hops=5, sender=9))
     assert state.best_node == 7
-    mam_handle(state, 5001, message=heartbeat(hops=5, sender=9))
+    mam(state, 5001, heartbeat(hops=5, sender=9))
     assert state.best_node == 9
 
 
@@ -219,7 +224,7 @@ reports = pytest.mark.parametrize("kind", [MessageKind.DATA, MessageKind.STATS_R
 @reports
 def test_mam_data_unicasts_to_best_neighbor(kind):
     state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 100, message=data_msg(hops=3)._replace(kind=kind))
+    action = mam(state, 100, data_msg(hops=3)._replace(kind=kind))
     assert action == 7
     assert (state.best_node, state.best_hops, state.expiry) == (7, 2, 5000)
 
@@ -227,14 +232,14 @@ def test_mam_data_unicasts_to_best_neighbor(kind):
 @reports
 def test_mam_data_without_route_drops(kind):
     state = RelayState(20, DELTA)
-    action = mam_handle(state, 100, message=data_msg()._replace(kind=kind))
+    action = mam(state, 100, data_msg()._replace(kind=kind))
     assert action == DROP_NO_ROUTE
 
 
 @reports
 def test_mam_data_hop_budget_capped(kind):
     state = RelayState(20, DELTA, best_node=7, best_hops=2, expiry=5000)
-    action = mam_handle(state, 100, message=data_msg(hops=127)._replace(kind=kind))
+    action = mam(state, 100, data_msg(hops=127)._replace(kind=kind))
     assert action == DROP_TTL
 
 
@@ -248,7 +253,7 @@ def route(state):
     return (state.best_node, state.best_hops, state.expiry)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(relay_states, st.integers(0, 10**7), st.lists(small_keys, unique=True),
        st.builds(Message, st.sampled_from([MessageKind.COMMAND, MessageKind.ACK]),
                  st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, 5, 126, 127]), node_ids,
@@ -260,13 +265,13 @@ def test_mam_floods_control_frames_as_btmr_does(state, now, keys, frame):
         for relay in (state, flooding):
             btmr_relay(relay, key, 1)
     before = route(state)
-    assert mam_handle(state, now, frame) == flood(flooding, frame)
+    assert mam(state, now, frame) == flood(flooding, frame)
     # the same entries in the same LRU order
     assert list(state.seen) == list(flooding.seen)
     assert route(state) == before
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(relay_states,
        # the length is drawn first: a plain list strategy seldom draws more than a dozen,
        # too few for a route to expire and be refreshed
@@ -284,7 +289,7 @@ def test_decisions_are_broadcast_a_node_id_or_a_drop_reason(state, arrivals):
         assert action is BROADCAST or action in (DROP_SEEN, DROP_TTL)
         refreshed += (frame.kind is MessageKind.HEARTBEAT and now > state.expiry
                       and state.best_node is not None)
-        action = mam_handle(state, now, frame)
+        action = mam(state, now, frame)
         if type(action) is int:
             assert action == state.best_node
         else:
@@ -294,9 +299,9 @@ def test_decisions_are_broadcast_a_node_id_or_a_drop_reason(state, arrivals):
 
 def test_mam_discovery_update_even_when_flood_dedups():
     state = RelayState(20, DELTA, best_node=7, best_hops=5, expiry=9000)
-    mam_handle(state, 100, message=heartbeat(seq=3, hops=4, sender=8))
+    mam(state, 100, heartbeat(seq=3, hops=4, sender=8))
     # the same heartbeat again, over a shorter path through another neighbor
-    action = mam_handle(state, 200, message=heartbeat(seq=3, hops=2, sender=6))
+    action = mam(state, 200, heartbeat(seq=3, hops=2, sender=6))
     assert (state.best_node, state.best_hops) == (6, 2)
     assert action == DROP_SEEN
 
@@ -310,7 +315,7 @@ def test_mam_expiry_always_now_plus_delta():
         before = (state.best_node, state.best_hops, state.expiry)
         hops = rng.randrange(1, 10)
         sender = rng.randrange(1, 6)
-        mam_handle(state, now, heartbeat(seq=i, hops=hops, sender=sender))
+        mam(state, now, heartbeat(seq=i, hops=hops, sender=sender))
         updated = (state.best_node, state.best_hops) != before[:2] or state.expiry != before[2]
         if updated:
             assert state.expiry == now + 777
@@ -321,12 +326,12 @@ def test_mam_expiry_always_now_plus_delta():
 def test_mam_best_hops_non_increasing_within_window():
     rng = random.Random(17)
     state = RelayState(50, 10_000_000)
-    mam_handle(state, 1, message=heartbeat(seq=0, hops=9, sender=1))
+    mam(state, 1, heartbeat(seq=0, hops=9, sender=1))
     last = state.best_hops
     for i in range(1, 300):
         hops = rng.randrange(1, 12)
-        mam_handle(state, 1 + i,
-                   message=heartbeat(seq=i, hops=hops, sender=rng.randrange(1, 6)))
+        mam(state, 1 + i,
+            heartbeat(seq=i, hops=hops, sender=rng.randrange(1, 6)))
         assert state.best_hops <= last
         last = state.best_hops
 
@@ -336,8 +341,8 @@ def test_handlers_are_deterministic_given_state():
     btmr_relay(state, (2, 123), 1)
     for message in (heartbeat(seq=1, hops=2, sender=5), data_msg(seq=2, hops=1)):
         s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
-        a1 = mam_handle(s1, 900, message)
-        a2 = mam_handle(s2, 900, message)
+        a1 = mam(s1, 900, message)
+        a2 = mam(s2, 900, message)
         assert a1 == a2
         assert route(s1) == route(s2)
         assert list(s1.seen) == list(s2.seen)
@@ -364,7 +369,7 @@ def test_reset_returns_to_init_state():
     assert len(node.relay.seen) == 0
     assert (node.relay.cache_size, node.relay.delta_ms) == (8, DELTA)
     assert node.relayed == 0
-    action = mam_handle(node.relay, 10, data_msg())
+    action = mam(node.relay, 10, data_msg())
     assert action == DROP_NO_ROUTE
 
 

@@ -23,7 +23,7 @@ from meshsim.experiments import ExperimentPlan, parse_plan
 from meshsim.scenario import BUILTIN_SCENARIOS, file_keys
 
 # bounded and derandomized, so that the suite stays quick and repeatable
-PROPERTY = settings(max_examples=150, derandomize=True, deadline=None)
+PROPERTY = settings(max_examples=150)
 
 
 def test_builtin_scenarios_load_and_validate():
