@@ -116,29 +116,29 @@ def message_hash(payload: bytes, origin: NodeId, seq: int) -> int:
     return h
 
 
+# each integer field of a frame, in wire order, and the values the wire can carry
+_WIRE_FIELDS = (("origin", 0, 0xFFFF), ("seq", 0, 0xFFFFFFFF), ("hops", 1, MAX_HOPS),
+                ("sender", 0, 0xFFFF))
+
+
 def encode_message(message: Message) -> bytes:
-    """Canonical big-endian wire encoding (bit-exact, see tests for vectors)."""
-    if not isinstance(message.kind, MessageKind):
-        raise ValueError(f"kind must be a MessageKind: {message.kind!r}")
-    if not 0 <= message.origin <= 0xFFFF:
-        raise ValueError(f"origin out of range: {message.origin}")
-    if not 0 <= message.sender <= 0xFFFF:
-        raise ValueError(f"sender out of range: {message.sender}")
-    if not 0 <= message.seq <= 0xFFFFFFFF:
-        raise ValueError(f"seq out of range: {message.seq}")
-    if not 1 <= message.hops <= MAX_HOPS:
-        raise ValueError(f"hops out of range: {message.hops}")
-    if len(message.payload) > 0xFFFF:
-        raise ValueError(f"payload too long: {len(message.payload)}")
-    header = _WIRE_HEADER.pack(
-        message.kind.value,
-        message.origin,
-        message.seq,
-        message.hops,
-        message.sender,
-        len(message.payload),
-    )
-    return header + message.payload
+    """Canonical big-endian wire encoding (bit-exact, see tests for vectors). A field of
+    the wrong type or out of range is a ``ValueError`` that names it."""
+    kind, payload = message.kind, message.payload
+    if not isinstance(kind, MessageKind):
+        raise ValueError(f"kind must be a MessageKind: {kind!r}")
+    for name, low, high in _WIRE_FIELDS:
+        value = getattr(message, name)
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer: {value!r}")
+        if not low <= value <= high:
+            raise ValueError(f"{name} out of range: {value}")
+    if not isinstance(payload, (bytes, bytearray, memoryview)):
+        raise ValueError(f"payload must be bytes-like: {payload!r}")
+    payload = bytes(payload)
+    if len(payload) > 0xFFFF:
+        raise ValueError(f"payload too long: {len(payload)}")
+    return _WIRE_HEADER.pack(kind.value, *message[1:5], len(payload)) + payload
 
 
 def decode_message(buf: bytes) -> Message:

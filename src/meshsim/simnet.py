@@ -17,13 +17,14 @@ sends its next queued frame. Only a queue that takes a frame while idle, or a
 transmission that reaches nobody while frames wait, schedules a ``_tx_dequeue``.
 
 ``World.nodes`` runs in id order. Links between nodes that stay put are worked out
-once per world, as lists of ``SimNode``s in that order. For a hub that walks, each
-node also keeps a second stored list with the hub in it, and a hold on its link to
-the hub: the answer of its last live test, kept while the hub cannot have crossed
-the range edge, which ``links`` and a unicast to or from the hub read. ``in_range``
-tests one link live, first moving a walking hub at either end to ``now``; only it
-moves the hub. ``_deliver`` only reads its receivers, so a loss-free broadcast
-hands it the sender's ``links`` as they are, without ``_fan_out``.
+once per world, as lists of ``SimNode``s in that order; for a hub that walks, each
+node also keeps a second stored list with the hub in it. Each node holds its link to
+the hub, walking or not: the answer of its last live test, kept while the hub cannot
+have crossed the range edge (a hub that stands still, never), which a unicast to or
+from the hub reads, and ``links`` with a walking hub. ``in_range`` tests one link
+live, first moving the hub at either end to ``now``; only it moves the hub. Only
+``_fan_out`` works out a transmission's receivers; ``_deliver`` only reads them, so
+a loss-free broadcast in a static world hands it the sender's stored list itself.
 
 A frame is built once, by ``SimNode.originate``, and never copied: a transmission
 is ``_deliver(frame, hops, transmitter, receivers, sender)``. Its one loop hands
@@ -112,7 +113,7 @@ class SimNode:
     def __init__(self, spec, config: ScenarioConfig):
         self.id: NodeId = spec.node
         self.role: Role = spec.role
-        # a walking hub's ``pos`` is where its last ``World.in_range`` test put it
+        # the hub's ``pos`` is where its last ``World.in_range`` test put it
         self.pos = (spec.x, spec.y)
         self.hub_hold = (0, -math.inf, False)  # (tested ms, ms either side, linked)
         self.algorithm = config.algorithm
@@ -276,20 +277,21 @@ class World:
     # --- geometry: disc radio, evaluated at ``now`` -----------------------
 
     def in_range(self, u: NodeId, v: NodeId) -> bool:
-        # a walking hub at either end first moves to where it is at ``now``,
-        # which callers may also set directly
-        if self.hub_moves and self.hub_id in (u, v):
+        # the hub at either end first moves to where it is at ``now`` (a hub that
+        # stands still stays put), which callers may also set directly
+        if self.hub_id in (u, v):
             self.nodes[self.hub_id].pos = self.trace.position(self.now)
         (ux, uy) = self.nodes[u].pos
         (vx, vy) = self.nodes[v].pos
         return math.hypot(ux - vx, uy - vy) <= self.range_m
 
     def _hub_link(self, node: SimNode) -> bool:
-        """Whether fixed ``node`` is in range of the walking hub, as ``in_range`` says.
+        """Whether ``node`` is in range of the hub, walking or not, as ``in_range`` says.
 
         A live test's answer holds as long as the hub, at its top speed, cannot
         cover the distance's margin to ``range_m`` less the slack (forever if
-        the trace stands still); past its hold a live test renews it.
+        the trace stands still, as a static hub's does); past its hold a live
+        test renews it.
         """
         tested, span, linked = node.hub_hold
         now = self.now
@@ -474,14 +476,10 @@ class World:
             node.tx_data_count += copies
         node.tx_count += copies
         t = node.radio_free_at = self.now + self.latency_ms
-        if self.loss_prob == 0 and dest is BROADCAST:
-            # with no loss, a broadcast reaches exactly its sender's links
-            receivers = self.links(node.id) if self.hub_moves else self._static_links[node.id]
-        else:
-            receivers = self._fan_out(node, dest)
-            if copies == 2:
-                # the duplication fault: the second copy draws its loss after the first
-                receivers = receivers + self._fan_out(node, dest)
+        receivers = self._fan_out(node, dest)
+        if copies == 2:
+            # the duplication fault: the second copy draws its loss after the first
+            receivers = receivers + self._fan_out(node, dest)
         # the delivery starts the next frame; with none, an event of its own does
         node.tx_scheduled = bool(node.txq)
         sender = node if node.tx_scheduled else None
@@ -494,14 +492,14 @@ class World:
         """One copy's receivers: the nodes in range that the loss draws spare, in id order."""
         loss_prob = self.loss_prob
         if dest is not BROADCAST:  # one loss draw, and none out of range
-            if self.hub_moves and self.hub_id in (node.id, dest):
+            if self.hub_id in (node.id, dest):
                 linked = self._hub_link(self.nodes[dest] if node.id == self.hub_id else node)
             else:
                 linked = self.in_range(node.id, dest)
             if linked and (loss_prob == 0.0 or self.rng.random() >= loss_prob):
                 return [self.nodes[dest]]
             return []
-        receivers = self.links(node.id)
+        receivers = self.links(node.id) if self.hub_moves else self._static_links[node.id]
         if loss_prob != 0.0:
             draw = self.rng.random
             receivers = [n for n in receivers if draw() >= loss_prob]

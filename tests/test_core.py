@@ -88,6 +88,15 @@ def test_encode_rejects_out_of_range():
         encode_message(Message(MessageKind.DATA, 0, 0, 1, 0, bytes(0x10000)))
     with pytest.raises(ValueError, match=r"kind must be a MessageKind: 2$"):
         encode_message(Message(2, 1, 0, 1, 1))
+    # a wrongly typed field is named too, not left to escape as a raw error
+    for field, value in [("payload", "ab"), ("payload", None), ("payload", [1, 2]),
+                         ("origin", 1.0), ("origin", True), ("seq", "0"), ("hops", True),
+                         ("sender", False), ("sender", None)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            encode_message(base._replace(**{field: value}))
+    for payload in (bytearray(b"ab"), memoryview(b"ab")):
+        assert encode_message(base._replace(payload=payload)) == encode_message(
+            base._replace(payload=b"ab"))
     assert decode_message(encode_message(base)) == base
 
 

@@ -500,28 +500,26 @@ def logged_run(world_class, config, commands):
 @settings(max_examples=150)
 @given(busy_runs())
 def test_a_delivery_that_starts_the_next_frame_replays_the_two_event_engine(run_case):
-    # ``TwoEventWorld`` always fans out, so a loss-free world also checks the
-    # broadcasts that take their links directly, with the hub put or walking
     config, commands = run_case
     report, log = logged_run(LoggedWorld, config, commands)
-    world = World(config)
-    event("broadcasts take their links directly: "
-          + (("walking hub" if world.hub_moves else "hub put") if world.loss_prob == 0 else "no"))
     assert (report, log) == logged_run(TwoEventWorld, config, commands)
 
 
 class LiveLinkWorld(LoggedWorld):
-    """Tests every link live each time it is used, so no link to a walking hub is held."""
+    """Tests every link live each time it is used, so no link to the hub is held and
+    no stored list is read."""
 
     def links(self, u):
         return [self.nodes[v] for v in self.node_ids if v != u and self.in_range(u, v)]
 
     def _fan_out(self, node, dest):
+        # a broadcast draws once per link in range, a unicast once if it is in range
         if dest is BROADCAST:
-            return super()._fan_out(node, dest)
-        reached = self.in_range(node.id, dest) and (self.loss_prob == 0.0
-                                                    or self.rng.random() >= self.loss_prob)
-        return [self.nodes[dest]] if reached else []
+            in_range = self.links(node.id)
+        else:
+            in_range = [self.nodes[dest]] if self.in_range(node.id, dest) else []
+        loss_prob, draw = self.loss_prob, self.rng.random
+        return [n for n in in_range if loss_prob == 0.0 or draw() >= loss_prob]
 
 
 @settings(max_examples=150)
@@ -1037,13 +1035,18 @@ def swept_links(config, now):
 
 @st.composite
 def far_geometries(draw):
-    """``geometries`` shifted up to 1e9 m from the origin, and sometimes a hub whose
-    trace of 2-4 waypoints stands still at one point."""
+    """``geometries`` shifted up to 1e9 m from the origin. In about half of them the hub
+    walks a trace of 2-5 waypoints drawn point by point, in about a quarter its trace of
+    2-4 waypoints stands still at one point, and the rest keep the drawn trace."""
     config = draw(geometries())
     dx, dy = (draw(st.one_of(st.just(0.0), st.integers(-10**9, 10**9).map(float),
                              st.floats(-1e9, 1e9))) for _ in range(2))
     mobility = config.mobility
-    if draw(st.booleans()):
+    hub = draw(st.sampled_from(["as drawn", "walks", "stands still"]))
+    if hub == "walks":
+        times = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=5, unique=True))
+        mobility = [Waypoint(t, draw(coordinate), draw(coordinate)) for t in sorted(times)]
+    elif hub == "stands still":
         times = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=4, unique=True))
         x, y = draw(coordinate), draw(coordinate)
         mobility = [Waypoint(t, x, y) for t in sorted(times)]
@@ -1055,9 +1058,10 @@ def far_geometries(draw):
 # it Hypothesis's own work over the hundreds of choices a world of up to 30 nodes
 # draws. The range-edge cases below are the small examples.
 @settings(max_examples=200, phases=set(Phase) - {Phase.explain, Phase.shrink})
-@given(far_geometries(), st.lists(st.integers(0, 20_000), min_size=1, max_size=6))
+@given(far_geometries(), st.lists(st.integers(0, 20_000), min_size=2, max_size=12))
 def test_links_match_a_full_range_sweep(config, times):
-    # every trace ends by 10 s, so later times lie past it; unsorted times step back
+    # every trace ends by 10 s, so later times lie past it; unsorted times step back,
+    # and each time after the first reads the holds that earlier times set
     world = World(config)
     points = {(w.x, w.y) for w in config.mobility or ()}
     event("hub " + ("walks" if len(points) > 1 else "stands still" if world.hub_moves
@@ -1115,6 +1119,28 @@ def test_held_hub_links_at_the_range_edge(offset, path, in_range_ms):
         assert [n.id for n in world.links(0)] == ([1] if linked else [])
         assert world._fan_out(sensor, 0) == ([hub] if linked else [])
         assert world._fan_out(hub, 1) == ([sensor] if linked else [])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+def test_a_static_hub_holds_each_unicast_link_for_the_whole_run(monkeypatch, offset):
+    # sensor 1 is exactly one 5 m range from the hub, sensor 2 half a metre beyond it
+    world = World(ScenarioConfig(
+        topology=[NodeSpec(0, offset, offset, Role.MOBILE_HUB),
+                  NodeSpec(1, offset + 3.0, offset + 4.0, Role.SENSOR),
+                  NodeSpec(2, offset, offset + 5.5, Role.SENSOR)],
+        duration_ms=1_000, radio_preset=5.0))
+    assert not world.hub_moves
+    hub, near, far = world.nodes.values()
+    calls = count_in_range(monkeypatch)
+    for now in [0, 500, 10**6, 3]:
+        world.now = now
+        assert world._fan_out(near, 0) == [hub] and world._fan_out(hub, 1) == [near]
+        assert world._fan_out(far, 0) == [] and world._fan_out(hub, 2) == []
+        assert [n.id for n in world.links(0)] == [1]
+    # each sensor's link was tested live once, at 0 ms, and holds for good
+    assert calls == [(1, 0), (2, 0)]
+    assert near.hub_hold == (0, math.inf, True) and far.hub_hold == (0, math.inf, False)
+    assert hub.pos == (offset, offset)
 
 
 def test_a_held_hub_link_allows_for_rounding_far_from_the_origin():
@@ -1262,7 +1288,8 @@ def test_static_hub_links_match_a_re_tested_hub(algorithm):
     assert static.report().unique_received > 0
 
 
-def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
+def count_in_range(monkeypatch):
+    """From now on, every ``World.in_range`` call appends its ``(u, v)`` to the list returned."""
     calls = []
     in_range = World.in_range
 
@@ -1271,6 +1298,11 @@ def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
         return in_range(world, u, v)
 
     monkeypatch.setattr(World, "in_range", counting)
+    return calls
+
+
+def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
+    calls = count_in_range(monkeypatch)
     config = replace(load_scenario("indoor10"), duration_ms=30_000)
     assert config.algorithm is Algorithm.BTMR and config.mobility is None
     assert run(config).unique_received > 0
@@ -1278,6 +1310,47 @@ def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
     # the same run with the hub on a trace re-tests its links, so the count works
     run(hub_parked_at(config, 1.0, 1.0, 2))
     assert calls
+
+
+def test_a_static_hub_mam_run_tests_each_link_to_the_hub_once(monkeypatch):
+    # the hub's unicasts, and its sensors' unicasts to it, read holds that never end
+    calls = count_in_range(monkeypatch)
+    config = replace(load_scenario("indoor10"), algorithm=Algorithm.MAM, duration_ms=30_000)
+    assert config.mobility is None
+    assert run(config).unique_received > 0
+    hub_id = config.hub_id
+    tested = Counter(u if v == hub_id else v for u, v in calls if hub_id in (u, v))
+    assert tested and max(tested.values()) == 1 and hub_id not in tested
+    # a unicast between two fixed nodes is still tested live
+    assert len(calls) > len(tested)
+
+
+@pytest.mark.parametrize("config", [
+    replace(grid25(), algorithm=Algorithm.MAM, fault_duplicate=True),
+    replace(load_scenario("outdoor10"), algorithm=Algorithm.MAM, fault_duplicate=True,
+            duration_ms=60_000),
+], ids=["static-hub-grid", "outdoor10"])
+def test_every_transmission_takes_its_receivers_from_fan_out(monkeypatch, config):
+    # loss-free broadcasts too: one call per copy, so two for a duplicated data unicast
+    assert config.loss_prob == 0.0
+    fan_outs, sent = [], Counter()
+    fan_out, tx_dequeue = World._fan_out, World._tx_dequeue
+
+    def counting_fan_out(world, node, dest):
+        fan_outs.append(node.id)
+        return fan_out(world, node, dest)
+
+    def counted_tx_dequeue(world, node):
+        # with no reboot, a transmit step always finds a frame queued
+        broadcast, before = node.txq_dest[0] is BROADCAST, len(fan_outs)
+        tx_dequeue(world, node)
+        sent[broadcast, len(fan_outs) - before] += 1
+
+    monkeypatch.setattr(World, "_fan_out", counting_fan_out)
+    monkeypatch.setattr(World, "_tx_dequeue", counted_tx_dequeue)
+    report = run(config)
+    assert set(sent) == {(True, 1), (False, 2)}
+    assert len(fan_outs) == report.tx_total
 
 
 @pytest.mark.parametrize("config", [
