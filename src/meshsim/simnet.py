@@ -2,9 +2,9 @@
 
 A ``World`` owns every node's routing state, the disc-radio geometry, the
 collector's mobility trace, per-node transmit queues, and a single seeded RNG
-for link-loss draws: a broadcast draws once per stored link, a unicast in range
-once and one out of range not at all. ``seed_matters(config)`` says whether a
-run can read that RNG, and so depend on its seed. Each event is a
+for link-loss draws: a broadcast draws once per link, a unicast once if its
+destination is a link and otherwise not at all. ``seed_matters(config)`` says
+whether a run can read that RNG, and so depend on its seed. Each event is a
 ``(handler, args)`` pair that runs as ``handler(world, *args)``; events, frames,
 queues and relay state form no reference cycles, so ``run_until`` holds off the
 cyclic GC. The pending events of one millisecond wait in one FIFO, and a heap
@@ -16,15 +16,14 @@ sends twice names its receiver once per copy spared), and then the sender's radi
 sends its next queued frame. Only a queue that takes a frame while idle, or a
 transmission that reaches nobody while frames wait, schedules a ``_tx_dequeue``.
 
-``World.nodes`` runs in id order. Links between nodes that stay put are worked out
-once per world, as lists of ``SimNode``s in that order; for a hub that walks, each
-node also keeps a second stored list with the hub in it. Each node holds its link to
-the hub, walking or not: the answer of its last live test, kept while the hub cannot
-have crossed the range edge (a hub that stands still, never), which a unicast to or
-from the hub reads, and ``links`` with a walking hub. ``in_range`` tests one link
-live, first moving the hub at either end to ``now``; only it moves the hub. Only
-``_fan_out`` works out a transmission's receivers; ``_deliver`` only reads them, so
-a loss-free broadcast in a static world hands it the sender's stored list itself.
+``World.nodes`` runs in id order. One link model, ``links``, serves every transmission:
+lists of ``SimNode``s in that order, worked out once per world for the nodes that stay
+put. With a walking hub each node keeps a second list with the hub in it, and holds
+its link to the hub: its last live test's answer, kept while the hub cannot have
+crossed the range edge. Only a hold's renewal calls ``in_range``, which tests one link
+live after moving the hub at either end to ``now``, so a static world tests no link
+live. Only ``_fan_out`` works out a transmission's receivers, the sender's links or a
+unicast's destination among them; ``_deliver`` only reads them.
 
 A frame is built once, by ``SimNode.originate``, and never copied: a transmission
 is ``_deliver(frame, hops, transmitter, receivers, sender)``. Its one loop hands
@@ -115,7 +114,8 @@ class SimNode:
         self.role: Role = spec.role
         # the hub's ``pos`` is where its last ``World.in_range`` test put it
         self.pos = (spec.x, spec.y)
-        self.hub_hold = (0, -math.inf, False)  # (tested ms, ms either side, linked)
+        # a walking hub's link: (tested ms, ms either side, linked)
+        self.hub_hold = (0, -math.inf, False)
         self.algorithm = config.algorithm
         self.relay = RelayState(config.relay_cache_size, config.delta_ms)
         self.next_seq = 0
@@ -277,8 +277,8 @@ class World:
     # --- geometry: disc radio, evaluated at ``now`` -----------------------
 
     def in_range(self, u: NodeId, v: NodeId) -> bool:
-        # the hub at either end first moves to where it is at ``now`` (a hub that
-        # stands still stays put), which callers may also set directly
+        # the hub at either end first moves to where it is at ``now``, which callers
+        # may also set directly; a run calls this only to renew a walking hub's hold
         if self.hub_id in (u, v):
             self.nodes[self.hub_id].pos = self.trace.position(self.now)
         (ux, uy) = self.nodes[u].pos
@@ -286,12 +286,12 @@ class World:
         return math.hypot(ux - vx, uy - vy) <= self.range_m
 
     def _hub_link(self, node: SimNode) -> bool:
-        """Whether ``node`` is in range of the hub, walking or not, as ``in_range`` says.
+        """Whether ``node`` is in range of the walking hub, as ``in_range`` says.
 
         A live test's answer holds as long as the hub, at its top speed, cannot
-        cover the distance's margin to ``range_m`` less the slack (forever if
-        the trace stands still, as a static hub's does); past its hold a live
-        test renews it.
+        cover the distance's margin to ``range_m`` less the slack (forever if a
+        trace of two or more waypoints stands still); past its hold a live test
+        renews it.
         """
         tested, span, linked = node.hub_hold
         now = self.now
@@ -307,8 +307,9 @@ class World:
         """The nodes in range of ``u``, in id order, as ``in_range`` says at ``now``.
 
         For any node but a walking hub this is a stored list, with or without
-        the hub, that deliveries share, so callers must not mutate it. Links
-        to a walking hub are read from their holds (``_hub_link``).
+        the hub, that deliveries share, so callers must not mutate it. In a
+        static world no link is tested live; links to a walking hub are read
+        from their holds (``_hub_link``).
         """
         if not self.hub_moves:
             return self._static_links[u]
@@ -489,17 +490,14 @@ class World:
             self.schedule(t, World._tx_dequeue, node)
 
     def _fan_out(self, node: SimNode, dest: RelayAction) -> list[SimNode]:
-        """One copy's receivers: the nodes in range that the loss draws spare, in id order."""
-        loss_prob = self.loss_prob
-        if dest is not BROADCAST:  # one loss draw, and none out of range
-            if self.hub_id in (node.id, dest):
-                linked = self._hub_link(self.nodes[dest] if node.id == self.hub_id else node)
-            else:
-                linked = self.in_range(node.id, dest)
-            if linked and (loss_prob == 0.0 or self.rng.random() >= loss_prob):
-                return [self.nodes[dest]]
-            return []
+        """One copy's receivers: the sender's links that the loss draws spare, in id order."""
         receivers = self.links(node.id) if self.hub_moves else self._static_links[node.id]
+        loss_prob = self.loss_prob
+        if dest is not BROADCAST:  # one loss draw if ``dest`` is a link, none if not
+            target = self.nodes[dest]
+            if target in receivers and (loss_prob == 0.0 or self.rng.random() >= loss_prob):
+                return [target]
+            return []
         if loss_prob != 0.0:
             draw = self.rng.random
             receivers = [n for n in receivers if draw() >= loss_prob]

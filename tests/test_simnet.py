@@ -1074,6 +1074,33 @@ def test_links_match_a_full_range_sweep(config, times):
             assert [v for v in world.node_ids if v != u and world.in_range(u, v)] == swept[u]
 
 
+@st.composite
+def short_walks(draw):
+    """1-4 fixed sensors and a hub, anywhere in the id order, that walks 2-5 waypoints
+    within 2 s."""
+    n = draw(st.integers(2, 5))
+    hub = draw(st.integers(0, n - 1))
+    times = draw(st.lists(st.integers(0, 2_000), min_size=2, max_size=5, unique=True))
+    return ScenarioConfig(
+        topology=[NodeSpec(i, draw(coordinate), draw(coordinate),
+                           Role.MOBILE_HUB if i == hub else Role.SENSOR) for i in range(n)],
+        duration_ms=2_000, radio_preset=draw(radio_ranges),
+        mobility=[Waypoint(t, draw(coordinate), draw(coordinate)) for t in sorted(times)])
+
+
+@settings(max_examples=20)
+@given(short_walks())
+def test_links_match_a_sweep_at_every_millisecond(config):
+    # forwards, then backwards: each read follows the holds the millisecond beside it
+    # left, so a hold that outlasts the hub's crossing of the range edge shows
+    world = World(config)
+    for now in [*range(2_001), *range(2_000, -1, -1)]:
+        world.now = now
+        swept = swept_links(config, now)
+        for u in world.node_ids:
+            assert [n.id for n in world.links(u)] == swept[u]
+
+
 def test_links_at_the_range_boundary():
     # a 3-4-5 triangle puts the hub exactly one range from sensor 1, and a link
     # holds at exactly the range; sensor 2 is a hair beyond it from sensor 1
@@ -1122,7 +1149,7 @@ def test_held_hub_links_at_the_range_edge(offset, path, in_range_ms):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e9])
-def test_a_static_hub_holds_each_unicast_link_for_the_whole_run(monkeypatch, offset):
+def test_a_static_hub_reads_its_links_at_the_range_edge_from_stored_lists(monkeypatch, offset):
     # sensor 1 is exactly one 5 m range from the hub, sensor 2 half a metre beyond it
     world = World(ScenarioConfig(
         topology=[NodeSpec(0, offset, offset, Role.MOBILE_HUB),
@@ -1131,15 +1158,17 @@ def test_a_static_hub_holds_each_unicast_link_for_the_whole_run(monkeypatch, off
         duration_ms=1_000, radio_preset=5.0))
     assert not world.hub_moves
     hub, near, far = world.nodes.values()
+    holds = [n.hub_hold for n in world.nodes.values()]
     calls = count_in_range(monkeypatch)
     for now in [0, 500, 10**6, 3]:
         world.now = now
         assert world._fan_out(near, 0) == [hub] and world._fan_out(hub, 1) == [near]
         assert world._fan_out(far, 0) == [] and world._fan_out(hub, 2) == []
         assert [n.id for n in world.links(0)] == [1]
-    # each sensor's link was tested live once, at 0 ms, and holds for good
-    assert calls == [(1, 0), (2, 0)]
-    assert near.hub_hold == (0, math.inf, True) and far.hub_hold == (0, math.inf, False)
+        assert [n.id for n in world.links(1)] == [0, 2] and [n.id for n in world.links(2)] == [1]
+    # no link was tested live, and no hold was written
+    assert calls == []
+    assert [n.hub_hold for n in world.nodes.values()] == holds
     assert hub.pos == (offset, offset)
 
 
@@ -1301,10 +1330,14 @@ def count_in_range(monkeypatch):
     return calls
 
 
-def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
+@pytest.mark.parametrize("loss_prob", [0.0, 0.15])
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_a_static_world_tests_no_link_live(monkeypatch, algorithm, loss_prob):
+    # broadcasts and unicasts, to the hub and between sensors, read stored lists
     calls = count_in_range(monkeypatch)
-    config = replace(load_scenario("indoor10"), duration_ms=30_000)
-    assert config.algorithm is Algorithm.BTMR and config.mobility is None
+    config = replace(load_scenario("indoor10"), algorithm=algorithm, loss_prob=loss_prob,
+                     duration_ms=30_000)
+    assert config.mobility is None
     assert run(config).unique_received > 0
     assert calls == []
     # the same run with the hub on a trace re-tests its links, so the count works
@@ -1312,17 +1345,13 @@ def test_static_hub_broadcast_run_tests_no_link(monkeypatch):
     assert calls
 
 
-def test_a_static_hub_mam_run_tests_each_link_to_the_hub_once(monkeypatch):
-    # the hub's unicasts, and its sensors' unicasts to it, read holds that never end
+def test_a_walking_hub_run_tests_only_links_to_the_hub(monkeypatch):
+    # a unicast between two fixed nodes reads their stored lists, even while the hub walks
     calls = count_in_range(monkeypatch)
-    config = replace(load_scenario("indoor10"), algorithm=Algorithm.MAM, duration_ms=30_000)
-    assert config.mobility is None
+    config = replace(load_scenario("outdoor10"), algorithm=Algorithm.MAM, duration_ms=60_000)
+    assert World(config).hub_moves
     assert run(config).unique_received > 0
-    hub_id = config.hub_id
-    tested = Counter(u if v == hub_id else v for u, v in calls if hub_id in (u, v))
-    assert tested and max(tested.values()) == 1 and hub_id not in tested
-    # a unicast between two fixed nodes is still tested live
-    assert len(calls) > len(tested)
+    assert calls and all(config.hub_id in call for call in calls)
 
 
 @pytest.mark.parametrize("config", [
