@@ -22,6 +22,8 @@ from .refdata import REFERENCE_MINUTES
 from .scenario import file_keys, load_scenario, read_settings, read_source
 from .simnet import World, run, seed_matters  # noqa: F401  (bench/tracer.py wraps run)
 
+MAX_RUNS = 1_000  # repetitions (one run per seed) a row may have; shipped plans use at most 3
+
 
 class PlanError(ValueError):
     pass
@@ -52,11 +54,12 @@ class ExperimentPlan:
         "distinct in whole ms and as printed",
         lambda v: len(v) > 0 and all(is_number(d) and 0.5 < d * 60_000 < math.inf for d in v)
         and _distinct([round(d * 60_000) for d in v]) and _distinct([f"{d:g}" for d in v]))
-    repetitions: int = setting(int, "must be an integer >= 1",
-                               lambda v: is_int(v) and v >= 1, default=1)
+    repetitions: int = setting(int, f"must be an integer from 1 to {MAX_RUNS}",
+                               lambda v: is_int(v) and 1 <= v <= MAX_RUNS, default=1)
     seeds: Optional[list[int]] = setting(
-        _list_of(int), "must be a comma-separated list of distinct integers",
-        lambda v: v is None or (all(map(is_int, v)) and _distinct(v)), default=None)
+        _list_of(int), f"must be a comma-separated list of at most {MAX_RUNS} distinct integers",
+        lambda v: v is None or (len(v) <= MAX_RUNS and all(map(is_int, v)) and _distinct(v)),
+        default=None)
     seed_base: int = setting(int, "must be an integer", is_int, default=0)
     reference_minutes: float = setting(float, "must be a positive number",
                                        lambda v: is_number(v) and v > 0,

@@ -1,29 +1,18 @@
 """Deterministic discrete-event engine.
 
-A ``World`` owns every node's routing state, the disc-radio geometry, the
-collector's mobility trace, per-node transmit queues, and a single seeded RNG
-for link-loss draws: a broadcast draws once per link, a unicast once if its
-destination is a link and otherwise not at all. ``seed_matters(config)`` says
-whether a run can read that RNG, and so depend on its seed. Each event is a
-``(handler, args)`` pair that runs as ``handler(world, *args)``; events, frames,
-queues and relay state form no reference cycles, so ``run_until`` holds off the
-cyclic GC. The pending events of one millisecond wait in one FIFO, and a heap
-holds each pending millisecond once, so events pop in (time, insertion) order
-and identical configurations replay identical runs byte for byte. One
-transmission is one event, with no exception: it delivers the frame to every
-receiver that the loss draws spared, in id order (a unicast that ``fault_duplicate``
-sends twice names its receiver once per copy spared), and then the sender's radio
-sends its next queued frame. Only a queue that takes a frame while idle, or a
-transmission that reaches nobody while frames wait, schedules a ``_tx_dequeue``.
-
-``World.nodes`` runs in id order. One link model, ``links``, serves every transmission:
-lists of ``SimNode``s in that order, worked out once per world for the nodes that stay
-put. With a walking hub each node keeps a second list with the hub in it, and holds
-its link to the hub: its last live test's answer, kept while the hub cannot have
-crossed the range edge. Only a hold's renewal calls ``in_range``, which tests one link
-live after moving the hub at either end to ``now``, so a static world tests no link
-live. Only ``_fan_out`` works out a transmission's receivers, the sender's links or a
-unicast's destination among them; ``_deliver`` only reads them.
+A ``World`` owns every node's routing state, the collector's mobility trace, per-node
+transmit queues, a single seeded RNG, and the ``DiscChannel`` that draws link losses
+from it. ``seed_matters(config)`` says whether a run can read that RNG, and so depend on
+its seed. Each event is a ``(handler, args)`` pair that runs as ``handler(world, *args)``;
+events, frames, queues, relay state and the channel form no reference cycles, so
+``run_until`` holds off the cyclic GC. The pending events of one millisecond wait in one
+FIFO, and a heap holds each pending millisecond once, so events pop in (time, insertion)
+order and identical configurations replay identical runs byte for byte. One transmission
+is one event, with no exception: it delivers the frame to every receiver that the
+channel names, in id order (a unicast that ``fault_duplicate`` sends twice names its
+receiver once per copy spared), and then the sender's radio sends its next queued frame.
+Only a queue that takes a frame while idle, or a transmission that reaches nobody while
+frames wait, schedules a ``_tx_dequeue``. ``World.nodes`` runs in id order.
 
 A frame is built once, by ``SimNode.originate``, and never copied: a transmission
 is ``_deliver(frame, hops, transmitter, receivers, sender)``. Its one loop hands
@@ -114,8 +103,6 @@ class SimNode:
         self.role: Role = spec.role
         # the hub's ``pos`` is where its last ``World.in_range`` test put it
         self.pos = (spec.x, spec.y)
-        # a walking hub's link: (tested ms, ms either side, linked)
-        self.hub_hold = (0, -math.inf, False)
         self.algorithm = config.algorithm
         self.relay = RelayState(config.relay_cache_size, config.delta_ms)
         self.next_seq = 0
@@ -156,13 +143,97 @@ class SimNode:
         return message
 
 
+class DiscChannel:
+    """The disc radio's link model. Only ``World`` holds one, and ``World.in_range``
+    and ``World.links`` are its entry points.
+
+    Links are lists of ``SimNode``s in id order, worked out once for the nodes that
+    stay put; with a walking hub each node has a second list with the hub in it, and
+    holds its link to the hub (its last live test's answer) while the hub cannot have
+    crossed the range edge. Only a hold's renewal tests a link live. Only ``fan_out``
+    names a transmission's receivers, the sender's links or a unicast's destination
+    among them, and draws their losses from the world's ``rng``: once per link for a
+    broadcast, once for a unicast whose destination is a link.
+
+    It stores no world, since that back-reference would be a reference cycle and
+    ``run_until`` holds off the cyclic GC: each call takes the world. A hold's renewal
+    goes through ``World.in_range``, which the benchmark's tracer wraps.
+    """
+
+    def __init__(self, world: World):
+        config, hub, waypoints = world.config, world.nodes[world.hub_id], world.trace.waypoints
+        preset, self.loss_prob = config.radio_preset, config.loss_prob
+        self.range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else float(preset)
+        # Only the hub can move, and only along a trace of two or more waypoints;
+        # it starts at its first waypoint, not at its ``[nodes]`` row. Links between
+        # nodes that stay put are worked out once, in id order, as ``in_range`` does.
+        self.hub_moves = len(waypoints) > 1
+        hub.pos = world.trace.position(0)
+        fixed = self._fixed = [n for n in world.nodes.values()
+                               if n is not hub or not self.hub_moves]
+        # the hub's top speed in m/ms, and a slack well above a link test's float error
+        self._top_speed = max((math.hypot(b.x - a.x, b.y - a.y) / (b.t_ms - a.t_ms)
+                               for a, b in zip(waypoints, waypoints[1:])), default=0.0)
+        coords = [c for n in fixed for c in n.pos] + [c for w in waypoints for c in (w.x, w.y)]
+        self._slack = 1e-9 * (self.range_m + max(map(abs, coords)))
+        self._static_links: dict[NodeId, list[SimNode]] = {
+            u.id: [v for v in fixed if v is not u and math.dist(u.pos, v.pos) <= self.range_m]
+            for u in fixed}
+        self._hub_links = {u: sorted(links + [hub], key=attrgetter("id"))
+                           for u, links in self._static_links.items()} if self.hub_moves else {}
+        # each node's link with a walking hub, by id: (tested ms, ms either side, linked)
+        self._holds = [(0, -math.inf, False)] * (world.node_ids[-1] + 1)
+
+    def in_range(self, world: World, u: NodeId, v: NodeId) -> bool:
+        # the hub at either end first moves to where it is at ``now`` (callers may set it)
+        if world.hub_id in (u, v):
+            world.nodes[world.hub_id].pos = world.trace.position(world.now)
+        return math.dist(world.nodes[u].pos, world.nodes[v].pos) <= self.range_m
+
+    def _hub_link(self, world: World, u: NodeId) -> bool:
+        """Whether node ``u`` is in range of the walking hub: a live test's answer, held while
+        the hub at top speed cannot cover the distance's margin to ``range_m``, less a slack."""
+        tested, span, linked = self._holds[u]
+        if -span <= world.now - tested <= span:
+            return linked
+        linked = world.in_range(u, world.hub_id)
+        margin = abs(math.dist(world.nodes[u].pos, world.nodes[world.hub_id].pos) - self.range_m)
+        span = (margin - self._slack) / self._top_speed if self._top_speed else math.inf
+        self._holds[u] = (world.now, span, linked)
+        return linked
+
+    def links(self, world: World, u: NodeId) -> list[SimNode]:
+        """The nodes in range of ``u`` at ``now``, in id order: for any node but a walking
+        hub, a stored list that deliveries share, so callers must not mutate it."""
+        if not self.hub_moves:
+            return self._static_links[u]
+        if u == world.hub_id:
+            return [n for n in self._fixed if self._hub_link(world, n.id)]
+        return self._hub_links[u] if self._hub_link(world, u) else self._static_links[u]
+
+    def fan_out(self, world: World, node: SimNode, dest: RelayAction) -> list[SimNode]:
+        """One copy's receivers: the sender's links that the loss draws spare, in id order."""
+        receivers = (self.links(world, node.id) if self.hub_moves
+                     else self._static_links[node.id])
+        loss_prob = self.loss_prob
+        if dest is not BROADCAST:  # one loss draw if ``dest`` is a link, none if not
+            target = world.nodes[dest]
+            if target in receivers and (loss_prob == 0.0 or world.rng.random() >= loss_prob):
+                return [target]
+            return []
+        if loss_prob != 0.0:
+            draw = world.rng.random
+            receivers = [n for n in receivers if draw() >= loss_prob]
+        return receivers
+
+
 def seed_matters(config: ScenarioConfig) -> bool:
     """Whether a run of ``config`` can draw from its RNG, and so depend on its seed."""
     return config.loss_prob > 0
 
 
 class World:
-    """One simulation run: event queue, nodes, radio geometry, collector-side metrics.
+    """One simulation run: event queue, nodes, channel, collector-side metrics.
 
     Events read the validated settings that the world takes from ``config`` at construction.
     """
@@ -173,10 +244,8 @@ class World:
         config.validate()
         self.config = config
         self.latency_ms, self.heartbeat_period_ms = config.latency_ms, config.heartbeat_period_ms
-        self.tx_queue_capacity, self.loss_prob = config.tx_queue_capacity, config.loss_prob
+        self.tx_queue_capacity = config.tx_queue_capacity
         self.fault_duplicate, self.data_period_ms = config.fault_duplicate, config.data_period_ms
-        preset = config.radio_preset
-        self.range_m = RANGE_PRESETS[preset] if isinstance(preset, str) else float(preset)
         self.rng = random.Random(config.rng_seed)
         self.now = 0
         # pending millisecond -> its events in insertion order; ``_times`` is a
@@ -189,32 +258,8 @@ class World:
         self.hub_id = config.hub_id
         self.commander_id = config.commander_id
         hub = self.nodes[self.hub_id]
-        waypoints = config.mobility or [Waypoint(0, *hub.pos)]
-        self.trace = MobilityTrace(waypoints)
-        # Only the hub can move, and only along a trace of two or more waypoints;
-        # it starts at its first waypoint, not at its ``[nodes]`` row. Links between
-        # nodes that stay put are worked out once, in id order, as ``in_range`` does.
-        self.hub_moves = len(waypoints) > 1
-        hub.pos = self.trace.position(0)
-        fixed = self._fixed = list(self.nodes.values())
-        if self.hub_moves:
-            fixed.remove(hub)
-        # the hub's top speed in m/ms, and a slack well above a link test's float error
-        self._top_speed = max((math.hypot(b.x - a.x, b.y - a.y) / (b.t_ms - a.t_ms)
-                               for a, b in zip(waypoints, waypoints[1:])), default=0.0)
-        coords = [c for n in fixed for c in n.pos] + [c for w in waypoints for c in (w.x, w.y)]
-        self._slack = 1e-9 * (self.range_m + max(map(abs, coords)))
-        self._static_links: dict[NodeId, list[SimNode]] = {
-            u.id: [v for v in fixed
-                   if v is not u and math.hypot(u.pos[0] - v.pos[0],
-                                                u.pos[1] - v.pos[1]) <= self.range_m]
-            for u in fixed}
-        # next to each node's links, the same list with a moving hub in id order:
-        # ``links`` picks one of the two by testing the link to the hub
-        self._hub_links: dict[NodeId, list[SimNode]] = {}
-        if self.hub_moves:
-            self._hub_links = {u: sorted(links + [hub], key=lambda n: n.id)
-                               for u, links in self._static_links.items()}
+        self.trace = MobilityTrace(config.mobility or [Waypoint(0, *hub.pos)])
+        self.channel = DiscChannel(self)
         self.tracker = _TRACKERS[config.tracker]()
         self.collected_stats: dict[NodeId, NodeStats] = {}
         # the newest reachability probe, as (origin, seq), and the nodes that acked it
@@ -274,48 +319,13 @@ class World:
         if limit_ms > self.now:
             self.now = limit_ms
 
-    # --- geometry: disc radio, evaluated at ``now`` -----------------------
+    # --- the channel's entry points, evaluated at ``now`` -------------------
 
     def in_range(self, u: NodeId, v: NodeId) -> bool:
-        # the hub at either end first moves to where it is at ``now``, which callers
-        # may also set directly; a run calls this only to renew a walking hub's hold
-        if self.hub_id in (u, v):
-            self.nodes[self.hub_id].pos = self.trace.position(self.now)
-        (ux, uy) = self.nodes[u].pos
-        (vx, vy) = self.nodes[v].pos
-        return math.hypot(ux - vx, uy - vy) <= self.range_m
-
-    def _hub_link(self, node: SimNode) -> bool:
-        """Whether ``node`` is in range of the walking hub, as ``in_range`` says.
-
-        A live test's answer holds as long as the hub, at its top speed, cannot
-        cover the distance's margin to ``range_m`` less the slack (forever if a
-        trace of two or more waypoints stands still); past its hold a live test
-        renews it.
-        """
-        tested, span, linked = node.hub_hold
-        now = self.now
-        if -span <= now - tested <= span:
-            return linked
-        linked = self.in_range(node.id, self.hub_id)
-        margin = abs(math.dist(node.pos, self.nodes[self.hub_id].pos) - self.range_m)
-        span = (margin - self._slack) / self._top_speed if self._top_speed else math.inf
-        node.hub_hold = (now, span, linked)
-        return linked
+        return self.channel.in_range(self, u, v)
 
     def links(self, u: NodeId) -> list[SimNode]:
-        """The nodes in range of ``u``, in id order, as ``in_range`` says at ``now``.
-
-        For any node but a walking hub this is a stored list, with or without
-        the hub, that deliveries share, so callers must not mutate it. In a
-        static world no link is tested live; links to a walking hub are read
-        from their holds (``_hub_link``).
-        """
-        if not self.hub_moves:
-            return self._static_links[u]
-        if u == self.hub_id:
-            return [n for n in self._fixed if self._hub_link(n)]
-        return self._hub_links[u] if self._hub_link(self.nodes[u]) else self._static_links[u]
+        return self.channel.links(self, u)
 
     # --- event handlers ---------------------------------------------------
 
@@ -477,10 +487,10 @@ class World:
             node.tx_data_count += copies
         node.tx_count += copies
         t = node.radio_free_at = self.now + self.latency_ms
-        receivers = self._fan_out(node, dest)
+        receivers = self.channel.fan_out(self, node, dest)
         if copies == 2:
             # the duplication fault: the second copy draws its loss after the first
-            receivers = receivers + self._fan_out(node, dest)
+            receivers = receivers + self.channel.fan_out(self, node, dest)
         # the delivery starts the next frame; with none, an event of its own does
         node.tx_scheduled = bool(node.txq)
         sender = node if node.tx_scheduled else None
@@ -488,20 +498,6 @@ class World:
             self.schedule(t, World._deliver, frame, hops, node.id, receivers, sender)
         elif sender is not None:
             self.schedule(t, World._tx_dequeue, node)
-
-    def _fan_out(self, node: SimNode, dest: RelayAction) -> list[SimNode]:
-        """One copy's receivers: the sender's links that the loss draws spare, in id order."""
-        receivers = self.links(node.id) if self.hub_moves else self._static_links[node.id]
-        loss_prob = self.loss_prob
-        if dest is not BROADCAST:  # one loss draw if ``dest`` is a link, none if not
-            target = self.nodes[dest]
-            if target in receivers and (loss_prob == 0.0 or self.rng.random() >= loss_prob):
-                return [target]
-            return []
-        if loss_prob != 0.0:
-            draw = self.rng.random
-            receivers = [n for n in receivers if draw() >= loss_prob]
-        return receivers
 
     # --- reporting ----------------------------------------------------------
 

@@ -115,6 +115,16 @@ def test_plan_built_in_code_rejects_non_integers(overrides, field):
 
 
 @pytest.mark.parametrize("overrides,field", [
+    (dict(repetitions=10**11), "repetitions: must be an integer from 1 to 1000"),
+    (dict(seeds=list(range(1_001))), "seeds: must be a comma-separated list of at most 1000"),
+])
+def test_plan_built_in_code_bounds_the_runs_per_row(overrides, field):
+    # checked before any list of seeds is built, so a huge count fails at once
+    with pytest.raises(PlanError, match=f"^{field}"):
+        run_plan(quick_plan(**overrides))
+
+
+@pytest.mark.parametrize("overrides,field", [
     (dict(scenario="line3"), "scenario"),
     (dict(durations_min=[None]), "durations_min"),
     (dict(reference_minutes=None), "reference_minutes"),
@@ -417,6 +427,11 @@ PLAN_HEAD = "scenario = line3\nalgorithms = btmr\n"
     ("scenario = line3\nalgorithms = foo\ndurations_min = 1\n", "line 2: algorithms"),
     (PLAN_HEAD + "durations_min = a\n", "line 3: durations_min"),
     (PLAN_HEAD + "durations_min = 1\nrepetitions = x\n", "line 4: repetitions"),
+    # a bound on the runs per row, met before any list of seeds is built
+    (PLAN_HEAD + "durations_min = 0.1\nrepetitions = 100000000000\n",
+     "line 4: repetitions: must be an integer from 1 to 1000, got '100000000000'$"),
+    (PLAN_HEAD + "durations_min = 1\nseeds = " + ", ".join(map(str, range(1_001))) + "\n",
+     "line 4: seeds: must be a comma-separated list of at most 1000 distinct integers"),
     (PLAN_HEAD + "durations_min = 1\nrepetitions = 2\nseeds = 1, 2, 3\n", "line 5: seeds"),
     (PLAN_HEAD + "durations_min = 1\nalgorithms = mam\n",
      "line 4: algorithms: already set on line 2"),

@@ -5,6 +5,8 @@ import types
 import typing
 from pathlib import Path
 
+import pytest
+
 import meshsim
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,6 +77,33 @@ def test_a_failing_property_fails_without_aborting_the_run(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert "1 failed" in result.stdout
+
+
+PROFILE_PROBE = """
+from hypothesis import settings
+
+
+def test_profile():
+    print("profile:", settings.get_current_profile_name(), settings.default.derandomize)
+"""
+
+
+@pytest.mark.parametrize("option, loaded", [
+    ([], "meshsim True"),
+    (["--hypothesis-profile", "meshsim-random"], "meshsim-random False"),
+])
+def test_a_hypothesis_profile_named_on_the_command_line_is_the_one_loaded(tmp_path, option,
+                                                                          loaded):
+    # the test suite's conftest loads its default profile when it is imported, and the
+    # plugin must load the one named on the command line after it
+    (tmp_path / "conftest.py").write_text((ROOT / "tests" / "conftest.py").read_text())
+    (tmp_path / "test_profile.py").write_text(PROFILE_PROBE)
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_profile.py", *option],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert f"profile: {loaded}" in result.stdout
 
 
 def test_import_loads_no_module_that_only_some_calls_need():

@@ -265,7 +265,7 @@ def test_hot_paths_read_no_enum_class_attribute():
         assert not {"MessageKind", "Algorithm"} & set(hot.__code__.co_names), hot.__name__
     # each event unpacks its frame once and reads the settings the world took
     # at construction, not ``Message`` fields or ``world.config`` one by one
-    for hot in (World._deliver, World._tx_dequeue, World._fan_out, World.enqueue_tx,
+    for hot in (World._deliver, World._tx_dequeue, simnet.DiscChannel.fan_out, World.enqueue_tx,
                 routing.mam_handle):
         named = {"config", "kind", "origin", "seq", "hops", "sender"}
         assert not named & set(hot.__code__.co_names), hot.__name__
@@ -287,7 +287,7 @@ def test_broadcast_fan_out_is_one_heap_entry():
     before = world.pending()
     # the fan-out only names one copy's receivers; the transmit step schedules
     receivers = [world.nodes[i] for i in (1, 3, 4)]
-    assert world._fan_out(node, BROADCAST) == receivers
+    assert world.channel.fan_out(world, node, BROADCAST) == receivers
     assert world.pending() == before
     message = node.originate(MessageKind.DATA, b"x")
     world.enqueue_tx(node, message, BROADCAST, 1)
@@ -303,7 +303,7 @@ def test_fan_out_that_loses_every_copy_schedules_nothing():
     world.run_until(1)
     node = world.nodes[2]
     before = world.pending()
-    assert world._fan_out(node, BROADCAST) == []
+    assert world.channel.fan_out(world, node, BROADCAST) == []
     world.enqueue_tx(node, node.originate(MessageKind.DATA, b"x"), BROADCAST, 1)
     assert world.step()
     assert world.pending() == before
@@ -326,7 +326,7 @@ def test_fan_out_draws_once_per_receiver_in_range(loss_prob, dest, draws):
     world = World(line_of_four(loss_prob=loss_prob, rng_seed=11))
     node = world.nodes[2]
     assert len(world.links(node.id)) == 3
-    world._fan_out(node, dest)
+    world.channel.fan_out(world, node, dest)
     expected = random.Random(11)
     for _ in range(draws if loss_prob else 0):
         expected.random()
@@ -434,7 +434,7 @@ class TwoEventWorld(LoggedWorld):
         node.tx_count += copies
         receivers = []  # one transmission's receivers, each copy's in turn
         for _ in range(copies):
-            receivers += self._fan_out(node, dest)
+            receivers += self.channel.fan_out(self, node, dest)
         if receivers:
             self.schedule(self.now + self.config.latency_ms, World._deliver,
                           frame, hops, node.id, receivers)
@@ -505,21 +505,29 @@ def test_a_delivery_that_starts_the_next_frame_replays_the_two_event_engine(run_
     assert (report, log) == logged_run(TwoEventWorld, config, commands)
 
 
-class LiveLinkWorld(LoggedWorld):
+class LiveLinkChannel(simnet.DiscChannel):
     """Tests every link live each time it is used, so no link to the hub is held and
     no stored list is read."""
 
-    def links(self, u):
-        return [self.nodes[v] for v in self.node_ids if v != u and self.in_range(u, v)]
+    def links(self, world, u):
+        return [world.nodes[v] for v in world.node_ids if v != u and world.in_range(u, v)]
 
-    def _fan_out(self, node, dest):
+    def fan_out(self, world, node, dest):
         # a broadcast draws once per link in range, a unicast once if it is in range
         if dest is BROADCAST:
-            in_range = self.links(node.id)
+            in_range = self.links(world, node.id)
         else:
-            in_range = [self.nodes[dest]] if self.in_range(node.id, dest) else []
-        loss_prob, draw = self.loss_prob, self.rng.random
+            in_range = [world.nodes[dest]] if world.in_range(node.id, dest) else []
+        loss_prob, draw = self.loss_prob, world.rng.random
         return [n for n in in_range if loss_prob == 0.0 or draw() >= loss_prob]
+
+
+class LiveLinkWorld(LoggedWorld):
+    """``LoggedWorld`` on a ``LiveLinkChannel``."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.channel = LiveLinkChannel(self)
 
 
 @settings(max_examples=150)
@@ -527,8 +535,40 @@ class LiveLinkWorld(LoggedWorld):
 def test_held_hub_links_replay_links_tested_live(run_case):
     # ``TwoEventWorld`` reads links as ``World`` does, holds and all, so it cannot check them
     config, commands = run_case
-    event(f"hub walks: {World(config).hub_moves}")
+    event(f"hub walks: {World(config).channel.hub_moves}")
     assert logged_run(LoggedWorld, config, commands) == logged_run(LiveLinkWorld, config,
+                                                                   commands)
+
+
+def test_the_live_link_world_runs_on_its_own_channel(monkeypatch):
+    # only a live-link channel tests a link between two fixed nodes live; the engine's
+    # own channel tests only links with the walking hub
+    config = replace(load_scenario("outdoor10"), algorithm=Algorithm.MAM, duration_ms=20_000)
+    calls = count_in_range(monkeypatch)
+    logged_run(LoggedWorld, config, [])
+    assert calls and all(config.hub_id in call for call in calls)
+    calls.clear()
+    logged_run(LiveLinkWorld, config, [])
+    assert any(config.hub_id not in call for call in calls)
+
+
+@st.composite
+def parked_runs(draw):
+    """A ``busy_runs`` case whose hub stands at one drawn point, and the same case with
+    2-4 waypoints there."""
+    config, commands = draw(busy_runs())
+    x, y = draw(st.floats(0.0, 12.0)), draw(st.floats(0.0, 12.0))
+    return (hub_parked_at(config, x, y, 1), hub_parked_at(config, x, y, draw(st.integers(2, 4))),
+            commands)
+
+
+@settings(max_examples=100)
+@given(parked_runs())
+def test_a_hub_parked_on_a_trace_replays_the_stored_links(run_case):
+    # one waypoint reads the stored lists; two or more at one point, holds that never end
+    parked, walking, commands = run_case
+    assert not World(parked).channel.hub_moves and World(walking).channel.hub_moves
+    assert logged_run(LoggedWorld, parked, commands) == logged_run(LoggedWorld, walking,
                                                                    commands)
 
 
@@ -1064,8 +1104,8 @@ def test_links_match_a_full_range_sweep(config, times):
     # and each time after the first reads the holds that earlier times set
     world = World(config)
     points = {(w.x, w.y) for w in config.mobility or ()}
-    event("hub " + ("walks" if len(points) > 1 else "stands still" if world.hub_moves
-                    else "stays put"))
+    hub_moves = world.channel.hub_moves
+    event("hub " + ("walks" if len(points) > 1 else "stands still" if hub_moves else "stays put"))
     for now in times:
         world.now = now
         swept = swept_links(config, now)
@@ -1107,7 +1147,7 @@ def test_links_at_the_range_boundary():
     topology = [NodeSpec(0, 3.0, 4.0, Role.MOBILE_HUB), NodeSpec(1, 0.0, 0.0, Role.SENSOR),
                 NodeSpec(2, 0.0, 5.0 + 1e-9, Role.SENSOR)]
     static = World(ScenarioConfig(topology=topology, duration_ms=1_000, radio_preset=5.0))
-    assert not static.hub_moves
+    assert not static.channel.hub_moves
     assert [n.id for n in static.links(1)] == [0]
     assert [n.id for n in static.links(0)] == [1, 2]
     assert static.in_range(0, 1) and static.in_range(1, 0)
@@ -1144,8 +1184,8 @@ def test_held_hub_links_at_the_range_edge(offset, path, in_range_ms):
         linked = now in in_range_ms
         assert [n.id for n in world.links(1)] == ([0] if linked else [])
         assert [n.id for n in world.links(0)] == ([1] if linked else [])
-        assert world._fan_out(sensor, 0) == ([hub] if linked else [])
-        assert world._fan_out(hub, 1) == ([sensor] if linked else [])
+        assert world.channel.fan_out(world, sensor, 0) == ([hub] if linked else [])
+        assert world.channel.fan_out(world, hub, 1) == ([sensor] if linked else [])
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e9])
@@ -1156,19 +1196,21 @@ def test_a_static_hub_reads_its_links_at_the_range_edge_from_stored_lists(monkey
                   NodeSpec(1, offset + 3.0, offset + 4.0, Role.SENSOR),
                   NodeSpec(2, offset, offset + 5.5, Role.SENSOR)],
         duration_ms=1_000, radio_preset=5.0))
-    assert not world.hub_moves
+    channel = world.channel
+    assert not channel.hub_moves
     hub, near, far = world.nodes.values()
-    holds = [n.hub_hold for n in world.nodes.values()]
+    holds = list(channel._holds)
     calls = count_in_range(monkeypatch)
     for now in [0, 500, 10**6, 3]:
         world.now = now
-        assert world._fan_out(near, 0) == [hub] and world._fan_out(hub, 1) == [near]
-        assert world._fan_out(far, 0) == [] and world._fan_out(hub, 2) == []
+        assert channel.fan_out(world, near, 0) == [hub]
+        assert channel.fan_out(world, hub, 1) == [near]
+        assert channel.fan_out(world, far, 0) == [] and channel.fan_out(world, hub, 2) == []
         assert [n.id for n in world.links(0)] == [1]
         assert [n.id for n in world.links(1)] == [0, 2] and [n.id for n in world.links(2)] == [1]
     # no link was tested live, and no hold was written
     assert calls == []
-    assert [n.hub_hold for n in world.nodes.values()] == holds
+    assert channel._holds == holds
     assert hub.pos == (offset, offset)
 
 
@@ -1232,7 +1274,7 @@ def test_hub_position_follows_the_clock():
     # MAM keeps the run short enough to sweep every link after every event; by
     # 25 s the walking collector (0.22 m/s) has come into range of node 6
     world = World(replace(load_scenario("outdoor10"), algorithm=Algorithm.MAM))
-    assert world.hub_moves
+    assert world.channel.hub_moves
     links_seen = {u: set() for u in world.node_ids}
 
     def check():
@@ -1269,7 +1311,7 @@ def test_nodes_run_in_id_order_and_only_a_range_test_with_the_hub_moves_it():
     assert list(world.nodes) == world.node_ids == [0, 1, 2, 3]
     assert [n.id for n in world.nodes.values()] == [0, 1, 2, 3]
     hub = world.nodes[0]
-    assert world.hub_moves and hub.pos == (0.0, 0.0)
+    assert world.channel.hub_moves and hub.pos == (0.0, 0.0)
     world.now = 1_000
     assert world.in_range(1, 2) and world.in_range(3, 2)
     assert hub.pos == (0.0, 0.0)  # a test between two fixed nodes leaves the hub where it was
@@ -1308,7 +1350,7 @@ def test_static_hub_links_match_a_re_tested_hub(algorithm):
     config = replace(load_scenario("indoor10"), algorithm=algorithm, duration_ms=30_000)
     static = World(hub_parked_at(config, 10.0, 7.5, 1))
     retested = World(hub_parked_at(config, 10.0, 7.5, 2))
-    assert not static.hub_moves and retested.hub_moves
+    assert not static.channel.hub_moves and retested.channel.hub_moves
     assert [n.id for n in static.links(static.hub_id)] == [6, 7, 9]  # at its row: [1, 4]
     assert static.nodes[static.hub_id].pos == (10.0, 7.5)
     static.run_until(config.duration_ms)
@@ -1349,7 +1391,7 @@ def test_a_walking_hub_run_tests_only_links_to_the_hub(monkeypatch):
     # a unicast between two fixed nodes reads their stored lists, even while the hub walks
     calls = count_in_range(monkeypatch)
     config = replace(load_scenario("outdoor10"), algorithm=Algorithm.MAM, duration_ms=60_000)
-    assert World(config).hub_moves
+    assert World(config).channel.hub_moves
     assert run(config).unique_received > 0
     assert calls and all(config.hub_id in call for call in calls)
 
@@ -1363,11 +1405,11 @@ def test_every_transmission_takes_its_receivers_from_fan_out(monkeypatch, config
     # loss-free broadcasts too: one call per copy, so two for a duplicated data unicast
     assert config.loss_prob == 0.0
     fan_outs, sent = [], Counter()
-    fan_out, tx_dequeue = World._fan_out, World._tx_dequeue
+    fan_out, tx_dequeue = simnet.DiscChannel.fan_out, World._tx_dequeue
 
-    def counting_fan_out(world, node, dest):
+    def counting_fan_out(channel, world, node, dest):
         fan_outs.append(node.id)
-        return fan_out(world, node, dest)
+        return fan_out(channel, world, node, dest)
 
     def counted_tx_dequeue(world, node):
         # with no reboot, a transmit step always finds a frame queued
@@ -1375,7 +1417,7 @@ def test_every_transmission_takes_its_receivers_from_fan_out(monkeypatch, config
         tx_dequeue(world, node)
         sent[broadcast, len(fan_outs) - before] += 1
 
-    monkeypatch.setattr(World, "_fan_out", counting_fan_out)
+    monkeypatch.setattr(simnet.DiscChannel, "fan_out", counting_fan_out)
     monkeypatch.setattr(World, "_tx_dequeue", counted_tx_dequeue)
     report = run(config)
     assert set(sent) == {(True, 1), (False, 2)}
